@@ -147,6 +147,8 @@ def _load_graph(path: str) -> graphs.DirectedGraph:
             text = fh.read()
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"cannot read {path}: not UTF-8 text") from exc
     return graphs.parse_edge_list(text)
 
 

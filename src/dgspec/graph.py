@@ -322,6 +322,13 @@ def chord_cycle(n: int, chords: Optional[Sequence[tuple[int, int]]] = None) -> D
     return graph_from_edges(n, edges)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 stream behind every seeded draw; seeds must be nonnegative."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def random_strongly_connected(n: int, p: float, seed: int,
                               max_attempts: int = 200) -> DirectedGraph:
     """Directed Erdos-Renyi sample (no self-loops), resampled until strongly
@@ -333,7 +340,7 @@ def random_strongly_connected(n: int, p: float, seed: int,
         raise PreconditionError("random_strongly_connected needs n >= 2")
     if not (0.0 < p <= 1.0):
         raise PreconditionError("edge probability must lie in (0, 1]")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     for _ in range(max_attempts):
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)

@@ -14,10 +14,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, seeded_rng
 from .markov import SpectralProfile, build_transition_matrix, spectral_profile
 
 EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
+# Sweeps evaluate pairs in blocks whose temporaries hold at most this many
+# floats (256 KB), so they stay in cache and memory is flat in the pair count.
+BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,73 +73,87 @@ def _check_pair(profile_n: int, pair: SubsetPair):
         raise PreconditionError(f"subset bitmask out of range for n={profile_n}")
 
 
-def popcounts(n: int) -> np.ndarray:
-    """Bit counts of every mask in [0, 2^n)."""
-    pc = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        pc[1 << b:2 << b] = pc[:1 << b] + 1
-    return pc
-
-
 def subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of values[i] over the set bits of mask."""
-    out = np.zeros(1)
-    for v in values:
-        out = np.concatenate([out, out + v])
+    """sums[..., mask] = sum of values[..., i] over the set bits of mask."""
+    out = np.zeros(values.shape[:-1] + (1,))
+    for j in range(values.shape[-1]):
+        out = np.concatenate([out, out + values[..., j:j + 1]], axis=-1)
     return out
 
 
-def _row_subset_table(p: np.ndarray) -> np.ndarray:
-    """table[i, wmask] = sum over j in W of p[i, j], for every W."""
-    table = np.zeros((p.shape[0], 1))
-    for j in range(p.shape[1]):
-        table = np.hstack([table, table + p[:, j:j + 1]])
-    return table
+def _row_blocks(table: np.ndarray, start: int):
+    """Blocks ``(first, last, sums)`` of consecutive masks u in [start, 2^n):
+    sums[i] adds up the rows of ``table`` (n x 2^n) over the bits of
+    u = first + i, lowest bit first, and keeps the columns [start, 2^n)."""
+    n, size = table.shape
+    rows = max(1, BLOCK_FLOATS // (size - start))
+    for first in range(start, size, rows):
+        last = min(first + rows, size)
+        sums = np.zeros((last - first, size))
+        for row, u in zip(sums, range(first, last)):
+            for b in range(n):
+                if u >> b & 1:
+                    row += table[b]
+        yield first, last, sums[:, start:]
 
 
-def _pair_mass(p: np.ndarray, pair: SubsetPair) -> float:
-    ui = list(pair.u_indices)
-    wi = list(pair.w_indices)
-    if not ui or not wi:
-        return 0.0
-    return float(p[np.ix_(ui, wi)].sum())
+def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_u, pi_w, mass):
+    """``(eml_lhs, |s - |U| pi(U)|, eml_bound, eml_bound_simple)`` for a
+    block of subset pairs, from broadcastable |U|, |W|, pi(U), pi(W) and
+    the mass s = sum of p_ij over i in U, j in W."""
+    n = profile.n
+    fac_u = profile.norm_c ** 2 * size_u - size_u * size_u / n
+    fac_w = profile.norm_c_inv ** 2 * size_w - pi_w ** 2 * n
+    low = min(np.min(fac_u), np.min(fac_w))
+    if low <= -1e-9:
+        raise NumericalError(
+            f"mixing-bound radicand factor {low:.3e} is significantly negative: "
+            "upstream spectral quantities are inconsistent")
+    # in place where a result is fresh: fewer temporaries keep a block in cache
+    bound = np.sqrt(np.maximum(fac_u, 0.0) * np.maximum(fac_w, 0.0))
+    bound *= profile.rho
+    bound_simple = profile.rho * profile.kappa * np.sqrt(size_u) * np.sqrt(size_w)
+    lhs = mass - size_u * pi_w
+    lhs_stmt = mass - size_u * pi_u
+    return np.abs(lhs, out=lhs), np.abs(lhs_stmt, out=lhs_stmt), bound, bound_simple
+
+
+def _masks(members: np.ndarray) -> list[int]:
+    """The bitmasks of 0/1 membership rows."""
+    packed = np.packbits(members, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
+    """``eml_kernel`` over 0/1 membership rows (m, n) of U and W."""
+    weights = np.column_stack([np.ones(profile.n), profile.pi])
+    size_u, pi_u = np.hsplit(u @ weights, 2)
+    size_w, pi_w = np.hsplit(w @ weights, 2)
+    mass = ((u @ profile.transition.p) * w).sum(axis=1, keepdims=True)
+    return eml_kernel(profile, size_u, size_w, pi_u, pi_w, mass)
+
+
+def _pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
+    _check_pair(profile.n, pair)
+    vertices = np.arange(profile.n)
+    values = _block_values(profile, np.isin(vertices, pair.u_indices)[None],
+                           np.isin(vertices, pair.w_indices)[None])
+    return [v.item() for v in values]
 
 
 def eml_lhs(profile: SpectralProfile, pair: SubsetPair) -> float:
     """|sum of p_ij over (i in U, j in W)  -  |U| * pi(W)|."""
-    _check_pair(profile.n, pair)
-    s = _pair_mass(profile.transition.p, pair)
-    size_u = len(pair.u_indices)
-    pi_w = float(profile.pi[list(pair.w_indices)].sum()) if pair.w else 0.0
-    return abs(s - size_u * pi_w)
-
-
-def _radicand(value: float) -> float:
-    if value <= -1e-9:
-        raise NumericalError(
-            f"mixing-bound radicand factor {value:.3e} is significantly negative: "
-            "upstream spectral quantities are inconsistent")
-    return max(value, 0.0)
+    return _pair_values(profile, pair)[0]
 
 
 def eml_bound(profile: SpectralProfile, pair: SubsetPair) -> float:
     """rho * sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))."""
-    _check_pair(profile.n, pair)
-    n = profile.n
-    size_u = len(pair.u_indices)
-    size_w = len(pair.w_indices)
-    pi_w = float(profile.pi[list(pair.w_indices)].sum()) if pair.w else 0.0
-    fac_u = _radicand(profile.norm_c ** 2 * size_u - size_u ** 2 / n)
-    fac_w = _radicand(profile.norm_c_inv ** 2 * size_w - pi_w ** 2 * n)
-    return profile.rho * float(np.sqrt(fac_u * fac_w))
+    return _pair_values(profile, pair)[2]
 
 
 def eml_bound_simple(profile: SpectralProfile, pair: SubsetPair) -> float:
     """rho * sqrt(|U| |W|) * kappa(C)."""
-    _check_pair(profile.n, pair)
-    size_u = len(pair.u_indices)
-    size_w = len(pair.w_indices)
-    return profile.rho * float(np.sqrt(size_u * size_w)) * profile.kappa
+    return _pair_values(profile, pair)[3]
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,7 @@ class _SweepAccumulator:
         self.pair_count = 0
         self.slack_sum = 0.0
         self.min_slack = np.inf
-        self.worst = (np.inf, -1, -1)
+        self.worst = (np.inf, 0, 0)
         self.simple_min = np.inf
         self.stmt_min = np.inf
         self.gap_min = np.inf
@@ -188,29 +205,39 @@ class _SweepAccumulator:
         self.simple_viol = 0
         self.rows: list[tuple] = []
 
-    def add_block(self, u_mask: int, w_masks: np.ndarray, lhs: np.ndarray,
-                  lhs_stmt: np.ndarray, bound: np.ndarray, bound_simple: np.ndarray):
+    def add_block(self, members, lhs: np.ndarray, lhs_stmt: np.ndarray,
+                  bound: np.ndarray, bound_simple: np.ndarray):
+        """Fold in a block of pairs with values of shape (rows, cols).
+        ``members(idx)`` gives the 0/1 membership rows of U and W of the
+        pairs at flat indices ``idx``.  Slack sums go row by row, so one
+        pair per row adds them in draw order."""
         slack = bound - lhs
         slack_simple = bound_simple - lhs
-        self.pair_count += len(w_masks)
-        self.slack_sum += float(slack.sum())
-        j = int(np.argmin(slack))
-        cand = (float(slack[j]), u_mask, int(w_masks[j]))
-        if cand < self.worst:
-            self.worst = cand
-        self.min_slack = min(self.min_slack, float(slack[j]))
+        self.pair_count += slack.size
+        row_sums = np.concatenate(([self.slack_sum], slack.sum(axis=1)))
+        self.slack_sum = float(np.cumsum(row_sums)[-1])
+        flat = slack.ravel()
+        j = int(np.argmin(flat))
+        if flat[j] <= self.worst[0]:
+            # the worst pair is the smallest (slack, u, w); lexsort's last
+            # key, the top vertex of U, is its primary one
+            ties = np.flatnonzero(flat == flat[j])
+            u, w = members(ties)
+            k = np.lexsort(np.hstack([w, u]).T)[:1]
+            self.worst = min(self.worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
+        self.min_slack = min(self.min_slack, float(flat[j]))
         self.simple_min = min(self.simple_min, float(slack_simple.min()))
         self.stmt_min = min(self.stmt_min, float((bound - lhs_stmt).min()))
         self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
         self.thm_viol += int(np.count_nonzero(slack < -self.slack_tol))
         self.simple_viol += int(np.count_nonzero(slack_simple < -self.slack_tol))
-        pos = bound > 0.0
-        if np.any(pos):
-            self.tightness = max(self.tightness, float((lhs[pos] / bound[pos]).max()))
+        ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
+        self.tightness = max(self.tightness, float(ratio.max()))
         if self.keep_rows:
-            for k, w in enumerate(w_masks):
-                self.rows.append((u_mask, int(w), float(lhs[k]), float(bound[k]),
-                                  float(bound_simple[k]), float(slack[k])))
+            u, w = members(np.arange(flat.size))
+            self.rows += zip(_masks(u), _masks(w), lhs.ravel().tolist(),
+                             bound.ravel().tolist(), bound_simple.ravel().tolist(),
+                             flat.tolist())
 
     def report(self, n: int, policy: str, sample_count, seed, nonempty_only,
                slack_tol) -> EmlReport:
@@ -232,8 +259,7 @@ class _SweepAccumulator:
             tightness_ratio=self.tightness,
             theorem_violations=self.thm_viol,
             simple_violations=self.simple_viol,
-            worst_pair=SubsetPair(self.worst[1], self.worst[2])
-            if self.worst[1] >= 0 else SubsetPair(0, 0),
+            worst_pair=SubsetPair(*self.worst[1:]),
             passed=max_violation <= slack_tol,
             rows=tuple(self.rows) if self.keep_rows else None,
         )
@@ -268,56 +294,45 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
 
 def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                       acc: _SweepAccumulator):
-    n = profile.n
-    size = 1 << n
-    pc = popcounts(n)
-    pi_mask = subset_sums(profile.pi)
-    row_table = _row_subset_table(profile.transition.p)
-    fac_w = profile.norm_c_inv ** 2 * pc - pi_mask ** 2 * n
-    low = float(fac_w.min())
-    if low <= -1e-9:
-        raise NumericalError(
-            f"mixing-bound radicand factor {low:.3e} is significantly negative: "
-            "upstream spectral quantities are inconsistent")
-    fac_w = np.maximum(fac_w, 0.0)
-    sqrt_pc = np.sqrt(pc.astype(float))
     start = 1 if nonempty_only else 0
-    w_masks = np.arange(start, size)
-    for u in range(start, size):
-        cu = int(pc[u])
-        bits = [b for b in range(n) if u >> b & 1]
-        s_row = row_table[bits].sum(axis=0) if bits else np.zeros(size)
-        fac_u = _radicand(profile.norm_c ** 2 * cu - cu * cu / n)
-        bound = profile.rho * np.sqrt(fac_u * fac_w[start:])
-        bound_simple = profile.rho * profile.kappa * np.sqrt(cu) * sqrt_pc[start:]
-        lhs = np.abs(s_row[start:] - cu * pi_mask[start:])
-        lhs_stmt = np.abs(s_row[start:] - cu * pi_mask[u])
-        acc.add_block(u, w_masks, lhs, lhs_stmt, bound, bound_simple)
+    cols = (1 << profile.n) - start
+    bits = np.arange(profile.n)
+    pc = subset_sums(np.ones(profile.n))
+    pi_mask = subset_sums(profile.pi)
+    for first, last, mass in _row_blocks(subset_sums(profile.transition.p), start):
+        values = eml_kernel(profile, pc[first:last, None], pc[None, start:],
+                            pi_mask[first:last, None], pi_mask[None, start:], mass)
+        acc.add_block(lambda idx: ((first + idx // cols)[:, None] >> bits & 1,
+                                   (start + idx % cols)[:, None] >> bits & 1), *values)
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:
+    """``count`` pairs of subsets whose masks are uniform over [low, 2^n),
+    as 0/1 membership of shape (count, 2, n).  Up to n = 64 the masks come
+    from one ``integers`` call, so blocks draw what one call for the whole
+    sample would; beyond, from one uniform 64-bit word per 64 vertices."""
+    if n <= 64:
+        words = rng.integers(low, 1 << n, size=(count, 2, 1), dtype=np.uint64)
+    else:
+        words = rng.integers(0, 1 << 64, size=(count, 2, (n + 63) // 64), dtype=np.uint64)
+    octets = words.astype("<u8").view(np.uint8)
+    members = np.unpackbits(octets, axis=-1, bitorder="little")[..., :n]
+    empty = ~members.any(axis=-1)
+    while low and empty.any():  # n > 64: each subset is empty with probability 2^-n
+        members[empty] = _draw_pairs(rng, n, 0, int(empty.sum()))[:, 0]
+        empty = ~members.any(axis=-1)
+    return members
 
 
 def _sweep_sampled(profile: SpectralProfile, count: int, seed: int,
                    nonempty_only: bool, acc: _SweepAccumulator):
-    n = profile.n
-    size = 1 << n
-    low = 1 if nonempty_only else 0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.integers(low, size, size=(count, 2), dtype=np.uint64)
-    p = profile.transition.p
-    for u_mask, w_mask in draws:
-        pair = SubsetPair(int(u_mask), int(w_mask))
-        size_u = len(pair.u_indices)
-        wi = list(pair.w_indices)
-        pi_w = float(profile.pi[wi].sum()) if wi else 0.0
-        pi_u = float(profile.pi[list(pair.u_indices)].sum()) if pair.u else 0.0
-        s = _pair_mass(p, pair)
-        fac_u = _radicand(profile.norm_c ** 2 * size_u - size_u ** 2 / n)
-        fac_w = _radicand(profile.norm_c_inv ** 2 * len(wi) - pi_w ** 2 * n)
-        bound = profile.rho * float(np.sqrt(fac_u * fac_w))
-        bound_simple = profile.rho * profile.kappa * float(np.sqrt(size_u * len(wi)))
-        acc.add_block(pair.u, np.array([pair.w]),
-                      np.array([abs(s - size_u * pi_w)]),
-                      np.array([abs(s - size_u * pi_u)]),
-                      np.array([bound]), np.array([bound_simple]))
+    rng = seeded_rng(seed)
+    block = max(1, BLOCK_FLOATS // profile.n)
+    for done in range(0, count, block):
+        pairs = _draw_pairs(rng, profile.n, 1 if nonempty_only else 0,
+                            min(block, count - done))
+        u, w = pairs[:, 0], pairs[:, 1]
+        acc.add_block(lambda idx: (u[idx], w[idx]), *_block_values(profile, u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +402,18 @@ def alon_chung_sweep(g: DirectedGraph, mu: Optional[float] = None,
         raise PreconditionError(f"exhaustive sweep is capped at n <= {cap}")
     if mu is None:
         mu = second_adjacency_eigenvalue(g)
-    size = 1 << n
-    pc = popcounts(n).astype(float)
-    adj_table = _row_subset_table(g.adjacency_matrix())
+    pc = subset_sums(np.ones(n))
     rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
     min_slack = np.inf
     violations = 0
-    for u in range(size):
-        bits = [b for b in range(n) if u >> b & 1]
-        e_row = adj_table[bits].sum(axis=0) if bits else np.zeros(size)
-        cu = float(len(bits))
-        lhs = np.abs(e_row - k * cu * pc / n)
-        rhs = mu * np.sqrt(max(cu * (1.0 - cu / n), 0.0)) * rhs_w
+    for first, last, e_rows in _row_blocks(subset_sums(g.adjacency_matrix()), 0):
+        cu = pc[first:last, None]
+        lhs = np.abs(e_rows - k * cu * pc / n)
+        rhs = mu * np.sqrt(np.maximum(cu * (1.0 - cu / n), 0.0)) * rhs_w
         slack = rhs - lhs
         min_slack = min(min_slack, float(slack.min()))
         violations += int(np.count_nonzero(slack < -slack_tol))
     return AlonChungReport(
-        n=n, k=k, mu=mu, pair_count=size * size, min_slack=min_slack,
+        n=n, k=k, mu=mu, pair_count=4 ** n, min_slack=min_slack,
         max_violation=-min_slack, violations=violations,
         passed=-min_slack <= slack_tol)

@@ -159,3 +159,19 @@ def mask_sums(values) -> np.ndarray:
     for mask in range(1 << n):
         out[mask] = sum(values[b] for b in range(n) if mask >> b & 1)
     return out
+
+
+def eml_pair_oracle(profile, u_idx, w_idx):
+    """(lhs, bound, bound_simple) of one subset pair, straight from the
+    definitions: the mass is a plain sum over ``P[np.ix_(U, W)]``."""
+    p, pi, n = profile.transition.p, profile.pi, profile.n
+    u_idx, w_idx = list(u_idx), list(w_idx)
+    size_u, size_w = len(u_idx), len(w_idx)
+    mass = float(p[np.ix_(u_idx, w_idx)].sum()) if u_idx and w_idx else 0.0
+    pi_w = float(pi[w_idx].sum()) if w_idx else 0.0
+    lhs = abs(mass - size_u * pi_w)
+    fac_u = profile.norm_c ** 2 * size_u - size_u ** 2 / n
+    fac_w = profile.norm_c_inv ** 2 * size_w - pi_w ** 2 * n
+    bound = profile.rho * np.sqrt(max(fac_u, 0.0) * max(fac_w, 0.0))
+    simple = profile.rho * profile.kappa * np.sqrt(size_u * size_w)
+    return lhs, float(bound), float(simple)

@@ -1,8 +1,10 @@
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
-from dgspec import parse_edge_list, report_from_json
+from dgspec import parse_edge_list, render, report_from_json
 from dgspec.cli import main
 
 CHORD = "a b\nb c\nc a\na c\n"
@@ -52,6 +54,15 @@ class TestAnalyze:
         p.write_text("a b c\n")
         code, _, err = run(capsys, "analyze", str(p))
         assert code == 2
+
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("a b\nb \u00e9\n\u00e9 a\n".encode("latin-1"))
+        code, out, err = run(capsys, "analyze", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dgspec: parse error:") and "UTF-8" in err
+        assert "Traceback" not in err
 
     def test_zero_outdegree_is_precondition(self, capsys, tmp_path):
         p = tmp_path / "path.txt"
@@ -105,6 +116,24 @@ class TestEml:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    def test_sample_beyond_64_vertices(self, capsys, tmp_path):
+        out_file = tmp_path / "r72.txt"
+        run(capsys, "generate", "random_strongly_connected", "72", "0.1",
+            "--seed", "5", "-o", str(out_file))
+        code, out, err = run(capsys, "eml", "verify", str(out_file),
+                             "--sample", "500", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        with resources.files("dgspec").joinpath("schema.json").open() as fh:
+            jsonschema.validate(payload, json.load(fh))
+        assert (payload["n"], payload["pair_count"]) == (72, 500)
+        worst = payload["worst_pair"]
+        assert max(worst["u"] + worst["w"]) >= 64
+        report = report_from_json(out)
+        assert render(report, "json") == out
+        assert report.worst_pair.u_indices == tuple(worst["u"])
+        assert report.worst_pair.w_indices == tuple(worst["w"])
 
     def test_nonempty_only(self, capsys, chord_file):
         code, out, _ = run(capsys, "eml", "verify", chord_file,
@@ -255,6 +284,23 @@ class TestEnvironmentOverrides:
         run(capsys, "generate", "random_strongly_connected", "8", "0.3",
             "--seed", "42", "-o", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ("eml", "verify", "{graph}", "--sample", "10"),
+        ("generate", "random_strongly_connected", "8", "0.3", "-o", "{out}"),
+    ])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_negative_seed_is_precondition(self, capsys, chord_file, tmp_path,
+                                           monkeypatch, command, via_env):
+        argv = [a.format(graph=chord_file, out=tmp_path / "r.txt") for a in command]
+        if via_env:
+            monkeypatch.setenv("DGSPEC_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "dgspec: seed must be nonnegative, got -1\n"
 
     def test_bad_env_value(self, capsys, chord_file, monkeypatch):
         monkeypatch.setenv("DGSPEC_SLACK_TOL", "tiny")

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dgspec import (
+    DgspecError,
     NumericalError,
     PreconditionError,
     SubsetPair,
@@ -18,10 +21,16 @@ from dgspec import (
     eml_lhs,
     graph_from_edges,
     petersen,
+    random_strongly_connected,
     spectral_profile,
     undirected_cycle,
     verify_eml,
 )
+from dgspec import mixing
+from dgspec.graph import seeded_rng
+from dgspec.mixing import BLOCK_FLOATS, mask_from_indices
+
+from oracles import eml_pair_oracle
 
 
 def profile_of(g):
@@ -179,6 +188,14 @@ class TestVerifySweep:
         assert (report.worst_pair.u, report.worst_pair.w) == (best[1], best[2])
         assert report.min_slack == best[0]
 
+    def test_sampled_worst_pair_is_smallest_tie(self):
+        # 25000 pairs span three blocks at n = 3, and many pairs tie at the
+        # minimum slack 0 (an empty U or W)
+        report = verify_eml(profile_of(chord_cycle(3)), sample=25000, seed=3,
+                            keep_rows=True)
+        best = min((r[5], r[0], r[1]) for r in report.rows)
+        assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
+
     def test_singleton_row_bookkeeping(self):
         g = chord_cycle(3)
         prof = profile_of(g)
@@ -249,3 +266,136 @@ class TestAlonChung:
             pair = SubsetPair.from_indices(u_idx, w_idx)
             lhs_adj, _ = alon_chung_bound(g, pair, mu=2 * prof.rho)
             assert 2 * eml_lhs(prof, pair) == pytest.approx(lhs_adj, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The block kernel against the per-pair oracle
+# ---------------------------------------------------------------------------
+
+def assert_pair_close(profile, u_idx, w_idx, lhs, bound, simple):
+    """1e-12 relative.  lhs is a difference of terms up to |U| in size;
+    the bounds compare by their squares, because the square root magnifies
+    rounding in a radicand near zero (such as W = V on a regular graph)."""
+    size_u, size_w = len(u_idx), len(w_idx)
+    o_lhs, o_bound, o_simple = eml_pair_oracle(profile, u_idx, w_idx)
+    radicand_scale = (profile.rho ** 2 * profile.norm_c ** 2 * size_u
+                      * profile.norm_c_inv ** 2 * size_w)
+    assert abs(lhs - o_lhs) <= 1e-12 * max(1, size_u)
+    assert abs(bound ** 2 - o_bound ** 2) <= 1e-12 * radicand_scale
+    assert simple == pytest.approx(o_simple, rel=1e-12, abs=0)
+
+
+@st.composite
+def graph_and_pairs(draw, sizes):
+    n = draw(sizes)
+    p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    seed = draw(st.integers(0, 2 ** 32))
+    try:
+        profile = profile_of(random_strongly_connected(n, p, seed=seed))
+    except DgspecError:  # no strongly connected sample, periodic or defective
+        assume(False)
+    subset = st.frozensets(st.integers(0, n - 1))
+    pairs = draw(st.lists(st.tuples(subset, subset), min_size=1, max_size=30))
+    return profile, [(sorted(u), sorted(w)) for u, w in pairs]
+
+
+def check_block_against_oracle(profile, pairs):
+    vertices = np.arange(profile.n)
+    u = np.array([np.isin(vertices, a) for a, _ in pairs])
+    w = np.array([np.isin(vertices, b) for _, b in pairs])
+    lhs, _, bound, simple = mixing._block_values(profile, u, w)
+    for k, (u_idx, w_idx) in enumerate(pairs):
+        assert_pair_close(profile, u_idx, w_idx, lhs[k, 0], bound[k, 0], simple[k, 0])
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(graph_and_pairs(st.integers(3, 12)))
+    def test_block_matches_oracle(self, case):
+        check_block_against_oracle(*case)
+
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(graph_and_pairs(st.just(70)))
+    def test_block_matches_oracle_beyond_64_vertices(self, case):
+        check_block_against_oracle(*case)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(graph_and_pairs(st.integers(3, 8)),
+           st.lists(st.integers(min_value=0), min_size=1, max_size=30))
+    def test_kept_rows_match_single_pair_calls(self, case, picks):
+        profile, _ = case
+        rows = verify_eml(profile, keep_rows=True).rows
+        for u, w, lhs, bound, simple, _slack in (rows[i % len(rows)] for i in picks):
+            pair = SubsetPair(u, w)
+            assert_pair_close(profile, pair.u_indices, pair.w_indices,
+                              eml_lhs(profile, pair), eml_bound(profile, pair),
+                              eml_bound_simple(profile, pair))
+            assert_pair_close(profile, pair.u_indices, pair.w_indices, lhs, bound, simple)
+
+
+# ---------------------------------------------------------------------------
+# Sampled draws
+# ---------------------------------------------------------------------------
+
+def evaluated_pairs(monkeypatch, profile, **kwargs):
+    """The 0/1 memberships (u, w) of every pair a sweep evaluates, in order,
+    and the number of blocks."""
+    seen = []
+    real = mixing._block_values
+
+    def spy(prof, u, w):
+        seen.append((u.copy(), w.copy()))
+        return real(prof, u, w)
+
+    monkeypatch.setattr(mixing, "_block_values", spy)
+    verify_eml(profile, **kwargs)
+    return (np.concatenate([u for u, _ in seen]), np.concatenate([w for _, w in seen]),
+            len(seen))
+
+
+def masks_of(members):
+    return [mask_from_indices(np.flatnonzero(row).tolist()) for row in members]
+
+
+class TestSampledDraws:
+    @pytest.mark.parametrize("n", [5, 24, 33, 64])
+    @pytest.mark.parametrize("nonempty_only", [False, True])
+    def test_blocks_draw_the_pairs_of_one_call(self, monkeypatch, n, nonempty_only):
+        profile = profile_of(random_strongly_connected(n, min(0.5, 6 / n), seed=4))
+        count = 2 * (BLOCK_FLOATS // n) + 7
+        u, w, blocks = evaluated_pairs(monkeypatch, profile, sample=count, seed=9,
+                                       nonempty_only=nonempty_only)
+        low = 1 if nonempty_only else 0
+        whole = np.random.Generator(np.random.PCG64(9)).integers(
+            low, 2 ** n, size=(count, 2), dtype=np.uint64)
+        assert blocks == 3
+        assert masks_of(u) == [int(x) for x in whole[:, 0]]
+        assert masks_of(w) == [int(x) for x in whole[:, 1]]
+
+    def test_nonempty_only_beyond_64_vertices(self, monkeypatch):
+        profile = profile_of(random_strongly_connected(70, 0.1, seed=2))
+        u, w, _ = evaluated_pairs(monkeypatch, profile, sample=3000, seed=1,
+                                  nonempty_only=True)
+        assert u.shape == w.shape == (3000, 70)
+        for members in (u, w):
+            assert members.any(axis=1).all()
+            assert np.all(np.abs(members.mean(axis=0) - 0.5) < 0.05)
+
+    def test_empty_draws_beyond_64_vertices_are_redrawn(self):
+        class FirstDrawEmpty:
+            def __init__(self):
+                self.rng, self.calls = seeded_rng(3), 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                out = self.rng.integers(*args, **kwargs)
+                return out * np.uint64(0) if self.calls == 1 else out
+
+        rng = FirstDrawEmpty()
+        members = mixing._draw_pairs(rng, 70, 1, 50)
+        assert rng.calls > 1
+        assert members.shape == (50, 2, 70)
+        assert members.any(axis=-1).all()
