@@ -9,9 +9,9 @@ Grammar::
     dgspec generate <family> [params ...] -o <file>
 
 Global flags (valid after any subcommand): --format text|json|csv,
---slack-tol, --eig-tol, --cluster-tol, --seed, --threads, -v/--verbose.
+--slack-tol, --eig-tol, --cluster-tol, --seed, -v/--verbose.
 Environment variables DGSPEC_FORMAT, DGSPEC_SLACK_TOL, DGSPEC_EIG_TOL,
-DGSPEC_CLUSTER_TOL, DGSPEC_SEED, DGSPEC_THREADS override the defaults.
+DGSPEC_CLUSTER_TOL, DGSPEC_SEED override the defaults.
 
 Exit codes: 0 success (including a compare run whose bound fails to
 hold), 1 mixing verification FAIL, 2 parse/usage error, 3 precondition
@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
 )
 from .markov import build_transition_matrix, spectral_profile
-from .mixing import SubsetPair, eml_bound, eml_bound_simple, eml_lhs, verify_eml
+from .mixing import SubsetPair, eml_pair_values, verify_eml
 from .reports import (
     BoundOnlyReport,
     GenerateReport,
@@ -76,9 +76,6 @@ def _global_flags() -> argparse.ArgumentParser:
                    help="eigenvalue clustering tolerance, relative (default 1e-8)")
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0),
                    help="64-bit seed for sampling and random generators")
-    p.add_argument("--threads", type=int,
-                   default=_env("THREADS", int, os.cpu_count() or 1),
-                   help="worker processes for the toughness enumeration")
     p.add_argument("-v", "--verbose", action="count", default=0,
                    help="more diagnostic output in text mode")
     return p
@@ -137,7 +134,6 @@ def _config(args) -> RunConfig:
         fmt=args.fmt,
         seed=args.seed,
         verbosity=args.verbose,
-        threads=args.threads,
     )
 
 
@@ -204,9 +200,7 @@ def _cmd_eml_bound(args, cfg: RunConfig) -> int:
     profile = _profile(g, cfg)
     pair = SubsetPair.from_indices(_parse_subset(args.u, g),
                                    _parse_subset(args.w, g))
-    lhs = eml_lhs(profile, pair)
-    bound = eml_bound(profile, pair)
-    simple = eml_bound_simple(profile, pair)
+    lhs, _, bound, simple = eml_pair_values(profile, pair)
     _emit(PairBoundReport(u=pair.u_indices, w=pair.w_indices, lhs=lhs,
                           bound=bound, bound_simple=simple,
                           slack=bound - lhs, slack_simple=simple - lhs), cfg)
@@ -216,16 +210,13 @@ def _cmd_eml_bound(args, cfg: RunConfig) -> int:
 def _cmd_toughness(args, cfg: RunConfig) -> int:
     g = _load_graph(args.path)
     if args.mode == "exact":
-        result = exact_toughness(g, cap=cfg.toughness_cap,
-                                 allow_large=args.allow_large,
-                                 threads=cfg.threads)
-        _emit(result, cfg)
+        _emit(exact_toughness(g, cap=cfg.toughness_cap,
+                              allow_large=args.allow_large), cfg)
     elif args.mode == "bound":
         _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g, cfg))), cfg)
     else:
         _emit(compare_bounds(g, cap=cfg.toughness_cap,
-                             allow_large=args.allow_large,
-                             threads=cfg.threads), cfg)
+                             allow_large=args.allow_large), cfg)
     return EXIT_OK
 
 

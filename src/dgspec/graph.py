@@ -59,6 +59,15 @@ class DirectedGraph:
             nbrs[t].append(h)
         return tuple(tuple(sorted(b)) for b in nbrs)
 
+    def neighbour_masks(self) -> tuple[list[int], list[int]]:
+        """Out- and in-neighbour sets as bitmasks, indexed by vertex."""
+        out_nb = [0] * self.n
+        in_nb = [0] * self.n
+        for t, h in self.edges:
+            out_nb[t] |= 1 << int(h)  # int(): numpy integers overflow past 63 bits
+            in_nb[h] |= 1 << int(t)
+        return out_nb, in_nb
+
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for t, h in self.edges:
@@ -125,80 +134,47 @@ def write_edge_list(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scc_components(n: int, adj: Sequence[Sequence[int]],
-                    keep: Optional[Sequence[bool]] = None) -> list[list[int]]:
-    """Iterative Tarjan; returns components as vertex lists.
+def _closure(start: int, nbrs: Sequence[int], within: int) -> int:
+    """Bitmask of the vertices of ``within`` reachable from ``start``."""
+    unseen = within ^ start
+    frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbrs[low.bit_length() - 1] & unseen
+        unseen ^= new
+        frontier |= new
+    return within ^ unseen
 
-    ``keep`` restricts the walk to a vertex subset without rebuilding
-    the adjacency structure (used by the toughness enumeration).
+
+def _scc_masks(keep: int, out_nb: Sequence[int], in_nb: Sequence[int]) -> list[int]:
+    """SCCs of the subgraph induced by the bitmask ``keep``, as bitmasks
+    ordered by smallest member.
+
+    Peels the component of the lowest remaining vertex: the vertices it
+    reaches that reach it back.  Every vertex on a path back to it is
+    itself reached, so the backward closure may stay inside the forward one.
     """
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1 or (keep is not None and not keep[root]):
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, ptr = frame
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            nbrs = adj[v]
-            while ptr < len(nbrs):
-                w = nbrs[ptr]
-                ptr += 1
-                if keep is not None and not keep[w]:
-                    continue
-                if index[w] == -1:
-                    frame[1] = ptr
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+    comps = []
+    rest = keep
+    while rest:
+        root = rest & -rest
+        comp = _closure(root, in_nb, _closure(root, out_nb, rest))
+        comps.append(comp)
+        rest ^= comp
     return comps
 
 
 def scc(g: DirectedGraph) -> SccDecomposition:
-    """Strongly connected components via Tarjan, ids stable across runs."""
-    comps = _scc_components(g.n, g.adjacency())
-    comps.sort(key=min)
+    """Strongly connected components on bitsets, ids stable across runs."""
+    comps = _scc_masks((1 << g.n) - 1, *g.neighbour_masks())
     ids = [0] * g.n
     for cid, comp in enumerate(comps):
-        for v in comp:
-            ids[v] = cid
+        while comp:
+            low = comp & -comp
+            ids[low.bit_length() - 1] = cid
+            comp ^= low
     return SccDecomposition(tuple(ids), len(comps))
-
-
-def scc_count_masked(g_adj: Sequence[Sequence[int]], n: int, keep_mask: int) -> int:
-    """Number of SCCs of the subgraph induced by the bitmask ``keep_mask``."""
-    keep = [bool(keep_mask >> v & 1) for v in range(n)]
-    return len(_scc_components(n, g_adj, keep))
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:

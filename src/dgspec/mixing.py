@@ -133,7 +133,8 @@ def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
     return eml_kernel(profile, size_u, size_w, pi_u, pi_w, mass)
 
 
-def _pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
+def eml_pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
+    """``eml_kernel``'s four values for one subset pair, from one evaluation."""
     _check_pair(profile.n, pair)
     vertices = np.arange(profile.n)
     values = _block_values(profile, np.isin(vertices, pair.u_indices)[None],
@@ -143,17 +144,17 @@ def _pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
 
 def eml_lhs(profile: SpectralProfile, pair: SubsetPair) -> float:
     """|sum of p_ij over (i in U, j in W)  -  |U| * pi(W)|."""
-    return _pair_values(profile, pair)[0]
+    return eml_pair_values(profile, pair)[0]
 
 
 def eml_bound(profile: SpectralProfile, pair: SubsetPair) -> float:
     """rho * sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))."""
-    return _pair_values(profile, pair)[2]
+    return eml_pair_values(profile, pair)[2]
 
 
 def eml_bound_simple(profile: SpectralProfile, pair: SubsetPair) -> float:
     """rho * sqrt(|U| |W|) * kappa(C)."""
-    return _pair_values(profile, pair)[3]
+    return eml_pair_values(profile, pair)[3]
 
 
 @dataclass(frozen=True)

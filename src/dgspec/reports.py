@@ -37,7 +37,6 @@ class RunConfig:
     fmt: str = "text"
     seed: int = 0
     verbosity: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("slack_tol", "eig_tol", "cluster_tol"):
@@ -48,8 +47,6 @@ class RunConfig:
                 raise PreconditionError(f"{name} must be at least 2")
         if self.fmt not in FORMATS:
             raise PreconditionError(f"format must be one of {', '.join(FORMATS)}")
-        if self.threads < 1:
-            raise PreconditionError("threads must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,17 @@ no such S and get the distinguished value INFINITE.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import DirectedGraph, is_strongly_connected, scc_count_masked
+from .graph import DirectedGraph, _scc_masks, is_strongly_connected
 from .markov import SpectralProfile, build_transition_matrix, spectral_profile
 from .mixing import regular_degree, second_adjacency_eigenvalue
 
 INFINITE = math.inf
 
 ENUMERATION_CAP = 20
-_PARALLEL_THRESHOLD = 14
 
 # rho below this is indistinguishable from an exactly rank-one walk matrix
 ZERO_RHO_TOL = 1e-13
@@ -45,34 +43,16 @@ class ToughnessResult:
         return math.isinf(self.value)
 
 
-def _best_in_range(n: int, adj, start: int, stop: int):
-    """Minimal (value, |S|, S-mask) over removal masks in [start, stop)."""
-    full = (1 << n) - 1
-    best = None
-    for mask in range(start, stop):
-        keep = full ^ mask
-        count = scc_count_masked(adj, n, keep)
-        if count >= 2:
-            size = bin(mask).count("1")
-            cand = (size / count, size, mask, count)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-    return best
-
-
-def _range_worker(args):
-    return _best_in_range(*args)
-
-
 def exact_toughness(g: DirectedGraph, cap: int = ENUMERATION_CAP,
-                    allow_large: bool = False, threads: int = 1) -> ToughnessResult:
+                    allow_large: bool = False) -> ToughnessResult:
     """Minimize |S| / c(G - S) over all proper nonempty removal sets.
 
-    Enumerates every bitmask strictly between the empty and the full
-    vertex set, running Tarjan on each remainder.  ``threads`` > 1
-    splits the mask range across worker processes for n at or above the
-    parallel threshold; the winning candidate is reduced with the same
-    deterministic tie-break either way.
+    Removal sets are taken by increasing size, each size in ascending
+    bitmask order.  The search stops before size k once k / (n - k) is at
+    least the best value so far: G - S has at most n - |S| components, so
+    no set of size k or more can do better, and a tie loses to the
+    smaller set already found.  Values are compared as exact fractions.
+    Sets of n - 1 vertices leave a single component and are not tried.
     """
     if not is_strongly_connected(g):
         raise PreconditionError("toughness is defined for strongly connected graphs")
@@ -80,22 +60,26 @@ def exact_toughness(g: DirectedGraph, cap: int = ENUMERATION_CAP,
         raise PreconditionError(
             f"n={g.n} exceeds the enumeration cap {cap}; pass allow_large to override")
     n = g.n
-    adj = g.adjacency()
-    top = 1 << n
-    if threads > 1 and n >= _PARALLEL_THRESHOLD:
-        chunk = max(1, (top - 2) // (threads * 8) + 1)
-        ranges = [(n, adj, s, min(s + chunk, top - 1))
-                  for s in range(1, top - 1, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            candidates = [c for c in pool.map(_range_worker, ranges) if c is not None]
-        best = min(candidates, key=lambda c: c[:3]) if candidates else None
-    else:
-        best = _best_in_range(n, adj, 1, top - 1)
+    out_nb, in_nb = g.neighbour_masks()
+    full = (1 << n) - 1
+    best = None  # (|S|, c(G - S), S-mask)
+    for size in range(1, n - 1):
+        if best is not None and size * best[1] >= best[0] * (n - size):
+            break
+        mask = (1 << size) - 1
+        while mask < full:
+            count = len(_scc_masks(full ^ mask, out_nb, in_nb))
+            if count >= 2 and (best is None or size * best[1] < best[0] * count):
+                best = (size, count, mask)
+            # Gosper's hack: the next larger mask with as many bits set
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
     if best is None:
         return ToughnessResult(INFINITE, None, None)
-    value, _size, mask, count = best
+    size, count, mask = best
     witness = tuple(v for v in range(n) if mask >> v & 1)
-    return ToughnessResult(value, witness, count)
+    return ToughnessResult(size / count, witness, count)
 
 
 def toughness_spectral_bound(profile: SpectralProfile) -> float:
@@ -141,10 +125,10 @@ class BoundComparison:
 
 
 def compare_bounds(g: DirectedGraph, cap: int = ENUMERATION_CAP,
-                   allow_large: bool = False, threads: int = 1,
+                   allow_large: bool = False,
                    tol: float = 1e-9) -> BoundComparison:
     """Run both routes and report the gap; never aborts on a violation."""
-    exact = exact_toughness(g, cap=cap, allow_large=allow_large, threads=threads)
+    exact = exact_toughness(g, cap=cap, allow_large=allow_large)
     profile = spectral_profile(build_transition_matrix(g))
     bound = toughness_spectral_bound(profile)
     note = None

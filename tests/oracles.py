@@ -1,10 +1,10 @@
 """Independent oracles the tests check library output against.
 
 Everything here deliberately avoids the implementation paths it judges:
-reachability closure instead of Tarjan, Kosaraju instead of Tarjan for
-the toughness enumeration, combinations-by-size instead of bitmask order,
-and numpy's LAPACK-backed routines as the reference for the hand-rolled
-eigensolver and norm estimators.
+reachability closure and Kosaraju instead of bitset closures for SCCs,
+unpruned combinations-by-size for the toughness enumeration, and numpy's
+LAPACK-backed routines as the reference for the hand-rolled eigensolver
+and norm estimators.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dgspec import parse_edge_list, render, report_from_json
+from dgspec import graph as graphs
+from dgspec import mixing, parse_edge_list, render, report_from_json
 from dgspec.cli import main
 
 CHORD = "a b\nb c\nc a\na c\n"
@@ -164,6 +171,19 @@ class TestEml:
                            "--u", "0", "--w", "1,2", "--format", "json")
         assert json.loads(out)["lhs"] == pytest.approx(0.4, abs=1e-10)
 
+    def test_bound_evaluates_the_pair_once(self, capsys, chord_file, monkeypatch):
+        calls = []
+        kernel = mixing.eml_kernel
+
+        def counting_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(mixing, "eml_kernel", counting_kernel)
+        code, _, _ = run(capsys, "eml", "bound", chord_file, "--u", "a", "--w", "b,c")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bound_unknown_vertex(self, capsys, chord_file):
         code, _, err = run(capsys, "eml", "bound", chord_file,
                            "--u", "zz", "--w", "b")
@@ -307,3 +327,99 @@ class TestEnvironmentOverrides:
         code, _, err = run(capsys, "analyze", chord_file)
         assert code == 3
         assert "DGSPEC_SLACK_TOL" in err
+
+
+def test_threads_is_an_unknown_flag(capsys, chord_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["toughness", "exact", chord_file, "--threads", "2"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzzing: every input ends in 0, 1, 2, 3 or 4, and 1 only comes
+# from eml verify.  Graphs stay at n <= 10, far below the enumeration caps.
+# ---------------------------------------------------------------------------
+
+LABELS = [str(v) for v in range(7)] + ["a", "b", "c"]
+ODD_VALUES = ["", " ", "-", "-0", "1e-30", "1e400", "-1e400", "nan", "inf", "-inf",
+              "0x10", "abc", "yaml", "a,b", "1,,2", "-1"]
+PLAIN_VALUES = ["text", "json", "csv", "1e-9", "1e-6", "0.5", "0", "3", "11", "a", "0,1"]
+values = st.one_of(st.sampled_from(PLAIN_VALUES), st.integers(-3, 400).map(str),
+                   st.sampled_from(ODD_VALUES),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@st.composite
+def edge_list_text(draw):
+    """Edge lists on up to 10 vertices, often strongly connected, sometimes
+    with duplicate edges or malformed lines."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=10, unique=True))
+    edges = []
+    if draw(st.booleans()):
+        edges += [(labels[i], labels[(i + 1) % len(labels)]) for i in range(len(labels))]
+    edges += draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                           max_size=30))
+    if draw(st.booleans()):
+        edges = list(dict.fromkeys(edges))
+    lines = [f"{t} {h}" for t, h in edges]
+    lines += draw(st.lists(st.sampled_from(["# comment", "", "a b c", "a"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines))).encode()
+
+
+FLAGS = ["--format", "--slack-tol", "--eig-tol", "--cluster-tol", "--seed",
+         "--sample", "--u", "--w", "--threads", "-o"]
+SWITCHES = ["-v", "--nonempty-only", "--allow-large", "--help", "--bogus"]
+
+
+@st.composite
+def command_line(draw, graph: str, out: str):
+    head = draw(st.sampled_from([
+        ["analyze", graph], ["eml", "verify", graph], ["eml", "bound", graph],
+        ["toughness", "exact", graph], ["toughness", "bound", graph],
+        ["toughness", "compare", graph], ["toughness", "exactly", graph],
+        ["generate"], ["eml"], [],
+    ]))
+    if head == ["generate"]:
+        family = draw(st.sampled_from(list(graphs.GENERATOR_FAMILIES) + ["moebius"]))
+        params = draw(st.lists(st.one_of(st.integers(-2, 10).map(str),
+                                         st.sampled_from(["0.3", "1", "0", "nan", "2",
+                                                          "1:3", "0:2", "x"])),
+                               max_size=3))
+        head = ["generate", family, *params, "-o", out]
+    if head == ["eml", "bound", graph] and draw(st.booleans()):
+        head += ["--u", draw(values), "--w", draw(values)]
+    tail = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            tail.append(draw(st.sampled_from(SWITCHES)))
+        else:
+            tail += [draw(st.sampled_from(FLAGS)), draw(values)]
+    return head + tail
+
+
+ENV_NAMES = ["FORMAT", "SLACK_TOL", "EIG_TOL", "CLUSTER_TOL", "SEED", "THREADS"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data(),
+       content=st.one_of(st.binary(max_size=300), edge_list_text(), edge_list_text()),
+       env=st.dictionaries(st.sampled_from(ENV_NAMES), values, max_size=2))
+def test_exit_codes_hold_for_any_input(tmp_path, data, content, env):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(content)
+    argv = data.draw(command_line(str(graph), str(tmp_path / "out.txt")))
+    sink = io.StringIO()
+    overrides = {f"DGSPEC_{name}": value for name, value in env.items()}
+    with mock.patch.dict(os.environ, overrides), \
+            redirect_stdout(sink), redirect_stderr(sink):
+        for key in [k for k in os.environ if k.startswith("DGSPEC_")]:
+            if key not in overrides:
+                del os.environ[key]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), argv
+    if code == 1:
+        assert argv[:2] == ["eml", "verify"], argv

@@ -97,9 +97,11 @@ class TestScc:
 
     def test_agrees_with_reachability_oracle(self):
         rng = np.random.default_rng(2024)
-        for _ in range(60):
-            n = int(rng.integers(1, 8))
-            density = rng.random() * 0.6 + 0.1
+        # 60 small graphs, then sparse ones beyond one 64-bit word
+        sizes = [int(rng.integers(1, 8)) for _ in range(60)] + [65, 80, 130]
+        for n in sizes:
+            density = (rng.random() * 0.6 + 0.1 if n < 8
+                       else (1.3 + rng.random() * 0.5) / n)
             edges = {(int(u), int(v)) for u in range(n) for v in range(n)
                      if u != v and rng.random() < density}
             g = graph_from_edges(n, edges)
@@ -108,6 +110,9 @@ class TestScc:
             assert dec.component_count == len(oracle)
             for comp in oracle:
                 assert len({dec.component_id[v] for v in comp}) == 1
+            # ids number the components by their smallest member
+            by_min = sorted(oracle, key=min)
+            assert [dec.component_id[min(c)] for c in by_min] == list(range(len(oracle)))
 
     def test_is_strongly_connected(self):
         assert is_strongly_connected(cycle3())

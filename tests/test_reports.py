@@ -62,7 +62,6 @@ class TestRunConfig:
         {"eml_cap": 1},
         {"toughness_cap": 0},
         {"fmt": "yaml"},
-        {"threads": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(PreconditionError):

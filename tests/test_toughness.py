@@ -1,12 +1,16 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-import dgspec.toughness as toughness_mod
 from dgspec import (
     INFINITE,
     PreconditionError,
+    ToughnessResult,
     alon_toughness_bound,
     build_transition_matrix,
     chord_cycle,
@@ -15,6 +19,7 @@ from dgspec import (
     exact_toughness,
     graph_from_edges,
     induced_subgraph,
+    is_strongly_connected,
     petersen,
     scc,
     spectral_profile,
@@ -94,6 +99,36 @@ class TestExactToughness:
             h = graph_from_edges(g.n, {(perm[t], perm[hd]) for t, hd in g.edges})
             assert exact_toughness(h).value == base
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.data())
+    def test_pruned_enumeration_matches_oracle(self, data):
+        # self-loops allowed; the AND (OR) of k random adjacency words has
+        # density 2^-k (1 - 2^-k); an optional spanning cycle keeps sparse
+        # draws strongly connected often enough, and bidirected draws
+        # (undirected graphs) give removal sets many components
+        n = data.draw(st.one_of(st.integers(2, 9), st.integers(6, 9)))
+        words = data.draw(st.lists(st.integers(0, 2 ** (n * n) - 1), min_size=1, max_size=4))
+        combine = data.draw(st.sampled_from([operator.and_, operator.or_]))
+        bits = functools.reduce(combine, words)
+        edges = {(i // n, i % n) for i in range(n * n) if bits >> i & 1}
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(n)))
+            edges |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+        if data.draw(st.booleans()):
+            edges |= {(h, t) for t, h in edges}
+        g = graph_from_edges(n, edges)
+        assume(is_strongly_connected(g))
+        result = exact_toughness(g)
+        oracle = toughness_by_combinations(n, edges)
+        if oracle is None:
+            assert result == ToughnessResult(INFINITE, None, None)
+        else:
+            value, witness, components = oracle
+            assert result.value == value
+            assert frozenset(result.witness) == witness
+            assert result.component_count == components
+
     def test_requires_strong_connectivity(self):
         with pytest.raises(PreconditionError, match="strongly connected"):
             exact_toughness(graph_from_edges(2, [(0, 1)]))
@@ -103,11 +138,6 @@ class TestExactToughness:
         with pytest.raises(PreconditionError, match="cap"):
             exact_toughness(g, cap=4)
         assert exact_toughness(g, cap=4, allow_large=True).value == 1.0
-
-    def test_parallel_matches_sequential(self, monkeypatch):
-        monkeypatch.setattr(toughness_mod, "_PARALLEL_THRESHOLD", 0)
-        for g in (chord_cycle(3), undirected_cycle(5), petersen()):
-            assert exact_toughness(g, threads=2) == exact_toughness(g, threads=1)
 
 
 class TestSpectralBound:
