@@ -190,7 +190,7 @@ def _cmd_eml_verify(args, cfg: RunConfig) -> int:
     profile = _profile(g, cfg)
     report = verify_eml(profile, sample=args.sample, seed=cfg.seed,
                         nonempty_only=args.nonempty_only,
-                        slack_tol=cfg.slack_tol, cap=cfg.eml_cap)
+                        slack_tol=cfg.slack_tol)
     _emit(report, cfg)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -210,13 +210,12 @@ def _cmd_eml_bound(args, cfg: RunConfig) -> int:
 def _cmd_toughness(args, cfg: RunConfig) -> int:
     g = _load_graph(args.path)
     if args.mode == "exact":
-        _emit(exact_toughness(g, cap=cfg.toughness_cap,
-                              allow_large=args.allow_large), cfg)
+        _emit(exact_toughness(g, allow_large=args.allow_large), cfg)
     elif args.mode == "bound":
         _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g, cfg))), cfg)
     else:
-        _emit(compare_bounds(g, cap=cfg.toughness_cap,
-                             allow_large=args.allow_large), cfg)
+        exact = exact_toughness(g, allow_large=args.allow_large)
+        _emit(compare_bounds(exact, _profile(g, cfg)), cfg)
     return EXIT_OK
 
 

@@ -491,8 +491,11 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
     conj_partner: dict[int, int] = {}
     for ci, mu in enumerate(means):
         if mu.imag < -im_tol:
+            # only a cluster computed directly can lend its vectors; never
+            # the cluster itself, which may lie within tolerance of the axis
             matches = [cj for cj, nu in enumerate(means)
-                       if abs(nu - np.conj(mu)) <= max(cluster_tol * scale, im_tol)]
+                       if nu.imag >= -im_tol
+                       and abs(nu - np.conj(mu)) <= max(cluster_tol * scale, im_tol)]
             if matches:
                 conj_partner[ci] = matches[0]
                 deferred.append(ci)

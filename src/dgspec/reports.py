@@ -1,10 +1,25 @@
 """Run configuration and report serialization.
 
-Every report serializes to text (7 significant digits), JSON (native
-floats, whose repr round-trips doubles exactly), and CSV with a fixed,
-documented column order.  Infinite values serialize to the strings
-"infinite" / "-infinite"; complex numbers to {"re": ..., "im": ...}
-objects.  ``report_from_json`` inverts the JSON form exactly.
+Each report is a frozen dataclass, and its field declaration is the only
+field table of the machine-readable formats: ``to_jsonable``,
+``report_from_json`` and ``to_csv`` walk ``dataclasses.fields()`` in
+declaration order, and ``_HEADERS`` gives each report class its
+"report" / "mode" keys.  Every JSON value goes through one codec: floats
+stay native (their repr round-trips doubles exactly) except infinities,
+which become the strings "infinite" / "-infinite"; complex numbers become
+{"re": ..., "im": ...}; vertex tuples become lists; subset pairs become
+{"u": [...], "w": [...]}; nested reports become objects.  Decoding follows
+the fields' type hints, so ``report_from_json`` inverts the JSON form
+exactly.  CSV writes one header and one row with the same cell codec
+(vertex tuples space-separated, None empty).
+
+The shapes the walk does not produce by itself are spelled out here: the
+"graph" / "spectral" groups of the analysis report (field metadata), the
+comparison's ``exact`` nested without a header, sweep rows as objects,
+generator params as an object and not in CSV, the analysis CSV's
+``eig{i}_re``, ``eig{i}_im`` and ``pi{i}`` columns at the end, and the
+``spectral_bound`` column of the bound-only CSV.  Text output (7
+significant digits) is laid out by hand.
 """
 
 from __future__ import annotations
@@ -13,11 +28,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import PreconditionError
-from .graph import DirectedGraph, period
+from .graph import DirectedGraph
 from .markov import SpectralProfile
 from .mixing import EmlReport, SubsetPair, indices_from_mask, mask_from_indices
 from .toughness import BoundComparison, ToughnessResult
@@ -27,13 +42,11 @@ FORMATS = ("text", "json", "csv")
 
 @dataclass
 class RunConfig:
-    """Tolerances, caps, and output options shared by the CLI commands."""
+    """Tolerances and output options shared by the CLI commands."""
 
     slack_tol: float = 1e-9
     eig_tol: float = 1e-10
     cluster_tol: float = 1e-8
-    eml_cap: int = 13
-    toughness_cap: int = 20
     fmt: str = "text"
     seed: int = 0
     verbosity: int = 0
@@ -42,48 +55,47 @@ class RunConfig:
         for name in ("slack_tol", "eig_tol", "cluster_tol"):
             if getattr(self, name) <= 0:
                 raise PreconditionError(f"{name} must be positive")
-        for name in ("eml_cap", "toughness_cap"):
-            if getattr(self, name) < 2:
-                raise PreconditionError(f"{name} must be at least 2")
         if self.fmt not in FORMATS:
             raise PreconditionError(f"format must be one of {', '.join(FORMATS)}")
+
+
+# JSON groups of the analysis report's fields
+_GRAPH = {"group": "graph"}
+_SPECTRAL = {"group": "spectral"}
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
     """Graph summary plus the full spectral section."""
 
-    n: int
-    edge_count: int
-    strongly_connected: bool
-    period: Optional[int]
-    eigenvalues: tuple[complex, ...]
-    rho: float
-    pi: tuple[float, ...]
-    pi_min: float
-    pi_max: float
-    norm_c: float
-    norm_c_inv: float
-    kappa: float
-    residual: float
+    n: int = field(metadata=_GRAPH)
+    edge_count: int = field(metadata=_GRAPH)
+    strongly_connected: bool = field(metadata=_GRAPH)
+    period: Optional[int] = field(metadata=_GRAPH)
+    eigenvalues: tuple[complex, ...] = field(metadata=_SPECTRAL)
+    rho: float = field(metadata=_SPECTRAL)
+    pi: tuple[float, ...] = field(metadata=_SPECTRAL)
+    pi_min: float = field(metadata=_SPECTRAL)
+    pi_max: float = field(metadata=_SPECTRAL)
+    norm_c: float = field(metadata=_SPECTRAL)
+    norm_c_inv: float = field(metadata=_SPECTRAL)
+    kappa: float = field(metadata=_SPECTRAL)
+    residual: float = field(metadata=_SPECTRAL)
     eml: Optional[EmlReport] = None
     toughness: Optional[BoundComparison] = None
-
-
-def _spectrum_order(values) -> tuple[complex, ...]:
-    return tuple(sorted((complex(v) for v in values),
-                        key=lambda z: (-abs(z), -z.real, -z.imag)))
 
 
 def analysis_report(g: DirectedGraph, profile: SpectralProfile,
                     eml: Optional[EmlReport] = None,
                     toughness: Optional[BoundComparison] = None) -> AnalysisReport:
+    """The profile's eigenvalues are already in canonical order, and a
+    profile exists only for strongly connected graphs of period 1."""
     return AnalysisReport(
         n=g.n,
         edge_count=g.edge_count,
         strongly_connected=True,
-        period=period(g),
-        eigenvalues=_spectrum_order(profile.decomposition.eigenvalues),
+        period=1,
+        eigenvalues=tuple(complex(z) for z in profile.decomposition.eigenvalues),
         rho=profile.rho,
         pi=tuple(float(x) for x in profile.pi),
         pi_min=profile.pi_min,
@@ -128,9 +140,26 @@ class GenerateReport:
     edge_count: int
 
 
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
+_HEADERS = {
+    AnalysisReport: {"report": "analysis"},
+    EmlReport: {"report": "eml"},
+    PairBoundReport: {"report": "eml_pair"},
+    ToughnessResult: {"report": "toughness", "mode": "exact"},
+    BoundComparison: {"report": "toughness", "mode": "compare"},
+    BoundOnlyReport: {"report": "toughness", "mode": "bound"},
+    GenerateReport: {"report": "generate"},
+}
+
+# keys of the JSON objects for EmlReport.rows entries, in tuple order
+_ROW_KEYS = ("u", "w", "lhs", "bound", "bound_simple", "slack")
+
+
+def _header(report) -> dict:
+    try:
+        return _HEADERS[type(report)]
+    except KeyError:
+        raise TypeError(f"no serialized form for {type(report).__name__}") from None
+
 
 def _num(x: float):
     if math.isinf(x):
@@ -138,220 +167,91 @@ def _num(x: float):
     return x
 
 
-def _num_back(x) -> float:
-    if x == "infinite":
-        return math.inf
-    if x == "-infinite":
-        return -math.inf
-    return float(x)
+# ---------------------------------------------------------------------------
+# JSON
+# ---------------------------------------------------------------------------
+
+def _json_value(name: str, x):
+    if x is None:
+        return None
+    if name == "rows":
+        return [dict(zip(_ROW_KEYS, (list(indices_from_mask(u)),
+                                     list(indices_from_mask(w)), *rest)))
+                for u, w, *rest in x]
+    if name == "params":
+        return dict(x)
+    if name == "exact":
+        return _json_fields(x)
+    if isinstance(x, float):
+        return _num(x)
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    if isinstance(x, SubsetPair):
+        return {"u": list(x.u_indices), "w": list(x.w_indices)}
+    if isinstance(x, tuple):
+        return [_json_value(name, v) for v in x]
+    if type(x) in _HEADERS:
+        return to_jsonable(x)
+    return x
 
 
-def _complex_out(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _json_fields(report) -> dict:
+    out = {}
+    for f in fields(report):
+        group = f.metadata.get("group")
+        target = out.setdefault(group, {}) if group else out
+        target[f.name] = _json_value(f.name, getattr(report, f.name))
+    return out
 
 
 def to_jsonable(report) -> dict:
-    if isinstance(report, AnalysisReport):
-        return {
-            "report": "analysis",
-            "graph": {
-                "n": report.n,
-                "edge_count": report.edge_count,
-                "strongly_connected": report.strongly_connected,
-                "period": report.period,
-            },
-            "spectral": {
-                "eigenvalues": [_complex_out(z) for z in report.eigenvalues],
-                "rho": report.rho,
-                "pi": list(report.pi),
-                "pi_min": report.pi_min,
-                "pi_max": report.pi_max,
-                "norm_c": report.norm_c,
-                "norm_c_inv": report.norm_c_inv,
-                "kappa": report.kappa,
-                "residual": report.residual,
-            },
-            "eml": to_jsonable(report.eml) if report.eml else None,
-            "toughness": to_jsonable(report.toughness) if report.toughness else None,
-        }
-    if isinstance(report, EmlReport):
-        return {
-            "report": "eml",
-            "n": report.n,
-            "pair_count": report.pair_count,
-            "policy": report.policy,
-            "sample_count": report.sample_count,
-            "seed": report.seed,
-            "nonempty_only": report.nonempty_only,
-            "slack_tol": report.slack_tol,
-            "max_violation": report.max_violation,
-            "min_slack": report.min_slack,
-            "simple_min_slack": report.simple_min_slack,
-            "stmt_min_slack": report.stmt_min_slack,
-            "bound_gap_min": report.bound_gap_min,
-            "mean_slack": report.mean_slack,
-            "tightness_ratio": report.tightness_ratio,
-            "theorem_violations": report.theorem_violations,
-            "simple_violations": report.simple_violations,
-            "worst_pair": {
-                "u": list(indices_from_mask(report.worst_pair.u)),
-                "w": list(indices_from_mask(report.worst_pair.w)),
-            },
-            "passed": report.passed,
-            "rows": None if report.rows is None else [
-                {
-                    "u": list(indices_from_mask(r[0])),
-                    "w": list(indices_from_mask(r[1])),
-                    "lhs": r[2], "bound": r[3],
-                    "bound_simple": r[4], "slack": r[5],
-                }
-                for r in report.rows
-            ],
-        }
-    if isinstance(report, ToughnessResult):
-        return {
-            "report": "toughness",
-            "mode": "exact",
-            "value": _num(report.value),
-            "witness": None if report.witness is None else list(report.witness),
-            "component_count": report.component_count,
-        }
-    if isinstance(report, BoundComparison):
-        return {
-            "report": "toughness",
-            "mode": "compare",
-            "exact": {
-                "value": _num(report.exact.value),
-                "witness": None if report.exact.witness is None
-                else list(report.exact.witness),
-                "component_count": report.exact.component_count,
-            },
-            "spectral_bound": _num(report.spectral_bound),
-            "gap": _num(report.gap),
-            "holds": report.holds,
-            "note": report.note,
-        }
-    if isinstance(report, BoundOnlyReport):
-        return {
-            "report": "toughness",
-            "mode": "bound",
-            "value": _num(report.value),
-        }
-    if isinstance(report, PairBoundReport):
-        return {
-            "report": "eml_pair",
-            "u": list(report.u),
-            "w": list(report.w),
-            "lhs": report.lhs,
-            "bound": report.bound,
-            "bound_simple": report.bound_simple,
-            "slack": report.slack,
-            "slack_simple": report.slack_simple,
-        }
-    if isinstance(report, GenerateReport):
-        return {
-            "report": "generate",
-            "family": report.family,
-            "params": {k: v for k, v in report.params},
-            "path": report.path,
-            "n": report.n,
-            "edge_count": report.edge_count,
-        }
-    raise TypeError(f"no JSON form for {type(report).__name__}")
+    return {**_header(report), **_json_fields(report)}
 
 
 def to_json(report) -> str:
     return json.dumps(to_jsonable(report), indent=2, allow_nan=False) + "\n"
 
 
-def _eml_from_dict(d: dict) -> EmlReport:
-    return EmlReport(
-        n=d["n"],
-        pair_count=d["pair_count"],
-        policy=d["policy"],
-        sample_count=d["sample_count"],
-        seed=d["seed"],
-        nonempty_only=d["nonempty_only"],
-        slack_tol=d["slack_tol"],
-        max_violation=d["max_violation"],
-        min_slack=d["min_slack"],
-        simple_min_slack=d["simple_min_slack"],
-        stmt_min_slack=d["stmt_min_slack"],
-        bound_gap_min=d["bound_gap_min"],
-        mean_slack=d["mean_slack"],
-        tightness_ratio=d["tightness_ratio"],
-        theorem_violations=d["theorem_violations"],
-        simple_violations=d["simple_violations"],
-        worst_pair=SubsetPair(mask_from_indices(d["worst_pair"]["u"]),
-                              mask_from_indices(d["worst_pair"]["w"])),
-        passed=d["passed"],
-        rows=None if d.get("rows") is None else tuple(
-            (mask_from_indices(r["u"]), mask_from_indices(r["w"]),
-             r["lhs"], r["bound"], r["bound_simple"], r["slack"])
-            for r in d["rows"]
-        ),
-    )
+def _decode(name: str, hint, x):
+    if x is None:
+        return None
+    if get_origin(hint) is Union:  # Optional[...]
+        hint = get_args(hint)[0]
+    if name == "rows":
+        return tuple((mask_from_indices(r["u"]), mask_from_indices(r["w"]),
+                      *(r[k] for k in _ROW_KEYS[2:])) for r in x)
+    if name == "params":
+        return tuple(x.items())
+    if hint is float:
+        return float({"infinite": math.inf, "-infinite": -math.inf}.get(x, x))
+    if hint is complex:
+        return complex(x["re"], x["im"])
+    if hint is SubsetPair:
+        return SubsetPair.from_indices(x["u"], x["w"])
+    if hint in _HEADERS:
+        return _from_fields(hint, x)
+    if get_origin(hint) is tuple:
+        return tuple(_decode(name, get_args(hint)[0], v) for v in x)
+    return x
 
 
-def _toughness_result_from_dict(d: dict) -> ToughnessResult:
-    return ToughnessResult(
-        value=_num_back(d["value"]),
-        witness=None if d["witness"] is None else tuple(d["witness"]),
-        component_count=d["component_count"],
-    )
+def _from_fields(cls, d: dict):
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        src = d[f.metadata["group"]] if "group" in f.metadata else d
+        if f.name in src or f.default is MISSING:
+            kwargs[f.name] = _decode(f.name, hints[f.name], src[f.name])
+    return cls(**kwargs)
 
 
 def report_from_json(text: str):
     """Inverse of ``to_json`` for every report shape."""
     d = json.loads(text)
-    kind = d.get("report")
-    if kind == "analysis":
-        sp = d["spectral"]
-        return AnalysisReport(
-            n=d["graph"]["n"],
-            edge_count=d["graph"]["edge_count"],
-            strongly_connected=d["graph"]["strongly_connected"],
-            period=d["graph"]["period"],
-            eigenvalues=tuple(complex(z["re"], z["im"]) for z in sp["eigenvalues"]),
-            rho=sp["rho"],
-            pi=tuple(sp["pi"]),
-            pi_min=sp["pi_min"],
-            pi_max=sp["pi_max"],
-            norm_c=sp["norm_c"],
-            norm_c_inv=sp["norm_c_inv"],
-            kappa=sp["kappa"],
-            residual=sp["residual"],
-            eml=_eml_from_dict(d["eml"]) if d.get("eml") else None,
-            toughness=_compare_from_dict(d["toughness"]) if d.get("toughness") else None,
-        )
-    if kind == "eml":
-        return _eml_from_dict(d)
-    if kind == "toughness" and d.get("mode") == "exact":
-        return _toughness_result_from_dict(d)
-    if kind == "toughness" and d.get("mode") == "compare":
-        return _compare_from_dict(d)
-    if kind == "toughness" and d.get("mode") == "bound":
-        return BoundOnlyReport(value=_num_back(d["value"]))
-    if kind == "eml_pair":
-        return PairBoundReport(
-            u=tuple(d["u"]), w=tuple(d["w"]), lhs=d["lhs"], bound=d["bound"],
-            bound_simple=d["bound_simple"], slack=d["slack"],
-            slack_simple=d["slack_simple"])
-    if kind == "generate":
-        return GenerateReport(
-            family=d["family"], params=tuple(d["params"].items()),
-            path=d["path"], n=d["n"], edge_count=d["edge_count"])
-    raise PreconditionError(f"unrecognized report payload: {kind!r}")
-
-
-def _compare_from_dict(d: dict) -> BoundComparison:
-    return BoundComparison(
-        exact=_toughness_result_from_dict({**d["exact"], "report": "toughness"}),
-        spectral_bound=_num_back(d["spectral_bound"]),
-        gap=_num_back(d["gap"]),
-        holds=d["holds"],
-        note=d.get("note"),
-    )
+    for cls, header in _HEADERS.items():
+        if all(d.get(key) == value for key, value in header.items()):
+            return _from_fields(cls, d)
+    raise PreconditionError(f"unrecognized report payload: {d.get('report')!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +259,7 @@ def _compare_from_dict(d: dict) -> BoundComparison:
 # ---------------------------------------------------------------------------
 
 def _f(x: float) -> str:
-    if math.isinf(x):
-        return "infinite" if x > 0 else "-infinite"
-    return format(x, ".7g")
+    return _num(x) if math.isinf(x) else format(x, ".7g")
 
 
 def to_text(report, verbosity: int = 0) -> str:
@@ -438,84 +336,52 @@ def to_text(report, verbosity: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV (fixed column orders; see README)
+# CSV (one header, one row; column orders in README)
 # ---------------------------------------------------------------------------
 
-def _csv(header: list[str], row: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
+# fields that hold lists or nested reports and have no CSV column
+_CSV_OMITTED = ("eigenvalues", "pi", "eml", "toughness", "rows", "params")
+
+
+def _csv_columns(report, prefix: str = ""):
+    """(column, value) pairs; a nested report is flattened under its field
+    name, and a subset pair ``<x>pair`` gives columns ``<x>u`` and ``<x>w``."""
+    for f in fields(report):
+        name, x = prefix + f.name, getattr(report, f.name)
+        if f.name in _CSV_OMITTED:
+            continue
+        if type(x) in _HEADERS:
+            yield from _csv_columns(x, name + "_")
+        elif isinstance(x, SubsetPair):
+            stem = name.removesuffix("pair")
+            yield from ((stem + "u", x.u_indices), (stem + "w", x.w_indices))
+        else:
+            yield name, x
 
 
 def _csv_cell(x):
     if isinstance(x, float):
         return _num(x)
-    if x is None:
-        return ""
-    return x
+    if isinstance(x, tuple):
+        return " ".join(map(str, x))
+    return "" if x is None else x
 
 
 def to_csv(report) -> str:
-    if isinstance(report, AnalysisReport):
-        header = ["n", "edge_count", "strongly_connected", "period", "rho",
-                  "pi_min", "pi_max", "norm_c", "norm_c_inv", "kappa", "residual"]
-        row = [report.n, report.edge_count, report.strongly_connected,
-               report.period, report.rho, report.pi_min, report.pi_max,
-               report.norm_c, report.norm_c_inv, report.kappa, report.residual]
-        for i, z in enumerate(report.eigenvalues):
-            header += [f"eig{i}_re", f"eig{i}_im"]
-            row += [z.real, z.imag]
-        for i, x in enumerate(report.pi):
-            header.append(f"pi{i}")
-            row.append(x)
-        return _csv(header, [_csv_cell(x) for x in row])
-    if isinstance(report, EmlReport):
-        header = ["n", "pair_count", "policy", "sample_count", "seed",
-                  "nonempty_only", "slack_tol", "max_violation", "min_slack",
-                  "simple_min_slack", "stmt_min_slack", "bound_gap_min",
-                  "mean_slack", "tightness_ratio", "theorem_violations",
-                  "simple_violations", "worst_u", "worst_w", "passed"]
-        row = [report.n, report.pair_count, report.policy, report.sample_count,
-               report.seed, report.nonempty_only, report.slack_tol,
-               report.max_violation, report.min_slack, report.simple_min_slack,
-               report.stmt_min_slack, report.bound_gap_min, report.mean_slack,
-               report.tightness_ratio, report.theorem_violations,
-               report.simple_violations,
-               " ".join(str(i) for i in report.worst_pair.u_indices),
-               " ".join(str(i) for i in report.worst_pair.w_indices),
-               report.passed]
-        return _csv(header, [_csv_cell(x) for x in row])
-    if isinstance(report, ToughnessResult):
-        header = ["value", "witness", "component_count"]
-        row = [_num(report.value),
-               "" if report.witness is None else " ".join(map(str, report.witness)),
-               report.component_count]
-        return _csv(header, [_csv_cell(x) for x in row])
-    if isinstance(report, BoundComparison):
-        header = ["exact_value", "exact_witness", "exact_component_count",
-                  "spectral_bound", "gap", "holds", "note"]
-        row = [_num(report.exact.value),
-               "" if report.exact.witness is None
-               else " ".join(map(str, report.exact.witness)),
-               report.exact.component_count,
-               _num(report.spectral_bound), _num(report.gap),
-               report.holds, report.note]
-        return _csv(header, [_csv_cell(x) for x in row])
+    _header(report)
+    columns = list(_csv_columns(report))
     if isinstance(report, BoundOnlyReport):
-        return _csv(["spectral_bound"], [_csv_cell(_num(report.value))])
-    if isinstance(report, PairBoundReport):
-        header = ["u", "w", "lhs", "bound", "bound_simple", "slack", "slack_simple"]
-        row = [" ".join(map(str, report.u)), " ".join(map(str, report.w)),
-               report.lhs, report.bound, report.bound_simple,
-               report.slack, report.slack_simple]
-        return _csv(header, [_csv_cell(x) for x in row])
-    if isinstance(report, GenerateReport):
-        header = ["family", "path", "n", "edge_count"]
-        row = [report.family, report.path, report.n, report.edge_count]
-        return _csv(header, [_csv_cell(x) for x in row])
-    raise TypeError(f"no CSV form for {type(report).__name__}")
+        columns = [("spectral_bound", report.value)]
+    elif isinstance(report, AnalysisReport):
+        for i, z in enumerate(report.eigenvalues):
+            columns += [(f"eig{i}_re", z.real), (f"eig{i}_im", z.imag)]
+        columns += [(f"pi{i}", x) for i, x in enumerate(report.pi)]
+    names, values = zip(*columns)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerow(map(_csv_cell, values))
+    return buf.getvalue()
 
 
 def render(report, fmt: str, verbosity: int = 0) -> str:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .graph import DirectedGraph, _scc_masks, is_strongly_connected
-from .markov import SpectralProfile, build_transition_matrix, spectral_profile
+from .markov import SpectralProfile
 from .mixing import regular_degree, second_adjacency_eigenvalue
 
 INFINITE = math.inf
@@ -124,12 +124,10 @@ class BoundComparison:
     note: Optional[str] = None
 
 
-def compare_bounds(g: DirectedGraph, cap: int = ENUMERATION_CAP,
-                   allow_large: bool = False,
+def compare_bounds(exact: ToughnessResult, profile: SpectralProfile,
                    tol: float = 1e-9) -> BoundComparison:
-    """Run both routes and report the gap; never aborts on a violation."""
-    exact = exact_toughness(g, cap=cap, allow_large=allow_large)
-    profile = spectral_profile(build_transition_matrix(g))
+    """Set exact toughness beside the spectral bound of ``profile``, the
+    same graph's spectral profile; never aborts on a violation."""
     bound = toughness_spectral_bound(profile)
     note = None
     if math.isinf(bound):

@@ -203,7 +203,8 @@ def test_criterion_8_empirical_sweep(random_corpus):
         entries = [("chord_cycle(3)", chord_cycle(3))]
         entries += [(name, g) for name, g, _ in random_corpus]
         for name, g in entries:
-            cmp = compare_bounds(g)
+            cmp = compare_bounds(exact_toughness(g),
+                                 spectral_profile(build_transition_matrix(g)))
             rows.append({"graph": name, **to_jsonable(cmp)})
         return rows
 

@@ -91,6 +91,22 @@ class TestAnalyze:
         assert code == 4
         assert "diagonalizable" in err
 
+    @pytest.mark.parametrize("params", [("15", "0.2", "82"), ("20", "0.15", "319")])
+    def test_cluster_near_real_axis_is_numerical(self, capsys, tmp_path, params):
+        # a triple eigenvalue cluster near 0 whose mean lies just below the
+        # real axis, within tolerance of its own conjugate; the graph is
+        # defective, and every command that builds a profile exits 4
+        n, p, seed = params
+        path = str(tmp_path / "g.txt")
+        run(capsys, "generate", "random_strongly_connected", n, p, "--seed", seed,
+            "-o", path)
+        for argv in (["analyze"], ["eml", "verify"], ["toughness", "bound"],
+                     ["eml", "bound", "--u", "0", "--w", "1"]):
+            code, out, err = run(capsys, *argv, path)
+            assert code == 4, argv
+            assert out == ""
+            assert "diagonalizable" in err and "Traceback" not in err
+
 
 class TestEml:
     def test_verify_pass(self, capsys, chord_file):
@@ -219,6 +235,15 @@ class TestToughness:
         payload = json.loads(out)
         assert payload["exact"]["value"] == 0.5
         assert isinstance(payload["holds"], bool)
+
+    @pytest.mark.parametrize("mode", ["bound", "compare"])
+    def test_profile_tolerance_flag_and_env(self, capsys, chord_file, monkeypatch, mode):
+        code, out, err = run(capsys, "toughness", mode, chord_file, "--eig-tol", "1e-30")
+        assert (code, out) == (4, "")
+        assert "residual" in err
+        monkeypatch.setenv("DGSPEC_EIG_TOL", "1e-30")
+        code, out, _ = run(capsys, "toughness", mode, chord_file)
+        assert (code, out) == (4, "")
 
 
 class TestGenerate:

@@ -15,6 +15,9 @@ from dgspec import (
     invert,
     lu_solve,
     operator_norm,
+    parse_edge_list,
+    random_strongly_connected,
+    write_edge_list,
 )
 from dgspec.linalg import frobenius
 
@@ -157,6 +160,14 @@ class TestEigendecompose:
         assert np.linalg.matrix_rank(p) == 2  # rank oracle: eigenvalue 0 deficit
         with pytest.raises(DefectiveMatrixError):
             eigendecompose_nonsymmetric(p)
+
+    @pytest.mark.parametrize("n, p, seed", [(15, 0.2, 82), (20, 0.15, 319)])
+    def test_cluster_near_real_axis_is_defective(self, n, p, seed):
+        # the mean of a cluster near 0 lies just below the real axis, within
+        # tolerance of its own conjugate; numpy's cond(V) is 5e12 and 9e10
+        g = parse_edge_list(write_edge_list(random_strongly_connected(n, p, seed=seed)))
+        with pytest.raises(DefectiveMatrixError):
+            eigendecompose_nonsymmetric(build_transition_matrix(g).p)
 
     def test_jordan_block_is_defective(self):
         j = np.diag(np.ones(3), 1) + 0.5 * np.eye(4)

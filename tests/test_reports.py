@@ -1,10 +1,14 @@
+import csv
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dgspec import (
+    DgspecError,
     PreconditionError,
     RunConfig,
     analysis_report,
@@ -13,12 +17,16 @@ from dgspec import (
     compare_bounds,
     complete_bidirected,
     exact_toughness,
+    graph_from_edges,
+    random_strongly_connected,
     render,
     report_from_json,
     spectral_profile,
     to_json,
+    toughness_spectral_bound,
     verify_eml,
 )
+from dgspec.mixing import SubsetPair, eml_pair_values
 from dgspec.reports import BoundOnlyReport, GenerateReport, PairBoundReport
 
 
@@ -27,7 +35,7 @@ def chord_reports():
     g = chord_cycle(3)
     profile = spectral_profile(build_transition_matrix(g))
     eml = verify_eml(profile, keep_rows=True)
-    cmp = compare_bounds(g)
+    cmp = compare_bounds(exact_toughness(g), profile)
     return {
         "analysis": analysis_report(g, profile, eml=eml, toughness=cmp),
         "eml": eml,
@@ -53,14 +61,12 @@ class TestRunConfig:
         assert cfg.slack_tol == 1e-9
         assert cfg.eig_tol == 1e-10
         assert cfg.cluster_tol == 1e-8
-        assert cfg.eml_cap == 13
-        assert cfg.toughness_cap == 20
 
     @pytest.mark.parametrize("kwargs", [
         {"slack_tol": 0.0},
         {"eig_tol": -1e-9},
-        {"eml_cap": 1},
-        {"toughness_cap": 0},
+        {"cluster_tol": 0.0},
+        {"cluster_tol": -1e-8},
         {"fmt": "yaml"},
     ])
     def test_validation(self, kwargs):
@@ -145,3 +151,55 @@ class TestTextAndCsv:
     def test_csv_compare(self, chord_reports):
         out = render(chord_reports["compare"], "csv")
         assert out.splitlines()[0].startswith("exact_value,exact_witness")
+
+
+@st.composite
+def graph_reports(draw):
+    """Every report type for one random strongly connected graph, n = 3..8.
+
+    p = 1 gives complete graphs (infinite toughness, None witness); self-loops
+    on a complete graph make rho 0, so the bound is infinite with a note."""
+    n = draw(st.integers(3, 8))
+    p = draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2 ** 16))
+    g = random_strongly_connected(n, p, seed=seed)
+    if draw(st.booleans()):
+        g = graph_from_edges(n, set(g.edges) | {(v, v) for v in range(n)})
+    try:
+        profile = spectral_profile(build_transition_matrix(g))
+    except DgspecError:  # periodic or defective
+        assume(False)
+    eml = verify_eml(profile, sample=None if n <= 4 else draw(st.integers(1, 40)),
+                     seed=seed, nonempty_only=draw(st.booleans()),
+                     keep_rows=draw(st.booleans()))
+    cmp = compare_bounds(exact_toughness(g), profile)
+    u, w = (draw(st.integers(0, 2 ** n - 1)) for _ in range(2))
+    pair = SubsetPair(u, w)
+    lhs, _, bound, simple = eml_pair_values(profile, pair)
+    return [
+        analysis_report(g, profile),
+        analysis_report(g, profile, eml=eml, toughness=cmp),
+        eml,
+        cmp.exact,
+        cmp,
+        BoundOnlyReport(toughness_spectral_bound(profile)),
+        PairBoundReport(u=pair.u_indices, w=pair.w_indices, lhs=lhs, bound=bound,
+                        bound_simple=simple, slack=bound - lhs,
+                        slack_simple=simple - lhs),
+        GenerateReport(family="random_strongly_connected",
+                       params=(("n", n), ("p", p), ("seed", seed)),
+                       path="g.txt", n=n, edge_count=g.edge_count),
+    ]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(reports=graph_reports())
+def test_generic_serializers(schema, reports):
+    validator = jsonschema.Draft7Validator(schema)
+    for report in reports:
+        text = to_json(report)
+        assert report_from_json(text) == report
+        validator.validate(json.loads(text))
+        header, row = csv.reader(render(report, "csv").splitlines())
+        assert len(header) == len(row)

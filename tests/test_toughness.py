@@ -189,15 +189,19 @@ class TestSpectralBound:
         assert alon_toughness_bound(complete_with_loops(4)) == INFINITE
 
 
+def compare(g):
+    return compare_bounds(exact_toughness(g), spectral_profile(build_transition_matrix(g)))
+
+
 class TestCompareBounds:
     def test_complete_graph_holds_trivially(self):
-        cmp = compare_bounds(complete_bidirected(4))
+        cmp = compare(complete_bidirected(4))
         assert cmp.exact.is_infinite
         assert cmp.holds
         assert math.isinf(cmp.gap)
 
     def test_cycle5(self):
-        cmp = compare_bounds(undirected_cycle(5))
+        cmp = compare(undirected_cycle(5))
         assert cmp.exact.value == 1.0
         assert cmp.spectral_bound == pytest.approx(-0.1055728, abs=5e-8)
         assert cmp.holds
@@ -205,13 +209,13 @@ class TestCompareBounds:
                                         abs=1e-12)
 
     def test_chord_cycle_records_flag(self):
-        cmp = compare_bounds(chord_cycle(3))
+        cmp = compare(chord_cycle(3))
         assert cmp.exact.value == 0.5
         assert isinstance(cmp.holds, bool)
         assert cmp.note is None
 
     def test_zero_rho_note(self):
-        cmp = compare_bounds(complete_with_loops(4))
+        cmp = compare(complete_with_loops(4))
         assert cmp.exact.is_infinite
         assert math.isinf(cmp.spectral_bound)
         assert cmp.holds
