@@ -29,6 +29,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _INV_ITER_SEED = 0x5EED_1A57
 _NORM_SEED = 0x0B5E_55ED
 
+# operator_norm stops at this relative residual or after this many steps.
+_NORM_REL_TOL = 1e-11
+_NORM_MAX_ITER = 100_000
+
 # Defectiveness cutoffs: the basis is declared rank deficient when its
 # smallest singular value or condition number crosses these.
 SIGMA_MIN_CUTOFF = 1e-10
@@ -141,14 +145,14 @@ def determinant(a) -> complex:
 # Operator (spectral) norm by power iteration on a^H a
 # ---------------------------------------------------------------------------
 
-def operator_norm(a, rel_tol: float = 1e-11, max_iter: int = 100_000) -> float:
+def operator_norm(a) -> float:
     """Largest singular value of ``a``.
 
     Power iteration on the Hermitian product a^H a from a seeded random
     start.  Convergence is certified by the Rayleigh-quotient residual
     r = ||Bx - theta x||: at acceptance there is an eigenvalue of B in
     [theta - r, theta + r] and theta never exceeds the true maximum, so
-    the returned sqrt(theta) carries relative error at most ~rel_tol.
+    the returned sqrt(theta) carries relative error at most ~_NORM_REL_TOL.
     Near-degenerate top singular values converge through the same
     criterion because the quotient lands inside the top cluster.
     """
@@ -159,11 +163,11 @@ def operator_norm(a, rel_tol: float = 1e-11, max_iter: int = 100_000) -> float:
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.sqrt(np.sum(np.abs(x) ** 2))
     theta = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NORM_MAX_ITER):
         y = b @ x
         theta = float((x.conj() @ y).real)
         r = float(np.sqrt(np.sum(np.abs(y - theta * x) ** 2)))
-        if r <= rel_tol * theta:
+        if r <= _NORM_REL_TOL * theta:
             return float(np.sqrt(max(theta, 0.0)))
         ny = float(np.sqrt(np.sum(np.abs(y) ** 2)))
         if ny == 0.0:

@@ -57,30 +57,27 @@ def build_transition_matrix(g: DirectedGraph) -> TransitionMatrix:
     return TransitionMatrix(p, g)
 
 
-def stationary_distribution(t: TransitionMatrix, tol: float = 1e-14,
-                            max_iter: int = 10 ** 6) -> np.ndarray:
-    """Left Perron vector by power iteration from the uniform start.
-
-    Iterates pi <- pi P (renormalized to sum 1) until the successive
-    infinity-norm change drops below ``tol``, then verifies the fixed
-    point to 1e-12.
+def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
+    """Left Perron vector by Grassmann-Taksar-Heyman elimination (Oper. Res.
+    33, 1985): Gaussian elimination on P that folds state k = n-1 .. 1 into
+    the lower states and never subtracts, so each component has small
+    relative error however slowly the walk mixes.  Back-substitution from
+    pi_0 = 1 follows; the fixed point is verified to 1e-12.  The eigenbasis
+    is never used, so the sqrt(n) pi vs C^-1 row identity stays a check.
     """
     g = t.graph
     if not is_strongly_connected(g):
         raise PreconditionError("stationary distribution needs a strongly connected graph")
     if period(g) != 1:
-        raise PreconditionError("stationary distribution needs an aperiodic graph")
-    n = g.n
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ t.p
-        nxt /= nxt.sum()
-        delta = float(np.max(np.abs(nxt - pi)))
-        pi = nxt
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(f"power iteration did not settle within {max_iter} steps")
+        raise PreconditionError("stationary distribution needs an aperiodic graph (period 1)")
+    a = t.p.copy()
+    for k in range(g.n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(g.n)
+    for k in range(1, g.n):
+        pi[k] = pi[:k] @ a[:k, k]
+    pi /= pi.sum()
     fixed_err = float(np.max(np.abs(pi @ t.p - pi)))
     if fixed_err > 1e-12:
         raise ConvergenceError(f"stationary fixed-point residual {fixed_err:.3e} > 1e-12")
@@ -127,16 +124,12 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
     The eigenvector for the eigenvalue nearest 1 is replaced by the exact
     analytic vector (1/sqrt(n)) * ones (valid because rows sum to 1) and
     moved to the first column; the basis inverse and norms are recomputed
-    from the adjusted basis.
+    from the adjusted basis.  pi comes first: it runs the strong
+    connectivity and period checks for the whole profile.
     """
-    g = t.graph
-    if not is_strongly_connected(g):
-        raise PreconditionError("spectral profile needs a strongly connected graph")
-    if period(g) != 1:
-        raise PreconditionError("spectral profile needs an aperiodic graph (period 1)")
-
+    pi = stationary_distribution(t)
     dec = eigendecompose_nonsymmetric(t.p, tol=eig_tol, cluster_tol=cluster_tol)
-    n = g.n
+    n = t.n
     vals = dec.eigenvalues.copy()
     lead = int(np.argmin(np.abs(vals - 1.0)))
     perron_gap = float(abs(vals[lead] - 1.0))
@@ -168,7 +161,6 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
             f"subdominant spectral radius {rho:.15g} is numerically 1: "
             "the walk is not aperiodic to working precision")
 
-    pi = stationary_distribution(t)
     norm_c = operator_norm(basis)
     norm_c_inv = operator_norm(basis_inv)
     kappa = max(norm_c * norm_c_inv, 1.0)

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the implementation paths it judges:
 reachability closure and Kosaraju instead of bitset closures for SCCs,
 unpruned combinations-by-size for the toughness enumeration, and numpy's
-LAPACK-backed routines as the reference for the hand-rolled eigensolver
-and norm estimators.
+LAPACK-backed routines as the reference for the hand-rolled eigensolver,
+norm estimators and stationary distribution.
 """
 
 from __future__ import annotations
@@ -175,3 +175,11 @@ def eml_pair_oracle(profile, u_idx, w_idx):
     bound = profile.rho * np.sqrt(max(fac_u, 0.0) * max(fac_w, 0.0))
     simple = profile.rho * profile.kappa * np.sqrt(size_u * size_w)
     return lhs, float(bound), float(simple)
+
+
+def left_perron_oracle(p) -> np.ndarray:
+    """Stationary distribution of the walk matrix ``p`` from numpy's ``eig``
+    of P^T: the eigenvector of the eigenvalue nearest 1, summed to 1."""
+    vals, vecs = np.linalg.eig(np.asarray(p).T)
+    pi = vecs[:, np.argmin(np.abs(vals - 1.0))].real
+    return pi / pi.sum()

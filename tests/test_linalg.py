@@ -2,9 +2,12 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgspec import (
     DefectiveMatrixError,
+    NumericalError,
     PreconditionError,
     SingularMatrixError,
     build_transition_matrix,
@@ -22,6 +25,7 @@ from dgspec import (
 from dgspec.linalg import frobenius
 
 from oracles import eig_multiset_error, svd_condition_number
+from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
 # characteristic polynomial (x - 1)(x^2 + x + 1/2), quadratic roots below.
@@ -268,3 +272,20 @@ class TestEigendecompose:
         vals = eigendecompose_nonsymmetric(p).eigenvalues
         roots = [cmath.exp(2j * cmath.pi * k / 5) for k in range(5)]
         assert eig_multiset_error(vals, roots) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(cycle_plus_arcs(3, 40), chord_cycles(3, 40), de_bruijn_graphs(40)))
+    def test_walk_matrices_match_numpy_oracle(self, g):
+        p = build_transition_matrix(g).p
+        try:
+            dec = eigendecompose_nonsymmetric(p)
+        except NumericalError:  # DefectiveMatrixError included
+            return
+        scale = frobenius(p)
+        vals, basis = dec.eigenvalues, dec.basis
+        assert eig_multiset_error(vals, np.linalg.eigvals(p)) <= 1e-8 * scale
+        assert frobenius(p @ basis - basis * vals[None, :]) <= dec.tol * scale
+        for i in np.flatnonzero(vals.imag):
+            assert any(vals[j] == np.conj(vals[i])
+                       and np.array_equal(basis[:, j], np.conj(basis[:, i]))
+                       for j in range(len(vals)))

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from dgspec import (
     DefectiveMatrixError,
@@ -12,11 +14,17 @@ from dgspec import (
     de_bruijn,
     eml_symbol_check,
     graph_from_edges,
+    parse_edge_list,
+    period,
     petersen,
     spectral_profile,
     stationary_distribution,
     undirected_cycle,
 )
+from dgspec.cli import main
+
+from oracles import left_perron_oracle
+from strategies import cycle_plus_arcs
 
 
 def permute(g, perm):
@@ -81,6 +89,31 @@ class TestStationaryDistribution:
         g = graph_from_edges(2, [(0, 0), (1, 1)])
         with pytest.raises(PreconditionError, match="strongly connected"):
             stationary_distribution(build_transition_matrix(g))
+
+    @pytest.mark.parametrize("n", [45, 65])
+    def test_slow_mixing_chord_cycle_via_cli(self, capsys, tmp_path, n):
+        # slowly mixing walks: rho = 1 - 1.8e-5 at n = 65
+        path = tmp_path / "chord.txt"
+        assert main(["generate", "chord_cycle", str(n), "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        pi = np.array(json.loads(capsys.readouterr().out)["spectral"]["pi"])
+        oracle = left_perron_oracle(build_transition_matrix(
+            parse_edge_list(path.read_text())).p)
+        assert np.max(np.abs(pi - oracle) / oracle) <= 1e-12
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(cycle_plus_arcs(2, 60))
+    def test_matches_left_perron_oracle(self, g):
+        assume(period(g) == 1)
+        t = build_transition_matrix(g)
+        pi = stationary_distribution(t)
+        oracle = left_perron_oracle(t.p)
+        # relative to max(pi): numpy's eigenvector is accurate normwise, not
+        # componentwise (2.3e-12 off on a 4e-5 component of an n = 33 draw)
+        assert np.max(np.abs(pi - oracle)) <= 1e-12 * np.max(oracle)
+        assert np.max(np.abs(pi @ t.p - pi)) <= 1e-12
 
 
 class TestSpectralProfile:
@@ -157,7 +190,7 @@ class TestSpectralProfile:
             profile_of(de_bruijn(2, 2))
 
     def test_power_iteration_matches_dual_eigenvector(self, corpus_profiles):
-        # two independent routes to pi: power iteration vs first row of C^-1
+        # two independent routes to pi: GTH elimination vs first row of C^-1
         for prof in corpus_profiles.values():
             row = prof.decomposition.basis_inverse[0] / np.sqrt(prof.n)
             assert np.max(np.abs(row - prof.pi)) <= 1e-8
