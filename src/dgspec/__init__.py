@@ -32,8 +32,6 @@ from .graph import (
 )
 from .linalg import (
     EigenDecomposition,
-    condition_number,
-    determinant,
     eigendecompose_nonsymmetric,
     invert,
     lu_solve,

@@ -5,12 +5,14 @@ No LAPACK-backed decompositions are called anywhere in this module; numpy
 is used only as the array-arithmetic substrate.  The eigensolver is the
 classical pipeline: Householder reduction to Hessenberg form, shifted QR
 iteration (Wilkinson shift, exceptional shifts on stagnation) for the
-eigenvalues, then inverse iteration on the original matrix for the
-eigenvectors, with per-eigenspace orthonormalization.
+eigenvalues, then inverse iteration on the Hessenberg form H for the
+eigenvectors, with per-eigenspace orthonormalization, and one
+back-transform of all of them through the Householder reflectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,35 +65,28 @@ def frobenius(a) -> float:
 # LU with partial pivoting
 # ---------------------------------------------------------------------------
 
-def _lu_factor(a: np.ndarray, pivot_floor: float | None = None):
-    """Factor PA = LU in place; returns (lu, perm, swap_count).
+def _lu_factor(a: np.ndarray):
+    """Factor PA = LU in place; returns (lu, perm).
 
-    ``pivot_floor`` replaces tiny pivots instead of raising, the standard
-    device that lets inverse iteration solve against a nearly singular
-    shift.  Without it, a pivot below 1e-13 * ||a||_inf is an error.
+    A pivot below 1e-13 * ||a||_inf is an error.
     """
     lu = np.array(a, dtype=complex)
     n = lu.shape[0]
     anorm = float(np.max(np.sum(np.abs(lu), axis=1))) if n else 0.0
     perm = np.arange(n)
-    swaps = 0
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            swaps += 1
         pivot = lu[k, k]
-        if pivot_floor is not None:
-            if abs(pivot) < pivot_floor:
-                lu[k, k] = pivot = complex(pivot_floor)
-        elif abs(pivot) < 1e-13 * anorm or pivot == 0:
+        if abs(pivot) < 1e-13 * anorm or pivot == 0:
             raise SingularMatrixError(
                 f"matrix singular to working precision (pivot at step {k})")
         if k + 1 < n:
             lu[k + 1:, k] /= pivot
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, swaps
+    return lu, perm
 
 
 def _lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,7 +111,7 @@ def lu_solve(a, b) -> np.ndarray:
         barr = barr[:, None]
     if barr.shape[0] != am.shape[0]:
         raise PreconditionError("right-hand side row count must match the matrix")
-    lu, perm, _ = _lu_factor(am)
+    lu, perm = _lu_factor(am)
     x = _lu_solve_factored(lu, perm, barr)
     return x[:, 0] if vector_rhs else x
 
@@ -125,20 +120,6 @@ def invert(a) -> np.ndarray:
     am = as_matrix(a)
     _require_square(am)
     return lu_solve(am, np.eye(am.shape[0], dtype=complex))
-
-
-def determinant(a) -> complex:
-    """Determinant from the LU factors (0 for matrices the pivoting rejects)."""
-    am = as_matrix(a)
-    _require_square(am)
-    try:
-        lu, _, swaps = _lu_factor(am)
-    except SingularMatrixError:
-        return 0j
-    det = complex((-1) ** swaps)
-    for d in np.diag(lu):
-        det *= d
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +158,6 @@ def operator_norm(a) -> float:
     return float(np.sqrt(max(theta, 0.0)))
 
 
-def condition_number(c) -> float:
-    """||c|| * ||c^-1|| in the Euclidean operator norm; always >= 1."""
-    cm = as_matrix(c)
-    _require_square(cm)
-    kappa = operator_norm(cm) * operator_norm(invert(cm))
-    return max(kappa, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Nonsymmetric eigendecomposition
 # ---------------------------------------------------------------------------
@@ -212,9 +185,14 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
+def _hessenberg(a: np.ndarray):
+    """Householder reduction A = Q H Q^H; returns H and the reflectors V,
+    whose column k holds in rows k+1 onward the unit vector v of
+    P_k = I - 2 v v^H (zero, so P_k = I, where step k had nothing to do).
+    Q is P_0 P_1 ... P_{n-3}.  For real input H and V are real."""
     h = np.array(a, dtype=complex)
     n = h.shape[0]
+    reflectors = np.zeros_like(h)
     for k in range(n - 2):
         x = h[k + 1:, k]
         nx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
@@ -230,16 +208,25 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
         h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
         h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
         h[k + 2:, k] = 0.0
-    return h
+        reflectors[k + 1:, k] = v
+    return h, reflectors
+
+
+def _apply_reflectors(reflectors: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q y for the columns of ``y``, in place: H-coordinates to A's."""
+    for k in range(len(y) - 3, -1, -1):
+        v = reflectors[k + 1:, k]
+        y[k + 1:] -= 2.0 * np.outer(v, v.conj() @ y[k + 1:])
+    return y
 
 
 def _givens(a: complex, b: complex):
     if b == 0:
-        return 1.0, 0.0 + 0.0j
+        return 1.0, 0j
     if a == 0:
-        return 0.0, np.conj(b) / abs(b)
-    r = np.hypot(abs(a), abs(b))
-    return abs(a) / r, (a / abs(a)) * np.conj(b) / r
+        return 0.0, b.conjugate() / abs(b)
+    r = math.hypot(abs(a), abs(b))
+    return abs(a) / r, (a / abs(a)) * b.conjugate() / r
 
 
 def _eig_2x2(m: np.ndarray):
@@ -299,21 +286,17 @@ def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
             shift = l1 if abs(l1 - tgt) <= abs(l2 - tgt) else l2
         for k in range(lo, hi):
             h[k, k] -= shift
+        # each rotation G = [[c, s], [-conj(s), c]] acts on two rows, then
+        # G^H on two columns, as one 2x2 product
         rots = []
         for k in range(lo, hi - 1):
-            c, s = _givens(h[k, k], h[k + 1, k])
-            rots.append((c, s))
-            rk = h[k, k:hi].copy()
-            rk1 = h[k + 1, k:hi].copy()
-            h[k, k:hi] = c * rk + s * rk1
-            h[k + 1, k:hi] = -np.conj(s) * rk + c * rk1
+            c, s = _givens(complex(h[k, k]), complex(h[k + 1, k]))
+            g = np.array([[c, s], [-s.conjugate(), c]])
+            rots.append(g)
+            h[k:k + 2, k:hi] = g @ h[k:k + 2, k:hi]
         for k in range(lo, hi - 1):
-            c, s = rots[k - lo]
             r1 = min(k + 2, hi)
-            ck = h[lo:r1, k].copy()
-            ck1 = h[lo:r1, k + 1].copy()
-            h[lo:r1, k] = c * ck + np.conj(s) * ck1
-            h[lo:r1, k + 1] = -s * ck + c * ck1
+            h[lo:r1, k:k + 2] = h[lo:r1, k:k + 2] @ rots[k - lo].conj().T
         for k in range(lo, hi):
             h[k, k] += shift
     return eig
@@ -385,17 +368,57 @@ def _cluster_indices(vals: np.ndarray, radius: float) -> list[list[int]]:
     return [sorted(g) for g in groups.values()]
 
 
-def _eigenspace_basis(a: np.ndarray, lam: complex, m: int, radius: float,
+def _hessenberg_lu(h: np.ndarray, pivot_floor: float):
+    """Factor an upper Hessenberg matrix as P h = L U, pivoting between
+    rows k and k+1 at step k: O(n^2), one row update per step.  Returns U
+    and the steps (swapped, multiplier) that make up P and L.
+
+    Pivots below ``pivot_floor`` are raised to it instead of raising an
+    error, the standard device that lets inverse iteration solve against
+    a nearly singular shift.
+    """
+    u = h.copy()
+    n = u.shape[0]
+    steps = []
+    for k in range(n):
+        swap = k + 1 < n and abs(u[k + 1, k]) > abs(u[k, k])
+        if swap:
+            u[[k, k + 1], k:] = u[[k + 1, k], k:]
+        if abs(u[k, k]) < pivot_floor:
+            u[k, k] = pivot_floor
+        if k + 1 < n:
+            mult = complex(u[k + 1, k] / u[k, k])
+            u[k + 1, k + 1:] -= mult * u[k, k + 1:]
+            u[k + 1, k] = 0.0
+            steps.append((swap, mult))
+    return u, steps
+
+
+def _hessenberg_solve(u: np.ndarray, steps, b: np.ndarray) -> np.ndarray:
+    """Solve h x = b from ``_hessenberg_lu``'s factors."""
+    y = b.tolist()
+    for k, (swap, mult) in enumerate(steps):
+        if swap:
+            y[k], y[k + 1] = y[k + 1], y[k]
+        y[k + 1] -= mult * y[k]
+    x = np.array(y, dtype=complex)
+    for i in range(len(y) - 1, -1, -1):
+        x[i] = (x[i] - u[i, i + 1:] @ x[i + 1:]) / u[i, i]
+    return x
+
+
+def _eigenspace_basis(h: np.ndarray, lam: complex, m: int, radius: float,
                       scale: float, rng) -> list[np.ndarray]:
-    """Inverse iteration for an orthonormal basis of the eigenspace at ``lam``.
+    """Inverse iteration on the Hessenberg form ``h`` for an orthonormal
+    basis, in H-coordinates, of the eigenspace at ``lam``.
 
     A repeated collapse of the component orthogonal to the vectors already
     found means the eigenspace has fewer than ``m`` dimensions, i.e. the
     matrix is defective to working precision.
     """
-    n = a.shape[0]
-    shifted = a - lam * np.eye(n, dtype=complex)
-    lu, perm, _ = _lu_factor(shifted, pivot_floor=_EPS * max(scale, 1.0))
+    n = h.shape[0]
+    u, steps = _hessenberg_lu(h - lam * np.eye(n, dtype=complex),
+                              pivot_floor=_EPS * max(scale, 1.0))
     resid_target = max(1e-13 * scale, 4.0 * radius)
     basis: list[np.ndarray] = []
     for _ in range(m):
@@ -407,7 +430,7 @@ def _eigenspace_basis(a: np.ndarray, lam: complex, m: int, radius: float,
             x /= np.sqrt(np.sum(np.abs(x) ** 2))
             collapsed = False
             for _round in range(6):
-                y = _lu_solve_factored(lu, perm, x)
+                y = _hessenberg_solve(u, steps, x)
                 pre = float(np.sqrt(np.sum(np.abs(y) ** 2)))
                 if not np.isfinite(pre) or pre == 0.0:
                     collapsed = True
@@ -420,7 +443,8 @@ def _eigenspace_basis(a: np.ndarray, lam: complex, m: int, radius: float,
                     collapsed = True
                     break
                 x = y / post
-                resid = float(np.sqrt(np.sum(np.abs(a @ x - lam * x) ** 2)))
+                # Q is unitary, so this is ||A Qx - lam Qx||
+                resid = float(np.sqrt(np.sum(np.abs(h @ x - lam * x) ** 2)))
                 if resid < best_resid:
                     best_resid = resid
                     best_vec = x.copy()
@@ -458,29 +482,13 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
-                                cluster_tol: float = 1e-8) -> EigenDecomposition:
-    """Full eigendecomposition of a real square matrix.
-
-    Eigenvalues come from Hessenberg reduction plus shifted QR; complex
-    conjugate pairs are emitted adjacently with conjugate eigenvectors.
-    Eigenvalues within ``cluster_tol * ||a||_F`` of each other are treated
-    as one eigenspace and that eigenspace is orthonormalized, so the basis
-    norms are intrinsic to the matrix.  Non-diagonalizable input raises
-    ``DefectiveMatrixError``.
-    """
-    am = as_matrix(a)
-    _require_square(am)
-    if np.any(am.imag != 0.0):
-        raise PreconditionError("eigendecomposition expects real entries")
+def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
+    """Sorted eigenvalues of the real matrix ``am`` and a phase-fixed unit
+    eigenvector per eigenvalue; the work arrays die on return, before the
+    caller inverts the basis."""
     n = am.shape[0]
-    scale = frobenius(am)
-    if scale == 0.0:
-        eye = np.eye(n, dtype=complex)
-        return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
-                                  0.0, tol)
-
-    vals = _qr_eigenvalues(_hessenberg(am), max_sweeps=100 * n)
+    h, reflectors = _hessenberg(am)
+    vals = _qr_eigenvalues(h.copy(), max_sweeps=100 * n)
     vals = _sort_spectrum(_symmetrize_conjugates(vals, scale))
 
     clusters = _cluster_indices(vals, cluster_tol * scale)
@@ -504,15 +512,45 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
                 conj_partner[ci] = matches[0]
                 deferred.append(ci)
                 continue
-        vecs = _eigenspace_basis(am, mu, len(clusters[ci]), radii[ci], scale, rng)
+        vecs = _eigenspace_basis(h, mu, len(clusters[ci]), radii[ci], scale, rng)
         for pos, vec in zip(clusters[ci], vecs):
             columns[pos] = vec
+    # back to A's coordinates before conjugating, so A real makes the
+    # conjugate columns exact eigenvectors
+    direct = sorted(columns)
+    back = _apply_reflectors(reflectors, np.column_stack([columns[i] for i in direct]))
+    columns = dict(zip(direct, back.T))
     for ci in deferred:
         src = clusters[conj_partner[ci]]
         for pos, src_pos in zip(clusters[ci], src):
             columns[pos] = np.conj(columns[src_pos])
 
-    c = _fix_phase(np.column_stack([columns[i] for i in range(n)]))
+    return vals, _fix_phase(np.column_stack([columns[i] for i in range(n)]))
+
+
+def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
+                                cluster_tol: float = 1e-8) -> EigenDecomposition:
+    """Full eigendecomposition of a real square matrix.
+
+    Eigenvalues come from Hessenberg reduction plus shifted QR; complex
+    conjugate pairs are emitted adjacently with conjugate eigenvectors.
+    Eigenvalues within ``cluster_tol * ||a||_F`` of each other are treated
+    as one eigenspace and that eigenspace is orthonormalized, so the basis
+    norms are intrinsic to the matrix.  Non-diagonalizable input raises
+    ``DefectiveMatrixError``.
+    """
+    am = as_matrix(a)
+    _require_square(am)
+    if np.any(am.imag != 0.0):
+        raise PreconditionError("eigendecomposition expects real entries")
+    n = am.shape[0]
+    scale = frobenius(am)
+    if scale == 0.0:
+        eye = np.eye(n, dtype=complex)
+        return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
+                                  0.0, tol)
+
+    vals, c = _eigenpairs(am, scale, cluster_tol)
     try:
         c_inv = invert(c)
     except SingularMatrixError as exc:

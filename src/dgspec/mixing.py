@@ -21,6 +21,12 @@ EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
+# The worst pair's tie-break unpacks the membership rows of at most this
+# many pairs tied at a block's minimum slack at a time.  Not smaller: with
+# glibc, freeing the first block's tie rows is what lifts malloc's mmap
+# threshold above a block's temporaries; 1 << 10 left every later block to
+# mmap and fault in its arrays, and n = 12 sweeps ran ~20 % slower.
+TIE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -221,11 +227,14 @@ class _SweepAccumulator:
         j = int(np.argmin(flat))
         if flat[j] <= self.worst[0]:
             # the worst pair is the smallest (slack, u, w); lexsort's last
-            # key, the top vertex of U, is its primary one
+            # key, the top vertex of U, is its primary one.  Ties go by
+            # chunks, so a block of ties never unpacks all its rows at once
             ties = np.flatnonzero(flat == flat[j])
-            u, w = members(ties)
-            k = np.lexsort(np.hstack([w, u]).T)[:1]
-            self.worst = min(self.worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
+            for first in range(0, ties.size, TIE_CHUNK):
+                u, w = members(ties[first:first + TIE_CHUNK])
+                k = np.lexsort(np.hstack([w, u]).T)[:1]
+                self.worst = min(self.worst,
+                                 (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
         self.min_slack = min(self.min_slack, float(flat[j]))
         self.simple_min = min(self.simple_min, float(slack_simple.min()))
         self.stmt_min = min(self.stmt_min, float((bound - lhs_stmt).min()))

@@ -4,7 +4,9 @@ Everything here deliberately avoids the implementation paths it judges:
 reachability closure and Kosaraju instead of bitset closures for SCCs,
 unpruned combinations-by-size for the toughness enumeration, and numpy's
 LAPACK-backed routines as the reference for the hand-rolled eigensolver,
-norm estimators and stationary distribution.
+norm estimators and stationary distribution.  ``determinant`` and
+``condition_number`` are the exceptions: they compose dgspec's own LU and
+operator norm, so the tests that use them check those routines too.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from dgspec import SingularMatrixError, invert, operator_norm
+from dgspec.linalg import _lu_factor, _require_square, as_matrix
 
 
 def reachability(n: int, edges) -> list[list[bool]]:
@@ -183,3 +188,26 @@ def left_perron_oracle(p) -> np.ndarray:
     vals, vecs = np.linalg.eig(np.asarray(p).T)
     pi = vecs[:, np.argmin(np.abs(vals - 1.0))].real
     return pi / pi.sum()
+
+
+def determinant(a) -> complex:
+    """Determinant from dgspec's LU factors (0 for matrices the pivoting
+    rejects): the product of the pivots, signed by the row permutation."""
+    am = as_matrix(a)
+    _require_square(am)
+    try:
+        lu, perm = _lu_factor(am)
+    except SingularMatrixError:
+        return 0j
+    det = complex(round(np.linalg.det(np.eye(len(perm))[perm])))
+    for d in np.diag(lu):
+        det *= d
+    return det
+
+
+def condition_number(c) -> float:
+    """||c|| * ||c^-1|| in dgspec's Euclidean operator norm; always >= 1."""
+    cm = as_matrix(c)
+    _require_square(cm)
+    kappa = operator_norm(cm) * operator_norm(invert(cm))
+    return max(kappa, 1.0)

@@ -19,7 +19,6 @@ from dgspec import (
     complete_bidirected,
     compare_bounds,
     de_bruijn,
-    determinant,
     eigendecompose_nonsymmetric,
     eml_symbol_check,
     exact_toughness,
@@ -35,7 +34,13 @@ from dgspec.mixing import regular_degree, second_adjacency_eigenvalue
 from dgspec.reports import to_jsonable
 from dgspec.toughness import alon_toughness_bound
 
-from oracles import eig_multiset_error, mask_sums, popcount_table, toughness_by_combinations
+from oracles import (
+    determinant,
+    eig_multiset_error,
+    mask_sums,
+    popcount_table,
+    toughness_by_combinations,
+)
 
 CHORD = "a b\nb c\nc a\na c\n"
 

@@ -1,4 +1,6 @@
+import ast
 import cmath
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,7 @@ from dgspec import (
     PreconditionError,
     SingularMatrixError,
     build_transition_matrix,
-    condition_number,
     de_bruijn,
-    determinant,
     eigendecompose_nonsymmetric,
     invert,
     lu_solve,
@@ -22,9 +22,10 @@ from dgspec import (
     random_strongly_connected,
     write_edge_list,
 )
+from dgspec import linalg
 from dgspec.linalg import frobenius
 
-from oracles import eig_multiset_error, svd_condition_number
+from oracles import condition_number, determinant, eig_multiset_error, svd_condition_number
 from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
@@ -145,6 +146,79 @@ class TestConditionNumber:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             condition_number(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+class TestHessenbergKernels:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reflectors_rebuild_the_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed)).p
+        for a in (rng.standard_normal((30, 30)), walk):
+            h, reflectors = linalg._hessenberg(linalg.as_matrix(a))
+            q = linalg._apply_reflectors(reflectors, np.eye(len(a), dtype=complex))
+            assert np.all(np.tril(h, -2) == 0)
+            assert np.all(h.imag == 0) and np.all(q.imag == 0)
+            assert frobenius(q @ h @ q.conj().T - a) <= 1e-13 * frobenius(a)
+            assert frobenius(q.conj().T @ q - np.eye(len(a))) <= 1e-13 * len(a)
+
+    def test_lu_solve_matches_numpy_oracle(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 30, 80):
+            h, _ = linalg._hessenberg(linalg.as_matrix(rng.standard_normal((n, n))))
+            shifted = h - complex(*rng.standard_normal(2)) * np.eye(n)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x = linalg._hessenberg_solve(*linalg._hessenberg_lu(shifted, 1e-300), b)
+            ref = np.linalg.solve(shifted, b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_exact_eigenvalue_takes_the_pivot_floor(self):
+        # H - 2I is exactly singular; its kernel is spanned by (1, 0, -1)
+        h = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=complex)
+        floor = linalg._EPS * frobenius(h)
+        u, steps = linalg._hessenberg_lu(h - 2 * np.eye(3), floor)
+        assert u[2, 2] == floor
+        y = linalg._hessenberg_solve(u, steps, np.array([1.0, 2.0, 3.0], dtype=complex))
+        assert np.all(np.isfinite(y))
+        x = y / np.sqrt(np.sum(np.abs(y) ** 2))
+        assert np.sqrt(np.sum(np.abs(h @ x - 2 * x) ** 2)) <= 1e-12
+
+    def test_exact_eigenvalue_of_equal_row_sums(self):
+        # integer rows that all sum to 3: H - 3I is exactly singular
+        rng = np.random.default_rng(13)
+        n = 40
+        h = np.triu(rng.integers(-5, 6, size=(n, n)), -1).astype(float)
+        h[np.arange(1, n), np.arange(n - 1)] = rng.integers(1, 6, size=n - 1)
+        h[np.arange(n), np.arange(n)] += 3 - h.sum(axis=1)
+        shifted = (h - 3 * np.eye(n)).astype(complex)
+        factors = linalg._hessenberg_lu(shifted, linalg._EPS * frobenius(h))
+        y = linalg._hessenberg_solve(*factors, rng.standard_normal(n) + 0j)
+        assert np.all(np.isfinite(y))
+        x = y / np.sqrt(np.sum(np.abs(y) ** 2))
+        assert np.sqrt(np.sum(np.abs(shifted @ x) ** 2)) <= 1e-12
+
+
+def test_source_calls_no_lapack():
+    # the solver's premise: no numpy.linalg or scipy anywhere in the package
+    # code (docstrings and comments are not code, so they may name them)
+    def lapack(name):
+        return name.split(".")[0] == "scipy" or name.startswith("numpy.linalg")
+
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(lapack(alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = any(lapack(f"{node.module}.{alias.name}") for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                bad = node.attr == "linalg"  # np.linalg, numpy.linalg, any alias
+            elif isinstance(node, ast.Name):
+                bad = node.id == "scipy"
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found
 
 
 class TestEigendecompose:

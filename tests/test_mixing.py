@@ -196,6 +196,23 @@ class TestVerifySweep:
         best = min((r[5], r[0], r[1]) for r in report.rows)
         assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
 
+    @pytest.mark.parametrize("smallest_at", [0, -1])
+    def test_block_of_exact_ties_picks_the_lexsort_pair(self, smallest_at):
+        # every pair of the block ties, and the ties span several chunks:
+        # the pick must be the one a lexsort over all the tied rows makes
+        rng = np.random.default_rng(7)
+        count, n = 3 * mixing.TIE_CHUNK + 5, 12
+        u = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+        w = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+        u[smallest_at], w[smallest_at] = 0, 0  # the smallest pair, planted
+        k = np.lexsort(np.hstack([w, u]).T)[0]
+        lhs, bound = np.full((count, 1), 0.25), np.full((count, 1), 0.75)
+        acc = mixing._SweepAccumulator(1e-9, keep_rows=False)
+        acc.add_block(lambda idx: (u[idx], w[idx]), lhs, lhs, bound, bound)
+        assert acc.worst == (0.5, mask_from_indices(np.flatnonzero(u[k])),
+                             mask_from_indices(np.flatnonzero(w[k])))
+        assert acc.worst[1:] == (0, 0)
+
     def test_singleton_row_bookkeeping(self):
         g = chord_cycle(3)
         prof = profile_of(g)
