@@ -34,7 +34,6 @@ from .linalg import (
     EigenDecomposition,
     eigendecompose_nonsymmetric,
     invert,
-    lu_solve,
     operator_norm,
 )
 from .markov import (

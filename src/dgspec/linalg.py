@@ -1,13 +1,15 @@
-"""Self-contained dense linear algebra: LU solve/inverse, nonsymmetric
+"""Self-contained dense linear algebra: LU inverse, nonsymmetric
 eigendecomposition, and Euclidean operator norms.
 
 No LAPACK-backed decompositions are called anywhere in this module; numpy
 is used only as the array-arithmetic substrate.  The eigensolver is the
-classical pipeline: Householder reduction to Hessenberg form, shifted QR
-iteration (Wilkinson shift, exceptional shifts on stagnation) for the
-eigenvalues, then inverse iteration on the Hessenberg form H for the
-eigenvectors, with per-eigenspace orthonormalization, and one
-back-transform of all of them through the Householder reflectors.
+classical pipeline: Householder reduction to a real Hessenberg form H,
+implicit Francis double-shift QR on H in real arithmetic for the
+eigenvalues (exceptional shifts on stagnation, and a normwise deflation
+floor of eps * ||H||_F), with each complex pair read exactly conjugate
+from its 2x2 block, then inverse iteration on H for the eigenvectors,
+with per-eigenspace orthonormalization, and one back-transform of all of
+them through the Householder reflectors.
 """
 
 from __future__ import annotations
@@ -101,25 +103,12 @@ def _lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.nd
     return x
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting; b may be a vector or matrix."""
-    am = as_matrix(a)
-    _require_square(am)
-    barr = np.array(b, dtype=complex)
-    vector_rhs = barr.ndim == 1
-    if vector_rhs:
-        barr = barr[:, None]
-    if barr.shape[0] != am.shape[0]:
-        raise PreconditionError("right-hand side row count must match the matrix")
-    lu, perm = _lu_factor(am)
-    x = _lu_solve_factored(lu, perm, barr)
-    return x[:, 0] if vector_rhs else x
-
-
 def invert(a) -> np.ndarray:
+    """Inverse of a square matrix by LU with partial pivoting."""
     am = as_matrix(a)
     _require_square(am)
-    return lu_solve(am, np.eye(am.shape[0], dtype=complex))
+    lu, perm = _lu_factor(am)
+    return _lu_solve_factored(lu, perm, np.eye(am.shape[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +179,7 @@ def _hessenberg(a: np.ndarray):
     whose column k holds in rows k+1 onward the unit vector v of
     P_k = I - 2 v v^H (zero, so P_k = I, where step k had nothing to do).
     Q is P_0 P_1 ... P_{n-3}.  For real input H and V are real."""
-    h = np.array(a, dtype=complex)
+    h = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     n = h.shape[0]
     reflectors = np.zeros_like(h)
     for k in range(n - 2):
@@ -220,56 +209,80 @@ def _apply_reflectors(reflectors: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _givens(a: complex, b: complex):
-    if b == 0:
-        return 1.0, 0j
-    if a == 0:
-        return 0.0, b.conjugate() / abs(b)
-    r = math.hypot(abs(a), abs(b))
-    return abs(a) / r, (a / abs(a)) * b.conjugate() / r
-
-
-def _eig_2x2(m: np.ndarray):
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
+def _eig_2x2(a: float, b: float, c: float, d: float):
+    """Eigenvalues of the real 2x2 [[a, b], [c, d]]; a complex pair comes
+    out exactly conjugate."""
     half_tr = 0.5 * (a + d)
-    disc = np.sqrt(0.25 * (a - d) ** 2 + b * c + 0j)
-    l1 = half_tr + disc
-    l2 = half_tr - disc
-    if abs(l2) > abs(l1):
-        l1, l2 = l2, l1
-    if l1 != 0:
-        l2 = (a * d - b * c) / l1  # product form avoids cancellation
-    return l1, l2
+    p = 0.5 * (a - d)
+    disc = p * p + b * c
+    if disc < 0.0:
+        im = math.sqrt(-disc)
+        return complex(half_tr, im), complex(half_tr, -im)
+    l1 = half_tr + math.copysign(math.sqrt(disc), half_tr)
+    # product form for the smaller root avoids cancellation
+    return complex(l1), complex((a * d - b * c) / l1 if l1 != 0.0 else 0.0)
+
+
+def _bulge_start(h: np.ndarray, lo: int, hi: int, stagnant: int):
+    """First column of (H - s1 I)(H - s2 I) on the window [lo, hi), from
+    the sum and product of the shifts.
+
+    The shifts are the eigenvalues of the trailing 2x2.  Every 10th
+    stagnant sweep takes the exceptional pair of EISPACK hqr and LAPACK
+    dlahqr instead: the eigenvalues of [[x, -0.4375 s], [s, x]], where
+    x = 0.75 s + h[j, j] and s sums two subdiagonal magnitudes at the top
+    of the window (j = lo) or, every 20th sweep, at its bottom
+    (j = hi - 1).  That moves windows whose standard shifts are stuck,
+    such as a cyclic permutation, where they are 0.
+    """
+    if stagnant % 10:
+        a, b = h[hi - 2, hi - 2], h[hi - 2, hi - 1]
+        c, d = h[hi - 1, hi - 2], h[hi - 1, hi - 1]
+        tr, det = a + d, a * d - b * c
+    else:
+        k, j = (lo, lo) if stagnant % 20 else (hi - 3, hi - 1)
+        s = abs(h[k + 1, k]) + abs(h[k + 2, k + 1])
+        x = 0.75 * s + h[j, j]
+        tr, det = 2.0 * x, x * x + 0.4375 * s * s
+    h00, h01 = h[lo, lo], h[lo, lo + 1]
+    h10, h11, h21 = h[lo + 1, lo], h[lo + 1, lo + 1], h[lo + 2, lo + 1]
+    return [float(h00 * h00 + h01 * h10 - tr * h00 + det),
+            float(h10 * (h00 + h11 - tr)),
+            float(h10 * h21)]
 
 
 def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
+    """Eigenvalues of the real upper Hessenberg ``h`` (overwritten) by
+    implicit Francis double-shift QR on the active window [lo, hi).
+
+    Each sweep chases one 3-element Householder bulge down the window;
+    every reflector acts once on three rows and once on three columns as a
+    3x3 product.  A subdiagonal entry deflates when it is at most eps times
+    its two diagonal neighbours or, as a floor, eps * ||H||_F: without the
+    floor a window of lambda*I plus roundoff never deflates.
+    """
     n = h.shape[0]
     eig = np.empty(n, dtype=complex)
-    hnorm = frobenius(h) or 1.0
+    hnorm = frobenius(h)
     hi = n
     total = 0
     stagnant = 0
     while hi > 0:
-        if hi == 1:
-            eig[0] = h[0, 0]
-            break
         lo = hi - 1
         while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = hnorm
+            s = max(abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]), hnorm)
             if abs(h[lo, lo - 1]) <= _EPS * s:
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
         if lo == hi - 1:
-            eig[hi - 1] = h[hi - 1, hi - 1]
+            eig[lo] = h[lo, lo]
             hi -= 1
             stagnant = 0
             continue
         if lo == hi - 2:
-            eig[hi - 2], eig[hi - 1] = _eig_2x2(h[hi - 2:hi, hi - 2:hi])
+            eig[lo], eig[lo + 1] = _eig_2x2(h[lo, lo], h[lo, lo + 1],
+                                            h[lo + 1, lo], h[lo + 1, lo + 1])
             hi -= 2
             stagnant = 0
             continue
@@ -278,61 +291,31 @@ def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
         if total > max_sweeps:
             raise ConvergenceError(
                 f"QR iteration exceeded {max_sweeps} sweeps without deflating")
-        if stagnant % 10 == 0:
-            shift = h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2])
-        else:
-            l1, l2 = _eig_2x2(h[hi - 2:hi, hi - 2:hi])
-            tgt = h[hi - 1, hi - 1]
-            shift = l1 if abs(l1 - tgt) <= abs(l2 - tgt) else l2
-        for k in range(lo, hi):
-            h[k, k] -= shift
-        # each rotation G = [[c, s], [-conj(s), c]] acts on two rows, then
-        # G^H on two columns, as one 2x2 product
-        rots = []
+        x = _bulge_start(h, lo, hi, stagnant)
         for k in range(lo, hi - 1):
-            c, s = _givens(complex(h[k, k]), complex(h[k + 1, k]))
-            g = np.array([[c, s], [-s.conjugate(), c]])
-            rots.append(g)
-            h[k:k + 2, k:hi] = g @ h[k:k + 2, k:hi]
-        for k in range(lo, hi - 1):
-            r1 = min(k + 2, hi)
-            h[lo:r1, k:k + 2] = h[lo:r1, k:k + 2] @ rots[k - lo].conj().T
-        for k in range(lo, hi):
-            h[k, k] += shift
-    return eig
-
-
-def _symmetrize_conjugates(vals: np.ndarray, scale: float) -> np.ndarray:
-    """Enforce exact conjugate closure on the spectrum of a real matrix.
-
-    Near-real values are snapped onto the axis; the rest are greedily
-    paired with their closest conjugate and both members replaced by the
-    exact pair of their average.
-    """
-    im_tol = 1e-10 * scale
-    out = []
-    upper = []
-    lower = []
-    for z in vals:
-        if abs(z.imag) <= im_tol:
-            out.append(complex(z.real))
-        elif z.imag > 0:
-            upper.append(z)
-        else:
-            lower.append(z)
-    for z in upper:
-        if lower:
-            j = min(range(len(lower)), key=lambda i: abs(np.conj(lower[i]) - z))
-            mate = lower[j]
-            if abs(np.conj(mate) - z) <= 1e-6 * scale:
-                lower.pop(j)
-                avg = 0.5 * (z + np.conj(mate))
-                out.append(avg)
-                out.append(np.conj(avg))
+            nr = min(3, hi - k)
+            if k > lo:
+                x = h[k:k + nr, k - 1].tolist()
+            alpha = x[0]
+            xnorm = math.hypot(*x[1:nr])
+            if xnorm == 0.0:
                 continue
-        out.append(z)  # unmatched: leave untouched rather than invent a mate
-    out.extend(lower)
-    return np.array(out, dtype=complex)
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            # the reflector I - tau v v^T, v = (1, v1, v2), maps x to (beta, 0, 0)
+            tau = (beta - alpha) / beta
+            v1 = x[1] / (alpha - beta)
+            v2 = x[2] / (alpha - beta) if nr == 3 else 0.0
+            t1, t2 = tau * v1, tau * v2
+            r = np.array([[1.0 - tau, -t1, -t2],
+                          [-t1, 1.0 - t1 * v1, -t1 * v2],
+                          [-t2, -t2 * v1, 1.0 - t2 * v2]])[:nr, :nr]
+            if k > lo:
+                h[k, k - 1] = beta
+                h[k + 1:k + nr, k - 1] = 0.0
+            h[k:k + nr, k:hi] = r @ h[k:k + nr, k:hi]
+            rows = min(k + 4, hi)
+            h[lo:rows, k:k + nr] = h[lo:rows, k:k + nr] @ r
+    return eig
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -487,15 +470,17 @@ def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
     eigenvector per eigenvalue; the work arrays die on return, before the
     caller inverts the basis."""
     n = am.shape[0]
-    h, reflectors = _hessenberg(am)
+    h, reflectors = _hessenberg(am.real)
     vals = _qr_eigenvalues(h.copy(), max_sweeps=100 * n)
-    vals = _sort_spectrum(_symmetrize_conjugates(vals, scale))
+    # complex pairs are exactly conjugate already; near-real values go onto
+    # the axis, which clustering and the conjugate deferral below rely on
+    im_tol = 1e-10 * scale
+    vals = _sort_spectrum(np.where(np.abs(vals.imag) <= im_tol, vals.real + 0j, vals))
 
     clusters = _cluster_indices(vals, cluster_tol * scale)
     means = [complex(np.mean(vals[idx])) for idx in clusters]
     radii = [max(abs(vals[i] - mu) for i in idx)
              for idx, mu in zip(clusters, means)]
-    im_tol = 1e-10 * scale
 
     rng = np.random.Generator(np.random.PCG64(_INV_ITER_SEED))
     columns: dict[int, np.ndarray] = {}
@@ -532,8 +517,9 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
                                 cluster_tol: float = 1e-8) -> EigenDecomposition:
     """Full eigendecomposition of a real square matrix.
 
-    Eigenvalues come from Hessenberg reduction plus shifted QR; complex
-    conjugate pairs are emitted adjacently with conjugate eigenvectors.
+    Eigenvalues come from Hessenberg reduction plus Francis double-shift
+    QR; complex conjugate pairs are emitted adjacently with conjugate
+    eigenvectors.
     Eigenvalues within ``cluster_tol * ||a||_F`` of each other are treated
     as one eigenspace and that eigenspace is orthonormalized, so the basis
     norms are intrinsic to the matrix.  Non-diagonalizable input raises

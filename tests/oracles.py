@@ -4,9 +4,10 @@ Everything here deliberately avoids the implementation paths it judges:
 reachability closure and Kosaraju instead of bitset closures for SCCs,
 unpruned combinations-by-size for the toughness enumeration, and numpy's
 LAPACK-backed routines as the reference for the hand-rolled eigensolver,
-norm estimators and stationary distribution.  ``determinant`` and
-``condition_number`` are the exceptions: they compose dgspec's own LU and
-operator norm, so the tests that use them check those routines too.
+norm estimators and stationary distribution.  ``lu_solve``,
+``determinant`` and ``condition_number`` are the exceptions: they compose
+dgspec's own LU and operator norm, so the tests that use them check those
+routines too.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import itertools
 
 import numpy as np
 
-from dgspec import SingularMatrixError, invert, operator_norm
-from dgspec.linalg import _lu_factor, _require_square, as_matrix
+from dgspec import PreconditionError, SingularMatrixError, invert, operator_norm
+from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
 
 
 def reachability(n: int, edges) -> list[list[bool]]:
@@ -188,6 +189,22 @@ def left_perron_oracle(p) -> np.ndarray:
     vals, vecs = np.linalg.eig(np.asarray(p).T)
     pi = vecs[:, np.argmin(np.abs(vals - 1.0))].real
     return pi / pi.sum()
+
+
+def lu_solve(a, b) -> np.ndarray:
+    """Solve a x = b by dgspec's LU with partial pivoting; b may be a
+    vector or a matrix."""
+    am = as_matrix(a)
+    _require_square(am)
+    barr = np.array(b, dtype=complex)
+    vector_rhs = barr.ndim == 1
+    if vector_rhs:
+        barr = barr[:, None]
+    if barr.shape[0] != am.shape[0]:
+        raise PreconditionError("right-hand side row count must match the matrix")
+    lu, perm = _lu_factor(am)
+    x = _lu_solve_factored(lu, perm, barr)
+    return x[:, 0] if vector_rhs else x
 
 
 def determinant(a) -> complex:

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgspec import (
+    ConvergenceError,
     DefectiveMatrixError,
     NumericalError,
     PreconditionError,
     SingularMatrixError,
     build_transition_matrix,
+    complete_bidirected,
     de_bruijn,
     eigendecompose_nonsymmetric,
     invert,
-    lu_solve,
     operator_norm,
     parse_edge_list,
     random_strongly_connected,
@@ -25,7 +26,8 @@ from dgspec import (
 from dgspec import linalg
 from dgspec.linalg import frobenius
 
-from oracles import condition_number, determinant, eig_multiset_error, svd_condition_number
+from oracles import (condition_number, determinant, eig_multiset_error, lu_solve,
+                     svd_condition_number)
 from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
@@ -154,10 +156,10 @@ class TestHessenbergKernels:
         rng = np.random.default_rng(seed)
         walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed)).p
         for a in (rng.standard_normal((30, 30)), walk):
-            h, reflectors = linalg._hessenberg(linalg.as_matrix(a))
+            h, reflectors = linalg._hessenberg(a)
             q = linalg._apply_reflectors(reflectors, np.eye(len(a), dtype=complex))
             assert np.all(np.tril(h, -2) == 0)
-            assert np.all(h.imag == 0) and np.all(q.imag == 0)
+            assert h.dtype == reflectors.dtype == np.float64 and np.all(q.imag == 0)
             assert frobenius(q @ h @ q.conj().T - a) <= 1e-13 * frobenius(a)
             assert frobenius(q.conj().T @ q - np.eye(len(a))) <= 1e-13 * len(a)
 
@@ -195,6 +197,32 @@ class TestHessenbergKernels:
         assert np.all(np.isfinite(y))
         x = y / np.sqrt(np.sum(np.abs(y) ** 2))
         assert np.sqrt(np.sum(np.abs(shifted @ x) ** 2)) <= 1e-12
+
+
+class TestFrancisQR:
+    """The QR stage alone, on a tenth of the solver's 100 n sweep budget."""
+
+    @staticmethod
+    def qr_eigenvalues(a):
+        h, _ = linalg._hessenberg(np.asarray(a, dtype=float))
+        return linalg._qr_eigenvalues(h, max_sweeps=10 * len(a))
+
+    @pytest.mark.parametrize("n", [12, 48, 65])
+    def test_complete_bidirected_window_deflates(self, n):
+        # (J - I)/(n-1): below the top, H is -1/(n-1) I plus roundoff, which
+        # deflates only through the normwise floor
+        p = build_transition_matrix(complete_bidirected(n)).p
+        exact = [1.0] + [-1.0 / (n - 1)] * (n - 1)
+        assert eig_multiset_error(self.qr_eigenvalues(p), exact) <= 1e-12
+
+    def test_random_matrices_match_numpy_with_exact_pairs(self):
+        rng = np.random.default_rng(73)
+        for n in range(20, 121, 20):
+            a = rng.standard_normal((n, n))
+            vals = self.qr_eigenvalues(a)
+            assert eig_multiset_error(vals, np.linalg.eigvals(a)) <= 1e-9 * frobenius(a)
+            for z in vals[vals.imag != 0]:
+                assert np.conj(z) in vals
 
 
 def test_source_calls_no_lapack():
@@ -339,13 +367,14 @@ class TestEigendecompose:
         assert frobenius(gram - np.eye(4)) <= 1e-10
 
     def test_permutation_matrix_spectrum(self):
-        # directed 5-cycle: eigenvalues are the 5th roots of unity
-        p = np.zeros((5, 5))
-        for i in range(5):
-            p[i, (i + 1) % 5] = 1.0
-        vals = eigendecompose_nonsymmetric(p).eigenvalues
-        roots = [cmath.exp(2j * cmath.pi * k / 5) for k in range(5)]
-        assert eig_multiset_error(vals, roots) <= 1e-12
+        # directed n-cycles: eigenvalues are the n-th roots of unity.  The
+        # standard QR shifts are 0 here, so only exceptional shifts move them.
+        for n in range(3, 41):
+            p = np.zeros((n, n))
+            p[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+            vals = eigendecompose_nonsymmetric(p).eigenvalues
+            roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+            assert eig_multiset_error(vals, roots) <= 1e-12, n
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(cycle_plus_arcs(3, 40), chord_cycles(3, 40), de_bruijn_graphs(40)))
@@ -353,7 +382,9 @@ class TestEigendecompose:
         p = build_transition_matrix(g).p
         try:
             dec = eigendecompose_nonsymmetric(p)
-        except NumericalError:  # DefectiveMatrixError included
+        except ConvergenceError:
+            raise  # a stalled QR or a missed residual is a solver failure, not a verdict on p
+        except NumericalError:  # defective, or a basis too ill-conditioned to invert
             return
         scale = frobenius(p)
         vals, basis = dec.eigenvalues, dec.basis
