@@ -51,9 +51,6 @@ from .mixing import (
     SubsetPair,
     alon_chung_bound,
     alon_chung_sweep,
-    eml_bound,
-    eml_bound_simple,
-    eml_lhs,
     verify_eml,
 )
 from .reports import (

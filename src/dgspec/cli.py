@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
 )
 from .markov import build_transition_matrix, spectral_profile
-from .mixing import SubsetPair, eml_pair_values, verify_eml
+from .mixing import SubsetPair, check_exhaustive_cap, eml_pair_values, verify_eml
 from .reports import (
     BoundOnlyReport,
     GenerateReport,
@@ -187,6 +187,9 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
 
 def _cmd_eml_verify(args, cfg: RunConfig) -> int:
     g = _load_graph(args.path)
+    if args.sample is None:
+        # the cap needs only n: reject before the profile's O(n^3) work
+        check_exhaustive_cap(g.n)
     profile = _profile(g, cfg)
     report = verify_eml(profile, sample=args.sample, seed=cfg.seed,
                         nonempty_only=args.nonempty_only,

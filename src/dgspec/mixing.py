@@ -4,6 +4,14 @@ reduction, each verifiable exhaustively over all 4^n subset pairs or by
 seeded sampling.
 
 Subsets are bitmasks over [0, n): bit i set means vertex i is in the set.
+
+The exhaustive sweep does per pair only what depends on the pair: the mass
+s(U, W), the two deviations and their folds.  Both bounds depend on U only
+through |U|, so they are evaluated once per sweep, as tables over (|U|, W).
+Masses come in blocks of consecutive masks U, each block an earlier block
+plus one row of the subset-sum table, and the worst pair of a block is its
+first minimum, since rows ascend in U and columns in W.  An n = 13 sweep
+(6.7e7 pairs) takes about 0.46 s on a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -21,12 +29,6 @@ EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
-# The worst pair's tie-break unpacks the membership rows of at most this
-# many pairs tied at a block's minimum slack at a time.  Not smaller: with
-# glibc, freeing the first block's tie rows is what lifts malloc's mmap
-# threshold above a block's temporaries; 1 << 10 left every later block to
-# mmap and fault in its arrays, and n = 12 sweeps ran ~20 % slower.
-TIE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,26 +89,53 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_blocks(table: np.ndarray, start: int):
-    """Blocks ``(first, last, sums)`` of consecutive masks u in [start, 2^n):
-    sums[i] adds up the rows of ``table`` (n x 2^n) over the bits of
-    u = first + i, lowest bit first, and keeps the columns [start, 2^n)."""
-    n, size = table.shape
-    rows = max(1, BLOCK_FLOATS // (size - start))
-    for first in range(start, size, rows):
-        last = min(first + rows, size)
-        sums = np.zeros((last - first, size))
-        for row, u in zip(sums, range(first, last)):
-            for b in range(n):
-                if u >> b & 1:
-                    row += table[b]
-        yield first, last, sums[:, start:]
+def _block_bits(n: int, cols: int) -> int:
+    """log2 of the rows in an exhaustive-sweep block of ``cols`` columns:
+    as many rows as fit in a quarter of ``BLOCK_FLOATS``, at least one and
+    at most all 2^n.  A quarter keeps each temporary at 64 KB, under
+    glibc's initial 128 KB mmap threshold, so blocks reuse heap memory
+    instead of mapping and faulting in every temporary afresh."""
+    return min(n, max(0, (BLOCK_FLOATS // 4 // cols).bit_length() - 1))
 
 
-def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_u, pi_w, mass):
-    """``(eml_lhs, |s - |U| pi(U)|, eml_bound, eml_bound_simple)`` for a
-    block of subset pairs, from broadcastable |U|, |W|, pi(U), pi(W) and
-    the mass s = sum of p_ij over i in U, j in W."""
+def _mass_blocks(table: np.ndarray, start: int):
+    """Blocks ``(first, sums)`` that cover every mask u in [start, 2^n) once:
+    sums[i] adds up the rows of ``table`` (n x cols) over the bits of
+    u = first + i, lowest bit first.
+
+    Block H holds the 2^low masks u with u >> low = H (from the first
+    one >= start), where low = ``_block_bits(n, cols)``.  Block H is block
+    H - 2^top(H) plus one table row, so each costs one add; the blocks
+    come depth first, with at most n of them waiting on the stack.  Later
+    blocks are built from a yielded one, so callers must not write into it.
+    """
+    n, cols = table.shape
+    low = _block_bits(n, cols)
+    base = np.zeros((1, cols))
+    for b in range(low):
+        base = np.concatenate([base, base + table[b]])
+    stack = [(0, base)]
+    while stack:
+        high, sums = stack.pop()
+        skip = max(0, start - (high << low))  # the masks below start
+        if skip < len(sums):
+            yield (high << low) + skip, sums[skip:]
+        for b in range(high.bit_length(), n - low):
+            stack.append((high | 1 << b, sums + table[low + b]))
+
+
+def _deviations(size_u, pi_u, pi_w, mass):
+    """``(|s - |U| pi(W)|, |s - |U| pi(U)|)`` from broadcastable |U|, pi(U),
+    pi(W) and the mass s = sum of p_ij over i in U, j in W."""
+    lhs = mass - size_u * pi_w
+    lhs_stmt = mass - size_u * pi_u
+    return np.abs(lhs, out=lhs), np.abs(lhs_stmt, out=lhs_stmt)
+
+
+def _bounds(profile: SpectralProfile, size_u, size_w, pi_w):
+    """The bound rho sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))
+    and its simplification rho kappa(C) sqrt(|U| |W|), from broadcastable
+    |U|, |W| and pi(W); a pair's bounds depend on U only through |U|."""
     n = profile.n
     fac_u = profile.norm_c ** 2 * size_u - size_u * size_u / n
     fac_w = profile.norm_c_inv ** 2 * size_w - pi_w ** 2 * n
@@ -119,9 +148,22 @@ def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_u, pi_w, mass):
     bound = np.sqrt(np.maximum(fac_u, 0.0) * np.maximum(fac_w, 0.0))
     bound *= profile.rho
     bound_simple = profile.rho * profile.kappa * np.sqrt(size_u) * np.sqrt(size_w)
-    lhs = mass - size_u * pi_w
-    lhs_stmt = mass - size_u * pi_u
-    return np.abs(lhs, out=lhs), np.abs(lhs_stmt, out=lhs_stmt), bound, bound_simple
+    return bound, bound_simple
+
+
+def _divisor(bound):
+    """The bound where it is positive, else inf: lhs / divisor is the
+    tightness lhs / bound of a pair with a positive bound, and 0 for one
+    whose bound is 0."""
+    return np.where(bound > 0.0, bound, np.inf)
+
+
+def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_u, pi_w, mass):
+    """The ``_deviations`` and ``_bounds`` of a block of subset pairs, in
+    that order, from broadcastable |U|, |W|, pi(U), pi(W) and the mass
+    s = sum of p_ij over i in U, j in W."""
+    bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
+    return (*_deviations(size_u, pi_u, pi_w, mass), bound, bound_simple)
 
 
 def _masks(members: np.ndarray) -> list[int]:
@@ -146,21 +188,6 @@ def eml_pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
     values = _block_values(profile, np.isin(vertices, pair.u_indices)[None],
                            np.isin(vertices, pair.w_indices)[None])
     return [v.item() for v in values]
-
-
-def eml_lhs(profile: SpectralProfile, pair: SubsetPair) -> float:
-    """|sum of p_ij over (i in U, j in W)  -  |U| * pi(W)|."""
-    return eml_pair_values(profile, pair)[0]
-
-
-def eml_bound(profile: SpectralProfile, pair: SubsetPair) -> float:
-    """rho * sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))."""
-    return eml_pair_values(profile, pair)[2]
-
-
-def eml_bound_simple(profile: SpectralProfile, pair: SubsetPair) -> float:
-    """rho * sqrt(|U| |W|) * kappa(C)."""
-    return eml_pair_values(profile, pair)[3]
 
 
 @dataclass(frozen=True)
@@ -212,42 +239,56 @@ class _SweepAccumulator:
         self.simple_viol = 0
         self.rows: list[tuple] = []
 
-    def add_block(self, members, lhs: np.ndarray, lhs_stmt: np.ndarray,
-                  bound: np.ndarray, bound_simple: np.ndarray):
-        """Fold in a block of pairs with values of shape (rows, cols).
-        ``members(idx)`` gives the 0/1 membership rows of U and W of the
-        pairs at flat indices ``idx``.  Slack sums go row by row, so one
-        pair per row adds them in draw order."""
+    def fold(self, lhs: np.ndarray, lhs_stmt: np.ndarray, bound: np.ndarray,
+             bound_simple: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fold a block of pairs with values of shape (rows, cols) into the
+        minima, violation counts and tightness; return the block's slacks
+        and the flat index of their first minimum.  ``divisor`` is
+        ``_divisor(bound)``."""
         slack = bound - lhs
         slack_simple = bound_simple - lhs
         self.pair_count += slack.size
-        row_sums = np.concatenate(([self.slack_sum], slack.sum(axis=1)))
-        self.slack_sum = float(np.cumsum(row_sums)[-1])
+        j = int(slack.argmin())
+        low, simple_low = float(slack.flat[j]), float(slack_simple.min())
+        self.min_slack = min(self.min_slack, low)
+        self.simple_min = min(self.simple_min, simple_low)
+        self.stmt_min = min(self.stmt_min, float((bound - lhs_stmt).min()))
+        # a block whose minimum clears the tolerance has no violation to count
+        if low < -self.slack_tol:
+            self.thm_viol += int(np.count_nonzero(slack < -self.slack_tol))
+        if simple_low < -self.slack_tol:
+            self.simple_viol += int(np.count_nonzero(slack_simple < -self.slack_tol))
+        self.tightness = max(self.tightness, float((lhs / divisor).max()))
+        return slack, j
+
+    def add_row_sums(self, sums: np.ndarray):
+        """Add per-row slack sums to the total, one after another in row
+        order, so the total does not depend on how rows fell into blocks."""
+        self.slack_sum = float(np.cumsum(np.concatenate(([self.slack_sum], sums)))[-1])
+
+    def add_rows(self, u: list, w: list, lhs: np.ndarray, bound: np.ndarray,
+                 bound_simple: np.ndarray, slack: np.ndarray):
+        self.rows += zip(u, w, lhs.ravel().tolist(), bound.ravel().tolist(),
+                         bound_simple.ravel().tolist(), slack.ravel().tolist())
+
+    def add_block(self, members, lhs: np.ndarray, lhs_stmt: np.ndarray,
+                  bound: np.ndarray, bound_simple: np.ndarray):
+        """Fold in a block of pairs in draw order, one pair per row.
+        ``members(idx)`` gives the 0/1 membership rows of U and W of the
+        pairs at flat indices ``idx``."""
+        slack, j = self.fold(lhs, lhs_stmt, bound, bound_simple, _divisor(bound))
+        self.add_row_sums(slack.sum(axis=1))
+        self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
         flat = slack.ravel()
-        j = int(np.argmin(flat))
         if flat[j] <= self.worst[0]:
             # the worst pair is the smallest (slack, u, w); lexsort's last
-            # key, the top vertex of U, is its primary one.  Ties go by
-            # chunks, so a block of ties never unpacks all its rows at once
-            ties = np.flatnonzero(flat == flat[j])
-            for first in range(0, ties.size, TIE_CHUNK):
-                u, w = members(ties[first:first + TIE_CHUNK])
-                k = np.lexsort(np.hstack([w, u]).T)[:1]
-                self.worst = min(self.worst,
-                                 (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
-        self.min_slack = min(self.min_slack, float(flat[j]))
-        self.simple_min = min(self.simple_min, float(slack_simple.min()))
-        self.stmt_min = min(self.stmt_min, float((bound - lhs_stmt).min()))
-        self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
-        self.thm_viol += int(np.count_nonzero(slack < -self.slack_tol))
-        self.simple_viol += int(np.count_nonzero(slack_simple < -self.slack_tol))
-        ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
-        self.tightness = max(self.tightness, float(ratio.max()))
+            # key, the top vertex of U, is its primary one
+            u, w = members(np.flatnonzero(flat == flat[j]))
+            k = np.lexsort(np.hstack([w, u]).T)[:1]
+            self.worst = min(self.worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
         if self.keep_rows:
             u, w = members(np.arange(flat.size))
-            self.rows += zip(_masks(u), _masks(w), lhs.ravel().tolist(),
-                             bound.ravel().tolist(), bound_simple.ravel().tolist(),
-                             flat.tolist())
+            self.add_rows(_masks(u), _masks(w), lhs, bound, bound_simple, slack)
 
     def report(self, n: int, policy: str, sample_count, seed, nonempty_only,
                slack_tol) -> EmlReport:
@@ -275,6 +316,13 @@ class _SweepAccumulator:
         )
 
 
+def check_exhaustive_cap(n: int, cap: int = EXHAUSTIVE_CAP):
+    """Reject an exhaustive sweep over more than ``cap`` vertices."""
+    if n > cap:
+        raise PreconditionError(
+            f"exhaustive sweep is capped at n <= {cap}; pass a sample size")
+
+
 def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
                seed: int = 0, nonempty_only: bool = False,
                slack_tol: float = 1e-9, cap: int = EXHAUSTIVE_CAP,
@@ -289,9 +337,7 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
         raise PreconditionError("per-pair rows are only kept for n <= 8")
     acc = _SweepAccumulator(slack_tol, keep_rows)
     if sample is None:
-        if n > cap:
-            raise PreconditionError(
-                f"exhaustive sweep is capped at n <= {cap}; pass a sample size")
+        check_exhaustive_cap(n, cap)
         _sweep_exhaustive(profile, nonempty_only, acc)
         policy, sample_count, seed_out = "exhaustive", None, None
     else:
@@ -304,16 +350,39 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
 
 def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                       acc: _SweepAccumulator):
+    n = profile.n
     start = 1 if nonempty_only else 0
-    cols = (1 << profile.n) - start
-    bits = np.arange(profile.n)
-    pc = subset_sums(np.ones(profile.n))
+    pc = subset_sums(np.ones(n))
     pi_mask = subset_sums(profile.pi)
-    for first, last, mass in _row_blocks(subset_sums(profile.transition.p), start):
-        values = eml_kernel(profile, pc[first:last, None], pc[None, start:],
-                            pi_mask[first:last, None], pi_mask[None, start:], mass)
-        acc.add_block(lambda idx: ((first + idx // cols)[:, None] >> bits & 1,
-                                   (start + idx % cols)[:, None] >> bits & 1), *values)
+    size_w, pi_w = pc[None, start:], pi_mask[None, start:]
+    cols = size_w.size
+    # the bounds depend on U only through |U|, and row i of block H has
+    # |U| = |H| + |i|: tables indexed by (|H|, i) serve every block
+    low = _block_bits(n, cols)
+    size_u = np.arange(n - low + 1.0)[:, None, None] + pc[:1 << low, None]
+    bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
+    acc.gap_min = float((bound_simple - bound)[size_u[..., 0] >= start].min())
+    divisor = _divisor(bound)
+    row_sums = np.empty(pc.size - start)
+    for first, mass in _mass_blocks(subset_sums(profile.transition.p)[:, start:], start):
+        last = first + len(mass)
+        lhs, lhs_stmt = _deviations(pc[first:last, None], pi_mask[first:last, None],
+                                    pi_w, mass)
+        i = first % (1 << low)  # > 0 only for the block that starts at u = 1
+        h, rows = int(pc[first - i]), slice(i, i + len(mass))
+        rows_bound, rows_simple = bound[h, rows], bound_simple[h, rows]
+        slack, j = acc.fold(lhs, lhs_stmt, rows_bound, rows_simple, divisor[h, rows])
+        row_sums[first - start:last - start] = slack.sum(axis=1)
+        # rows ascend in u and columns in w: the first minimum is the
+        # block's smallest (slack, u, w)
+        u, w = divmod(j, cols)
+        acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
+        if acc.keep_rows:
+            u, w = np.divmod(np.arange(slack.size), cols)
+            acc.add_rows((first + u).tolist(), (start + w).tolist(), lhs, rows_bound,
+                         rows_simple, slack)
+    acc.add_row_sums(row_sums)
+    acc.rows.sort()  # the blocks came out of u order
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:
@@ -416,13 +485,15 @@ def alon_chung_sweep(g: DirectedGraph, mu: Optional[float] = None,
     rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
     min_slack = np.inf
     violations = 0
-    for first, last, e_rows in _row_blocks(subset_sums(g.adjacency_matrix()), 0):
-        cu = pc[first:last, None]
+    for first, e_rows in _mass_blocks(subset_sums(g.adjacency_matrix()), 0):
+        cu = pc[first:first + len(e_rows), None]
         lhs = np.abs(e_rows - k * cu * pc / n)
         rhs = mu * np.sqrt(np.maximum(cu * (1.0 - cu / n), 0.0)) * rhs_w
         slack = rhs - lhs
-        min_slack = min(min_slack, float(slack.min()))
-        violations += int(np.count_nonzero(slack < -slack_tol))
+        low = float(slack.min())
+        min_slack = min(min_slack, low)
+        if low < -slack_tol:
+            violations += int(np.count_nonzero(slack < -slack_tol))
     return AlonChungReport(
         n=n, k=k, mu=mu, pair_count=4 ** n, min_slack=min_slack,
         max_violation=-min_slack, violations=violations,

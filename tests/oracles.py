@@ -7,7 +7,10 @@ LAPACK-backed routines as the reference for the hand-rolled eigensolver,
 norm estimators and stationary distribution.  ``lu_solve``,
 ``determinant`` and ``condition_number`` are the exceptions: they compose
 dgspec's own LU and operator norm, so the tests that use them check those
-routines too.
+routines too.  So do ``eml_lhs``, ``eml_bound`` and ``eml_bound_simple``,
+which read one pair through dgspec's mixing kernel, and
+``reference_exhaustive_sweep``, which runs that kernel over the exhaustive
+sweep the plain way: row blocks in mask order, every row summed bit by bit.
 """
 
 from __future__ import annotations
@@ -16,8 +19,16 @@ import itertools
 
 import numpy as np
 
-from dgspec import PreconditionError, SingularMatrixError, invert, operator_norm
+from dgspec import (
+    EmlReport,
+    PreconditionError,
+    SingularMatrixError,
+    SubsetPair,
+    invert,
+    operator_norm,
+)
 from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
+from dgspec.mixing import BLOCK_FLOATS, _masks, eml_kernel, eml_pair_values, subset_sums
 
 
 def reachability(n: int, edges) -> list[list[bool]]:
@@ -181,6 +192,96 @@ def eml_pair_oracle(profile, u_idx, w_idx):
     bound = profile.rho * np.sqrt(max(fac_u, 0.0) * max(fac_w, 0.0))
     simple = profile.rho * profile.kappa * np.sqrt(size_u * size_w)
     return lhs, float(bound), float(simple)
+
+
+def eml_lhs(profile, pair: SubsetPair) -> float:
+    """|sum of p_ij over (i in U, j in W)  -  |U| * pi(W)|."""
+    return eml_pair_values(profile, pair)[0]
+
+
+def eml_bound(profile, pair: SubsetPair) -> float:
+    """rho * sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))."""
+    return eml_pair_values(profile, pair)[2]
+
+
+def eml_bound_simple(profile, pair: SubsetPair) -> float:
+    """rho * sqrt(|U| |W|) * kappa(C)."""
+    return eml_pair_values(profile, pair)[3]
+
+
+def _row_blocks(table: np.ndarray, start: int):
+    """Blocks ``(first, last, sums)`` of consecutive masks u in [start, 2^n):
+    sums[i] adds up the rows of ``table`` (n x 2^n) over the bits of
+    u = first + i, lowest bit first, and keeps the columns [start, 2^n)."""
+    n, size = table.shape
+    rows = max(1, BLOCK_FLOATS // (size - start))
+    for first in range(start, size, rows):
+        last = min(first + rows, size)
+        sums = np.zeros((last - first, size))
+        for row, u in zip(sums, range(first, last)):
+            for b in range(n):
+                if u >> b & 1:
+                    row += table[b]
+        yield first, last, sums[:, start:]
+
+
+def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
+                               slack_tol: float = 1e-9,
+                               keep_rows: bool = False) -> EmlReport:
+    """``verify_eml(profile)``'s report, from blocks of whole rows in mask
+    order: every pair's four values come from one ``eml_kernel`` call per
+    block, the worst pair from a lexsort of the tied pairs' membership
+    rows, and the slack total from row sums added in mask order."""
+    n = profile.n
+    start = 1 if nonempty_only else 0
+    cols = (1 << n) - start
+    bits = np.arange(n)
+    pc = subset_sums(np.ones(n))
+    pi_mask = subset_sums(profile.pi)
+    count, slack_sum = 0, 0.0
+    min_slack = simple_min = stmt_min = gap_min = np.inf
+    worst = (np.inf, 0, 0)
+    tightness, thm_viol, simple_viol, rows = 0.0, 0, 0, []
+    for first, last, mass in _row_blocks(subset_sums(profile.transition.p), start):
+        lhs, lhs_stmt, bound, bound_simple = eml_kernel(
+            profile, pc[first:last, None], pc[None, start:],
+            pi_mask[first:last, None], pi_mask[None, start:], mass)
+        slack = bound - lhs
+        slack_simple = bound_simple - lhs
+        count += slack.size
+        slack_sum = float(np.cumsum(np.concatenate(([slack_sum], slack.sum(axis=1))))[-1])
+        flat = slack.ravel()
+        j = int(np.argmin(flat))
+        if flat[j] <= worst[0]:
+            ties = np.flatnonzero(flat == flat[j])
+            u = (first + ties // cols)[:, None] >> bits & 1
+            w = (start + ties % cols)[:, None] >> bits & 1
+            k = np.lexsort(np.hstack([w, u]).T)[:1]
+            worst = min(worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
+        min_slack = min(min_slack, float(flat[j]))
+        simple_min = min(simple_min, float(slack_simple.min()))
+        stmt_min = min(stmt_min, float((bound - lhs_stmt).min()))
+        gap_min = min(gap_min, float((bound_simple - bound).min()))
+        thm_viol += int(np.count_nonzero(slack < -slack_tol))
+        simple_viol += int(np.count_nonzero(slack_simple < -slack_tol))
+        ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
+        tightness = max(tightness, float(ratio.max()))
+        if keep_rows:
+            idx = np.arange(flat.size)
+            rows += zip((first + idx // cols).tolist(), (start + idx % cols).tolist(),
+                        lhs.ravel().tolist(), bound.ravel().tolist(),
+                        bound_simple.ravel().tolist(), flat.tolist())
+    max_violation = max(-min_slack, -simple_min)
+    return EmlReport(
+        n=n, pair_count=count, policy="exhaustive", sample_count=None, seed=None,
+        nonempty_only=nonempty_only, slack_tol=slack_tol,
+        max_violation=max_violation, min_slack=min_slack,
+        simple_min_slack=simple_min, stmt_min_slack=stmt_min,
+        bound_gap_min=gap_min, mean_slack=slack_sum / count,
+        tightness_ratio=tightness, theorem_violations=thm_viol,
+        simple_violations=simple_viol, worst_pair=SubsetPair(*worst[1:]),
+        passed=max_violation <= slack_tol,
+        rows=tuple(rows) if keep_rows else None)
 
 
 def left_perron_oracle(p) -> np.ndarray:

@@ -100,8 +100,10 @@ class TestAnalyze:
         path = str(tmp_path / "g.txt")
         run(capsys, "generate", "random_strongly_connected", n, p, "--seed", seed,
             "-o", path)
-        for argv in (["analyze"], ["eml", "verify"], ["toughness", "bound"],
-                     ["eml", "bound", "--u", "0", "--w", "1"]):
+        # n > 13, so an exhaustive eml verify would stop at the cap (exit 3)
+        # before it builds the profile; a sampled one builds it
+        for argv in (["analyze"], ["eml", "verify", "--sample", "50"],
+                     ["toughness", "bound"], ["eml", "bound", "--u", "0", "--w", "1"]):
             code, out, err = run(capsys, *argv, path)
             assert code == 4, argv
             assert out == ""
@@ -124,9 +126,12 @@ class TestEml:
     def test_cap_without_sample(self, capsys, tmp_path):
         out_file = tmp_path / "big.txt"
         run(capsys, "generate", "chord_cycle", "14", "-o", str(out_file))
-        code, _, err = run(capsys, "eml", "verify", str(out_file))
+        # the cap needs only n, so it is checked before the profile is built
+        with mock.patch("dgspec.cli.spectral_profile") as profile:
+            code, _, err = run(capsys, "eml", "verify", str(out_file))
         assert code == 3
         assert "cap" in err
+        profile.assert_not_called()
 
     def test_sample_deterministic(self, capsys, tmp_path):
         out_file = tmp_path / "big.txt"

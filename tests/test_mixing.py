@@ -16,9 +16,6 @@ from dgspec import (
     build_transition_matrix,
     chord_cycle,
     complete_bidirected,
-    eml_bound,
-    eml_bound_simple,
-    eml_lhs,
     graph_from_edges,
     petersen,
     random_strongly_connected,
@@ -30,7 +27,13 @@ from dgspec import mixing
 from dgspec.graph import seeded_rng
 from dgspec.mixing import BLOCK_FLOATS, mask_from_indices
 
-from oracles import eml_pair_oracle
+from oracles import (
+    eml_bound,
+    eml_bound_simple,
+    eml_lhs,
+    eml_pair_oracle,
+    reference_exhaustive_sweep,
+)
 
 
 def profile_of(g):
@@ -120,6 +123,9 @@ class TestPairValues:
         broken = dataclasses.replace(prof, norm_c_inv=0.01)
         with pytest.raises(NumericalError, match="radicand"):
             eml_bound(broken, SubsetPair.from_indices([0], [0, 1, 2]))
+        for sample in (None, 50):  # the exhaustive sweep checks its bound table
+            with pytest.raises(NumericalError, match="radicand"):
+                verify_eml(broken, sample=sample)
 
 
 class TestVerifySweep:
@@ -198,10 +204,10 @@ class TestVerifySweep:
 
     @pytest.mark.parametrize("smallest_at", [0, -1])
     def test_block_of_exact_ties_picks_the_lexsort_pair(self, smallest_at):
-        # every pair of the block ties, and the ties span several chunks:
-        # the pick must be the one a lexsort over all the tied rows makes
+        # every pair of a block of 12293 ties: the pick must be the one a
+        # lexsort over all the tied rows makes
         rng = np.random.default_rng(7)
-        count, n = 3 * mixing.TIE_CHUNK + 5, 12
+        count, n = 12293, 12
         u = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
         w = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
         u[smallest_at], w[smallest_at] = 0, 0  # the smallest pair, planted
@@ -323,6 +329,40 @@ def check_block_against_oracle(profile, pairs):
     lhs, _, bound, simple = mixing._block_values(profile, u, w)
     for k, (u_idx, w_idx) in enumerate(pairs):
         assert_pair_close(profile, u_idx, w_idx, lhs[k, 0], bound[k, 0], simple[k, 0])
+
+
+@st.composite
+def sweep_profiles(draw):
+    """Profiles of n = 2..10 vertices: random digraphs, and the K_n and odd
+    cycles whose symmetries tie many pairs at the same slack."""
+    n = draw(st.integers(2, 10))
+    family = draw(st.sampled_from(["random", "complete", "cycle"]))
+    try:
+        if family == "complete":
+            return profile_of(complete_bidirected(n))
+        if family == "cycle":
+            return profile_of(undirected_cycle(n))
+        p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+        seed = draw(st.integers(0, 2 ** 32))
+        return profile_of(random_strongly_connected(n, p, seed=seed))
+    except DgspecError:  # not strongly connected, periodic or defective
+        assume(False)
+
+
+class TestExhaustiveSweepReference:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(sweep_profiles(), st.booleans())
+    def test_sweep_equals_the_row_by_row_reference(self, profile, nonempty_only):
+        # rho scaled down turns many pairs into violations, so the counts,
+        # the minima and the worst pair come from violating blocks too
+        for prof in (profile, dataclasses.replace(profile, rho=0.05 * profile.rho)):
+            keep_rows = prof.n <= 8
+            mine = verify_eml(prof, nonempty_only=nonempty_only, keep_rows=keep_rows)
+            ref = reference_exhaustive_sweep(prof, nonempty_only=nonempty_only,
+                                             keep_rows=keep_rows)
+            for field in dataclasses.fields(mine):
+                assert getattr(mine, field.name) == getattr(ref, field.name), field.name
 
 
 class TestKernelProperties:
