@@ -20,7 +20,6 @@ from .graph import (
     de_bruijn,
     generate,
     graph_from_edges,
-    induced_subgraph,
     is_strongly_connected,
     parse_edge_list,
     period,
@@ -38,10 +37,8 @@ from .linalg import (
 )
 from .markov import (
     SpectralProfile,
-    SymbolCheck,
     TransitionMatrix,
     build_transition_matrix,
-    eml_symbol_check,
     spectral_profile,
     stationary_distribution,
 )
@@ -49,7 +46,6 @@ from .mixing import (
     AlonChungReport,
     EmlReport,
     SubsetPair,
-    alon_chung_bound,
     alon_chung_sweep,
     verify_eml,
 )

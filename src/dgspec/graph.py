@@ -209,20 +209,6 @@ def period(g: DirectedGraph) -> int:
     return g_val
 
 
-def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
-    """Subgraph on ``keep``, vertices reindexed in ascending original order."""
-    kept = sorted(set(keep))
-    if not kept:
-        raise PreconditionError("induced subgraph needs a nonempty vertex set")
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"vertex {v} out of range")
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = {(remap[t], remap[h]) for t, h in g.edges if t in remap and h in remap}
-    labels = tuple(g.label_of(v) for v in kept) if g.labels is not None else None
-    return graph_from_edges(len(kept), edges, labels)
-
-
 # ---------------------------------------------------------------------------
 # Generators.  Undirected families follow the doubling convention: each
 # undirected edge becomes the two directed edges (u, v) and (v, u).

@@ -9,7 +9,10 @@ eigenvalues (exceptional shifts on stagnation, and a normwise deflation
 floor of eps * ||H||_F), with each complex pair read exactly conjugate
 from its 2x2 block, then inverse iteration on H for the eigenvectors,
 with per-eigenspace orthonormalization, and one back-transform of all of
-them through the Householder reflectors.
+them through the Householder reflectors.  ``certify_eigenbasis`` is the
+one place a candidate eigenbasis is inverted and checked (condition
+cutoffs, C C^-1 = I, residual): the solver's own basis and the spectral
+profile's basis with the pinned all-ones column both go through it.
 """
 
 from __future__ import annotations
@@ -156,7 +159,9 @@ class EigenDecomposition:
     """Eigenvalues with a unit-column eigenbasis and its explicit inverse.
 
     ``residual`` is ||A C - C diag(lambda)||_F, guaranteed at most
-    ``tol`` * ||A||_F for the tolerance declared at construction.
+    ``tol`` * ||A||_F for the tolerance declared at construction;
+    ``norm_c`` and ``norm_c_inv`` are the operator norms of the basis and
+    of its inverse.
     """
 
     eigenvalues: np.ndarray
@@ -164,6 +169,8 @@ class EigenDecomposition:
     basis_inverse: np.ndarray
     residual: float
     tol: float
+    norm_c: float
+    norm_c_inv: float
 
     def __post_init__(self):
         for arr in (self.eigenvalues, self.basis, self.basis_inverse):
@@ -534,33 +541,51 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
     if scale == 0.0:
         eye = np.eye(n, dtype=complex)
         return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
-                                  0.0, tol)
+                                  0.0, tol, 1.0, 1.0)
 
     vals, c = _eigenpairs(am, scale, cluster_tol)
+    return certify_eigenbasis(am, vals, c, tol)
+
+
+def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
+                       tol: float) -> EigenDecomposition:
+    """Invert a candidate eigenbasis of the nonzero matrix ``a`` and certify
+    it: the basis must be well conditioned (sigma_min and kappa cutoffs),
+    its inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
+    ||A C - C diag(lambda)||_F must be at most ``tol`` * ||a||_F.
+
+    A singular or rank-deficient basis raises ``DefectiveMatrixError``, a
+    failed identity check ``NumericalError`` and a large residual
+    ``ConvergenceError``.
+    """
+    am = as_matrix(a)
+    n = am.shape[0]
     try:
-        c_inv = invert(c)
+        c_inv = invert(basis)
     except SingularMatrixError as exc:
         raise DefectiveMatrixError(
             "eigenvector basis is singular to working precision") from exc
 
     norm_c_inv = operator_norm(c_inv)
+    norm_c = operator_norm(basis)
     sigma_min = 1.0 / norm_c_inv if norm_c_inv > 0 else 0.0
-    kappa = operator_norm(c) * norm_c_inv
+    kappa = norm_c * norm_c_inv
     if sigma_min < SIGMA_MIN_CUTOFF or kappa > KAPPA_CUTOFF:
         raise DefectiveMatrixError(
             f"eigenvector basis is rank deficient (sigma_min={sigma_min:.3e}, "
             f"kappa={kappa:.3e}): matrix is not diagonalizable to working precision")
 
-    identity_err = frobenius(c @ c_inv - np.eye(n))
+    identity_err = frobenius(basis @ c_inv - np.eye(n))
     if identity_err > 1e-9 * n:
         # the identity floor is ~eps * kappa(C): only near-defective bases land here
         raise NumericalError(
             f"basis inversion check failed: ||C C^-1 - I||_F = {identity_err:.3e} "
             f"(kappa ~ {kappa:.2e}); the eigenbasis is too ill-conditioned to trust")
 
-    residual = frobenius(am @ c - c * vals[None, :])
+    scale = frobenius(am)
+    residual = frobenius(am @ basis - basis * eigenvalues[None, :])
     if residual > tol * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{tol:.1e} * ||a||_F = {tol * scale:.3e}")
-    return EigenDecomposition(vals, c, c_inv, residual, tol)
+    return EigenDecomposition(eigenvalues, basis, c_inv, residual, tol, norm_c, norm_c_inv)

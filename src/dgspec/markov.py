@@ -10,18 +10,16 @@ stationary distribution pi, and the basis norms ||C||, ||C^-1||, kappa.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, PreconditionError, SingularMatrixError
+from .errors import ConvergenceError, NumericalError, PreconditionError
 from .graph import DirectedGraph, is_strongly_connected, period
-from .linalg import (
-    EigenDecomposition,
-    eigendecompose_nonsymmetric,
-    frobenius,
-    invert,
-    operator_norm,
-)
+from .linalg import certify_eigenbasis, eigendecompose_nonsymmetric
+
+if TYPE_CHECKING:
+    from .linalg import EigenDecomposition
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,16 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
 
     The eigenvector for the eigenvalue nearest 1 is replaced by the exact
     analytic vector (1/sqrt(n)) * ones (valid because rows sum to 1) and
-    moved to the first column; the basis inverse and norms are recomputed
-    from the adjusted basis.  pi comes first: it runs the strong
-    connectivity and period checks for the whole profile.
+    moved to the first column; this pinned basis, on which both bounds are
+    stated, then passes the solver's own certification
+    (``certify_eigenbasis``), which inverts it and yields its norms.  pi
+    comes first: it runs the strong connectivity and period checks for the
+    whole profile.
     """
     pi = stationary_distribution(t)
     dec = eigendecompose_nonsymmetric(t.p, tol=eig_tol, cluster_tol=cluster_tol)
     n = t.n
-    vals = dec.eigenvalues.copy()
+    vals = dec.eigenvalues
     lead = int(np.argmin(np.abs(vals - 1.0)))
     perron_gap = float(abs(vals[lead] - 1.0))
     if perron_gap > 1e-10:
@@ -139,21 +139,12 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
 
     order = [lead] + [i for i in range(n) if i != lead]
     vals = vals[order]
+    # the column gather comes out F-ordered; a C-ordered copy makes the BLAS
+    # products round as they do on the solver's own basis
     basis = dec.basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
-    try:
-        basis_inv = invert(basis)
-    except SingularMatrixError as exc:
-        raise NumericalError("eigenbasis became singular after the "
-                             "dominant-column replacement") from exc
-
-    scale = frobenius(t.p)
-    residual = frobenius(t.p.astype(complex) @ basis - basis * vals[None, :])
-    if residual > eig_tol * scale:
-        raise ConvergenceError(
-            f"profile residual {residual:.3e} exceeds {eig_tol:.1e} * ||P||_F")
-    adjusted = EigenDecomposition(vals, basis, basis_inv, residual, eig_tol)
+    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol)
 
     rho = float(np.max(np.abs(vals[1:]))) if n > 1 else 0.0
     if rho >= 1.0 - 1e-12:
@@ -161,9 +152,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
             f"subdominant spectral radius {rho:.15g} is numerically 1: "
             "the walk is not aperiodic to working precision")
 
-    norm_c = operator_norm(basis)
-    norm_c_inv = operator_norm(basis_inv)
-    kappa = max(norm_c * norm_c_inv, 1.0)
+    kappa = max(adjusted.norm_c * adjusted.norm_c_inv, 1.0)
     return SpectralProfile(
         transition=t,
         decomposition=adjusted,
@@ -171,28 +160,8 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
         pi=pi,
         pi_min=float(pi.min()),
         pi_max=float(pi.max()),
-        norm_c=norm_c,
-        norm_c_inv=norm_c_inv,
+        norm_c=adjusted.norm_c,
+        norm_c_inv=adjusted.norm_c_inv,
         kappa=kappa,
         perron_gap=perron_gap,
     )
-
-
-@dataclass(frozen=True)
-class SymbolCheck:
-    """Measured deviations of the dual-basis identities.
-
-    ``pi_row_deviation`` is the infinity-norm distance between the first
-    row of C^-1 and sqrt(n) * pi; ``perron_gap`` is |lambda_1 - 1| as the
-    solver reported it.
-    """
-
-    pi_row_deviation: float
-    perron_gap: float
-
-
-def eml_symbol_check(profile: SpectralProfile) -> SymbolCheck:
-    row = profile.decomposition.basis_inverse[0]
-    expected = np.sqrt(profile.n) * profile.pi
-    dev = float(np.max(np.abs(row - expected)))
-    return SymbolCheck(pi_row_deviation=dev, perron_gap=profile.perron_gap)

@@ -316,17 +316,16 @@ class _SweepAccumulator:
         )
 
 
-def check_exhaustive_cap(n: int, cap: int = EXHAUSTIVE_CAP):
-    """Reject an exhaustive sweep over more than ``cap`` vertices."""
-    if n > cap:
+def check_exhaustive_cap(n: int):
+    """Reject an exhaustive sweep over more than ``EXHAUSTIVE_CAP`` vertices."""
+    if n > EXHAUSTIVE_CAP:
         raise PreconditionError(
-            f"exhaustive sweep is capped at n <= {cap}; pass a sample size")
+            f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP}; pass a sample size")
 
 
 def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
                seed: int = 0, nonempty_only: bool = False,
-               slack_tol: float = 1e-9, cap: int = EXHAUSTIVE_CAP,
-               keep_rows: bool = False) -> EmlReport:
+               slack_tol: float = 1e-9, keep_rows: bool = False) -> EmlReport:
     """Sweep subset pairs and check both bound forms against the deviation.
 
     ``sample=None`` enumerates all 4^n pairs (n capped); otherwise that
@@ -337,7 +336,7 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
         raise PreconditionError("per-pair rows are only kept for n <= 8")
     acc = _SweepAccumulator(slack_tol, keep_rows)
     if sample is None:
-        check_exhaustive_cap(n, cap)
+        check_exhaustive_cap(n)
         _sweep_exhaustive(profile, nonempty_only, acc)
         policy, sample_count, seed_out = "exhaustive", None, None
     else:
@@ -437,28 +436,6 @@ def second_adjacency_eigenvalue(g: DirectedGraph) -> float:
     return k * profile.rho
 
 
-def alon_chung_bound(g: DirectedGraph, pair: SubsetPair,
-                     mu: Optional[float] = None) -> tuple[float, float]:
-    """Classical mixing inequality for a symmetric k-regular graph.
-
-    Returns (lhs, rhs) with lhs = |e(U, W) - k|U||W|/n| where e counts
-    directed edges from U to W (an undirected edge inside the overlap
-    contributes once per direction).
-    """
-    k = regular_degree(g)
-    n = g.n
-    _check_pair(n, pair)
-    if mu is None:
-        mu = second_adjacency_eigenvalue(g)
-    ui = set(pair.u_indices)
-    wi = set(pair.w_indices)
-    e_uw = sum(1 for t, h in g.edges if t in ui and h in wi)
-    size_u, size_w = len(ui), len(wi)
-    lhs = abs(e_uw - k * size_u * size_w / n)
-    rhs = mu * float(np.sqrt(size_u * size_w * (1 - size_u / n) * (1 - size_w / n)))
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class AlonChungReport:
     n: int
@@ -471,16 +448,15 @@ class AlonChungReport:
     passed: bool
 
 
-def alon_chung_sweep(g: DirectedGraph, mu: Optional[float] = None,
-                     slack_tol: float = 1e-9,
-                     cap: int = EXHAUSTIVE_CAP) -> AlonChungReport:
-    """Exhaustive check of the classical inequality over all 4^n pairs."""
+def alon_chung_sweep(g: DirectedGraph) -> AlonChungReport:
+    """Exhaustive check of the classical inequality over all 4^n pairs,
+    with mu = k * rho and a slack tolerance of 1e-9."""
     k = regular_degree(g)
     n = g.n
-    if n > cap:
-        raise PreconditionError(f"exhaustive sweep is capped at n <= {cap}")
-    if mu is None:
-        mu = second_adjacency_eigenvalue(g)
+    if n > EXHAUSTIVE_CAP:
+        raise PreconditionError(f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP}")
+    mu = second_adjacency_eigenvalue(g)
+    slack_tol = 1e-9
     pc = subset_sums(np.ones(n))
     rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
     min_slack = np.inf

@@ -53,8 +53,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("slack_tol", "eig_tol", "cluster_tol"):
-            if getattr(self, name) <= 0:
-                raise PreconditionError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise PreconditionError(f"{name} must be positive and finite")
         if self.fmt not in FORMATS:
             raise PreconditionError(f"format must be one of {', '.join(FORMATS)}")
 

@@ -124,10 +124,10 @@ class BoundComparison:
     note: Optional[str] = None
 
 
-def compare_bounds(exact: ToughnessResult, profile: SpectralProfile,
-                   tol: float = 1e-9) -> BoundComparison:
+def compare_bounds(exact: ToughnessResult, profile: SpectralProfile) -> BoundComparison:
     """Set exact toughness beside the spectral bound of ``profile``, the
-    same graph's spectral profile; never aborts on a violation."""
+    same graph's spectral profile; never aborts on a violation.  The bound
+    holds when it is at most the exact toughness plus 1e-9."""
     bound = toughness_spectral_bound(profile)
     note = None
     if math.isinf(bound):
@@ -140,6 +140,6 @@ def compare_bounds(exact: ToughnessResult, profile: SpectralProfile,
         holds = False
     else:
         gap = exact.value - bound
-        holds = exact.value >= bound - tol
+        holds = exact.value >= bound - 1e-9
     return BoundComparison(exact=exact, spectral_bound=bound, gap=gap,
                            holds=holds, note=note)

@@ -11,24 +11,41 @@ routines too.  So do ``eml_lhs``, ``eml_bound`` and ``eml_bound_simple``,
 which read one pair through dgspec's mixing kernel, and
 ``reference_exhaustive_sweep``, which runs that kernel over the exhaustive
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
+``induced_subgraph``, ``alon_chung_bound`` and ``eml_symbol_check`` are
+helpers no runtime path calls; they build on dgspec's graph constructor,
+regularity check, second adjacency eigenvalue and spectral profile.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from dgspec import (
+    DirectedGraph,
     EmlReport,
     PreconditionError,
     SingularMatrixError,
+    SpectralProfile,
     SubsetPair,
+    graph_from_edges,
     invert,
     operator_norm,
 )
 from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
-from dgspec.mixing import BLOCK_FLOATS, _masks, eml_kernel, eml_pair_values, subset_sums
+from dgspec.mixing import (
+    BLOCK_FLOATS,
+    _check_pair,
+    _masks,
+    eml_kernel,
+    eml_pair_values,
+    regular_degree,
+    second_adjacency_eigenvalue,
+    subset_sums,
+)
 
 
 def reachability(n: int, edges) -> list[list[bool]]:
@@ -329,3 +346,59 @@ def condition_number(c) -> float:
     _require_square(cm)
     kappa = operator_norm(cm) * operator_norm(invert(cm))
     return max(kappa, 1.0)
+
+
+def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
+    """Subgraph on ``keep``, vertices reindexed in ascending original order."""
+    kept = sorted(set(keep))
+    if not kept:
+        raise PreconditionError("induced subgraph needs a nonempty vertex set")
+    for v in kept:
+        if not (0 <= v < g.n):
+            raise PreconditionError(f"vertex {v} out of range")
+    remap = {v: i for i, v in enumerate(kept)}
+    edges = {(remap[t], remap[h]) for t, h in g.edges if t in remap and h in remap}
+    labels = tuple(g.label_of(v) for v in kept) if g.labels is not None else None
+    return graph_from_edges(len(kept), edges, labels)
+
+
+def alon_chung_bound(g: DirectedGraph, pair: SubsetPair,
+                     mu: Optional[float] = None) -> tuple[float, float]:
+    """Classical mixing inequality for a symmetric k-regular graph.
+
+    Returns (lhs, rhs) with lhs = |e(U, W) - k|U||W|/n| where e counts
+    directed edges from U to W (an undirected edge inside the overlap
+    contributes once per direction).
+    """
+    k = regular_degree(g)
+    n = g.n
+    _check_pair(n, pair)
+    if mu is None:
+        mu = second_adjacency_eigenvalue(g)
+    ui = set(pair.u_indices)
+    wi = set(pair.w_indices)
+    e_uw = sum(1 for t, h in g.edges if t in ui and h in wi)
+    size_u, size_w = len(ui), len(wi)
+    lhs = abs(e_uw - k * size_u * size_w / n)
+    rhs = mu * float(np.sqrt(size_u * size_w * (1 - size_u / n) * (1 - size_w / n)))
+    return lhs, rhs
+
+
+@dataclass(frozen=True)
+class SymbolCheck:
+    """Measured deviations of the dual-basis identities.
+
+    ``pi_row_deviation`` is the infinity-norm distance between the first
+    row of C^-1 and sqrt(n) * pi; ``perron_gap`` is |lambda_1 - 1| as the
+    solver reported it.
+    """
+
+    pi_row_deviation: float
+    perron_gap: float
+
+
+def eml_symbol_check(profile: SpectralProfile) -> SymbolCheck:
+    row = profile.decomposition.basis_inverse[0]
+    expected = np.sqrt(profile.n) * profile.pi
+    dev = float(np.max(np.abs(row - expected)))
+    return SymbolCheck(pi_row_deviation=dev, perron_gap=profile.perron_gap)

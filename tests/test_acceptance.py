@@ -20,7 +20,6 @@ from dgspec import (
     compare_bounds,
     de_bruijn,
     eigendecompose_nonsymmetric,
-    eml_symbol_check,
     exact_toughness,
     petersen,
     spectral_profile,
@@ -37,6 +36,7 @@ from dgspec.toughness import alon_toughness_bound
 from oracles import (
     determinant,
     eig_multiset_error,
+    eml_symbol_check,
     mask_sums,
     popcount_table,
     toughness_by_combinations,

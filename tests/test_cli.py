@@ -358,6 +358,15 @@ class TestEnvironmentOverrides:
         assert code == 3
         assert "DGSPEC_SLACK_TOL" in err
 
+    def test_non_finite_tolerance_is_precondition(self, capsys, chord_file, monkeypatch):
+        code, out, err = run(capsys, "eml", "verify", chord_file, "--slack-tol", "nan")
+        assert (code, out) == (3, "")
+        assert "slack_tol" in err
+        monkeypatch.setenv("DGSPEC_EIG_TOL", "inf")
+        code, out, err = run(capsys, "analyze", chord_file)
+        assert (code, out) == (3, "")
+        assert "eig_tol" in err
+
 
 def test_threads_is_an_unknown_flag(capsys, chord_file):
     with pytest.raises(SystemExit) as exc:

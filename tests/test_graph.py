@@ -9,7 +9,6 @@ from dgspec import (
     de_bruijn,
     generate,
     graph_from_edges,
-    induced_subgraph,
     is_strongly_connected,
     parse_edge_list,
     period,
@@ -20,7 +19,7 @@ from dgspec import (
     write_edge_list,
 )
 
-from oracles import directed_cycle_lengths, scc_by_reachability
+from oracles import directed_cycle_lengths, induced_subgraph, scc_by_reachability
 
 
 def cycle3():

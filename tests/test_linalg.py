@@ -249,6 +249,30 @@ def test_source_calls_no_lapack():
     assert not found
 
 
+class TestCertifyEigenbasis:
+    def test_recertifying_the_solver_output_is_bit_identical(self):
+        rng = np.random.default_rng(73)
+        for a in (CHORD_P, rng.standard_normal((9, 9))):
+            dec = eigendecompose_nonsymmetric(a)
+            again = linalg.certify_eigenbasis(a, dec.eigenvalues, dec.basis, dec.tol)
+            assert np.array_equal(again.basis_inverse, dec.basis_inverse)
+            assert again.residual == dec.residual
+            assert again.norm_c == dec.norm_c
+            assert again.norm_c_inv == dec.norm_c_inv
+
+    def test_repeated_column_is_defective(self):
+        dec = eigendecompose_nonsymmetric(CHORD_P)
+        basis = dec.basis.copy()
+        basis[:, 2] = basis[:, 1]
+        with pytest.raises(DefectiveMatrixError):
+            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues, basis, dec.tol)
+
+    def test_shifted_eigenvalues_fail_the_residual(self):
+        dec = eigendecompose_nonsymmetric(CHORD_P)
+        with pytest.raises(ConvergenceError):
+            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues + 1e-6, dec.basis, dec.tol)
+
+
 class TestEigendecompose:
     def test_diag(self):
         dec = eigendecompose_nonsymmetric(np.diag([3.0, 1.0]))

@@ -12,8 +12,8 @@ from dgspec import (
     chord_cycle,
     complete_bidirected,
     de_bruijn,
-    eml_symbol_check,
     graph_from_edges,
+    operator_norm,
     parse_edge_list,
     period,
     petersen,
@@ -23,7 +23,7 @@ from dgspec import (
 )
 from dgspec.cli import main
 
-from oracles import left_perron_oracle
+from oracles import eml_symbol_check, left_perron_oracle
 from strategies import cycle_plus_arcs
 
 
@@ -149,6 +149,11 @@ class TestSpectralProfile:
             check = eml_symbol_check(prof)
             assert check.pi_row_deviation <= 1e-8
             assert check.perron_gap <= 1e-10
+
+    def test_norms_are_those_of_the_pinned_basis(self, corpus_profiles):
+        for prof in corpus_profiles.values():
+            assert prof.norm_c == operator_norm(prof.decomposition.basis)
+            assert prof.norm_c_inv == operator_norm(prof.decomposition.basis_inverse)
 
     def test_regular_graph_spectrum_is_scaled_adjacency(self):
         # circulant closed form: cycle adjacency eigenvalues 2cos(2 pi k / n)

@@ -68,6 +68,8 @@ class TestRunConfig:
         {"cluster_tol": 0.0},
         {"cluster_tol": -1e-8},
         {"fmt": "yaml"},
+        *({name: bad} for name in ("slack_tol", "eig_tol", "cluster_tol")
+          for bad in (float("nan"), float("inf"))),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(PreconditionError):

@@ -18,7 +18,6 @@ from dgspec import (
     complete_bidirected,
     exact_toughness,
     graph_from_edges,
-    induced_subgraph,
     is_strongly_connected,
     petersen,
     scc,
@@ -27,7 +26,7 @@ from dgspec import (
     undirected_cycle,
 )
 
-from oracles import toughness_by_combinations
+from oracles import induced_subgraph, toughness_by_combinations
 
 
 def profile_of(g):
