@@ -43,10 +43,8 @@ from .markov import (
     stationary_distribution,
 )
 from .mixing import (
-    AlonChungReport,
     EmlReport,
     SubsetPair,
-    alon_chung_sweep,
     verify_eml,
 )
 from .reports import (
@@ -61,7 +59,6 @@ from .toughness import (
     INFINITE,
     BoundComparison,
     ToughnessResult,
-    alon_toughness_bound,
     compare_bounds,
     exact_toughness,
     toughness_spectral_bound,

@@ -37,7 +37,9 @@ class ConvergenceError(NumericalError):
 class DefectiveMatrixError(NumericalError):
     """Matrix lacks a full set of linearly independent eigenvectors.
 
-    Diagnosed numerically: the assembled eigenvector basis is rank
-    deficient (smallest singular value below threshold) or its condition
-    number exceeds the defectiveness cutoff.
+    Diagnosed numerically: an eigenvalue cluster's eigenvectors are
+    dependent, the assembled eigenvector basis is rank deficient (smallest
+    singular value below threshold) or its condition number exceeds the
+    defectiveness cutoff, or two eigenvalues lie within roundoff of
+    coalescing.
     """

@@ -2,17 +2,20 @@
 eigendecomposition, and Euclidean operator norms.
 
 No LAPACK-backed decompositions are called anywhere in this module; numpy
-is used only as the array-arithmetic substrate.  The eigensolver is the
-classical pipeline: Householder reduction to a real Hessenberg form H,
-implicit Francis double-shift QR on H in real arithmetic for the
-eigenvalues (exceptional shifts on stagnation, and a normwise deflation
-floor of eps * ||H||_F), with each complex pair read exactly conjugate
-from its 2x2 block, then inverse iteration on H for the eigenvectors,
-with per-eigenspace orthonormalization, and one back-transform of all of
-them through the Householder reflectors.  ``certify_eigenbasis`` is the
-one place a candidate eigenbasis is inverted and checked (condition
-cutoffs, C C^-1 = I, residual): the solver's own basis and the spectral
-profile's basis with the pinned all-ones column both go through it.
+is used only as the array-arithmetic substrate.  The eigensolver follows
+the classical dhseqr + dtrevc route (Golub & Van Loan, Matrix
+Computations, 7.5-7.6): Householder reduction to a real Hessenberg form,
+then implicit Francis double-shift QR in real arithmetic that accumulates
+the real Schur form A = Z T Z^T (exceptional shifts on stagnation, and a
+normwise deflation floor of eps * ||H||_F), with each complex pair read
+exactly conjugate from its 2x2 block.  One complex rotation per 2x2 block
+makes T triangular, back-substitution on T gives every eigenvector at once,
+Z takes them back to A's coordinates, and each eigenvalue cluster is
+orthonormalized with a rank test.  ``certify_eigenbasis`` is the one place
+a candidate eigenbasis is inverted and checked (condition cutoffs,
+coalescing eigenvalues, C C^-1 = I, residual): the solver's own basis and
+the spectral profile's basis with the pinned all-ones column both go
+through it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .errors import (
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Fixed seeds keep inverse iteration and the norm estimator deterministic.
-_INV_ITER_SEED = 0x5EED_1A57
+# A fixed seed keeps the norm estimator deterministic.
 _NORM_SEED = 0x0B5E_55ED
 
 # operator_norm stops at this relative residual or after this many steps.
@@ -44,6 +46,15 @@ _NORM_MAX_ITER = 100_000
 # smallest singular value or condition number crosses these.
 SIGMA_MIN_CUTOFF = 1e-10
 KAPPA_CUTOFF = 1e10
+
+# Coalescence cutoff for the largest ratio of ``_coalescence``: above it,
+# two eigenvalues are indistinguishable from a defective double one.
+COALESCE_CUTOFF = 1e-4
+
+# Gram-Schmidt rank test within an eigenvalue cluster: a unit eigenvector
+# with a smaller component orthogonal to the cluster's earlier ones is
+# dependent on them.
+_RANK_TOL = 1e-6
 
 
 def as_matrix(a) -> np.ndarray:
@@ -182,27 +193,23 @@ class EigenDecomposition:
 
 
 def _hessenberg(a: np.ndarray):
-    """Householder reduction A = Q H Q^H; returns H and the reflectors V,
-    whose column k holds in rows k+1 onward the unit vector v of
-    P_k = I - 2 v v^H (zero, so P_k = I, where step k had nothing to do).
-    Q is P_0 P_1 ... P_{n-3}.  For real input H and V are real."""
-    h = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    """Householder reduction A = Q H Q^T of the real ``a``; returns H and
+    the reflectors V, whose column k holds in rows k+1 onward the unit
+    vector v of P_k = I - 2 v v^T (zero, so P_k = I, where step k had
+    nothing to do).  Q is P_0 P_1 ... P_{n-3}."""
+    h = np.array(a, dtype=float)
     n = h.shape[0]
     reflectors = np.zeros_like(h)
     for k in range(n - 2):
         x = h[k + 1:, k]
-        nx = float(np.sqrt(np.sum(np.abs(x) ** 2)))
+        nx = float(np.sqrt(np.sum(x ** 2)))
         if nx == 0.0:
             continue
         v = x.copy()
-        phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-        v[0] += phase * nx
-        vn = float(np.sqrt(np.sum(np.abs(v) ** 2)))
-        if vn == 0.0:
-            continue
-        v /= vn
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        v[0] += nx if v[0] >= 0.0 else -nx
+        v /= float(np.sqrt(np.sum(v ** 2)))
+        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
         h[k + 2:, k] = 0.0
         reflectors[k + 1:, k] = v
     return h, reflectors
@@ -212,7 +219,7 @@ def _apply_reflectors(reflectors: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Q y for the columns of ``y``, in place: H-coordinates to A's."""
     for k in range(len(y) - 3, -1, -1):
         v = reflectors[k + 1:, k]
-        y[k + 1:] -= 2.0 * np.outer(v, v.conj() @ y[k + 1:])
+        y[k + 1:] -= 2.0 * np.outer(v, v @ y[k + 1:])
     return y
 
 
@@ -258,17 +265,25 @@ def _bulge_start(h: np.ndarray, lo: int, hi: int, stagnant: int):
             float(h10 * h21)]
 
 
-def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Eigenvalues of the real upper Hessenberg ``h`` (overwritten) by
-    implicit Francis double-shift QR on the active window [lo, hi).
+def _real_schur(a: np.ndarray, max_sweeps: int):
+    """Real Schur form A = Z T Z^T of the real square ``a``; returns the
+    eigenvalues by diagonal position of T, Z and T.
 
-    Each sweep chases one 3-element Householder bulge down the window;
-    every reflector acts once on three rows and once on three columns as a
-    3x3 product.  A subdiagonal entry deflates when it is at most eps times
-    its two diagonal neighbours or, as a floor, eps * ||H||_F: without the
-    floor a window of lambda*I plus roundoff never deflates.
+    Householder reduction to Hessenberg form, then implicit Francis
+    double-shift QR on the active window [lo, hi).  Z is stacked above H
+    in one (2n, n) array, so each reflector's column update is one slice
+    that covers Z and the rows of H above the bulge; its row update runs
+    to the last column, which leaves T quasi-triangular.  Each sweep
+    chases one 3-element Householder bulge down the window, every
+    reflector acting as one 3x3 product.  A subdiagonal entry deflates when
+    it is at most eps times its two diagonal neighbours or, as a floor,
+    eps * ||H||_F: without the floor a window of lambda*I plus roundoff
+    never deflates.
     """
+    h, reflectors = _hessenberg(a)
     n = h.shape[0]
+    w = np.vstack([_apply_reflectors(reflectors, np.eye(n)), h])
+    h = w[n:]
     eig = np.empty(n, dtype=complex)
     hnorm = frobenius(h)
     hi = n
@@ -319,20 +334,64 @@ def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> np.ndarray:
             if k > lo:
                 h[k, k - 1] = beta
                 h[k + 1:k + nr, k - 1] = 0.0
-            h[k:k + nr, k:hi] = r @ h[k:k + nr, k:hi]
-            rows = min(k + 4, hi)
-            h[lo:rows, k:k + nr] = h[lo:rows, k:k + nr] @ r
-    return eig
+            h[k:k + nr, k:] = r @ h[k:k + nr, k:]
+            rows = n + min(k + 4, hi)
+            w[:rows, k:k + nr] = w[:rows, k:k + nr] @ r
+    return eig, w[:n], h
 
 
-def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Descending modulus, then descending real, then descending imaginary.
+def _schur_eigenvectors(z: np.ndarray, t: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of Z T Z^T, column p for ``eig[p]``, from the real
+    Schur form: Z orthogonal, T quasi-triangular with ``eig`` the
+    eigenvalues of its diagonal blocks, each 2x2 block's first eigenvalue
+    listed first.
+
+    One complex rotation per 2x2 block makes T triangular with eig on the
+    diagonal (rsf2csf); then all eigenvectors X of T come at once by
+    back-substitution, one vectorized row per step, with divisors floored
+    at eps * ||T||_F, and C = Z X.  A non-finite X means the recurrence
+    overflowed on a (nearly) defective T.
+    """
+    n = t.shape[0]
+    w = np.vstack([z, t], dtype=complex)
+    for m in range(1, n):
+        if t[m, m - 1] == 0.0:
+            continue
+        # the block's eigenvector for eig[m - 1] from its second row or its
+        # first, whichever is longer; u = (c, s) is the first column of G^H
+        (a, b), (sub, d) = t[m - 1:m + 1, m - 1:m + 1]
+        lam = eig[m - 1]
+        u = max(np.array([lam - d, sub]), np.array([b, lam - a]),
+                key=lambda v: float(np.sum(np.abs(v) ** 2)))
+        c, s = u / np.sqrt(np.sum(np.abs(u) ** 2))
+        g = np.array([[c.conjugate(), s.conjugate()], [-s, c]])
+        w[n + m - 1:n + m + 1, m - 1:] = g @ w[n + m - 1:n + m + 1, m - 1:]
+        w[:n + m + 1, m - 1:m + 1] = w[:n + m + 1, m - 1:m + 1] @ g.conj().T
+    tri = w[n:]
+    floor = _EPS * frobenius(t)
+    x = np.eye(n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            d = eig[i] - eig[i + 1:]
+            d[np.abs(d) < floor] = floor
+            x[i, i + 1:] = -(tri[i, i + 1:] @ x[i + 1:, i + 1:]) / d
+    if not np.all(np.isfinite(x)):
+        raise DefectiveMatrixError(
+            "eigenvector back-substitution overflowed: matrix is not "
+            "diagonalizable to working precision")
+    # scaled to entries of at most 1 first, so Z X cannot overflow
+    c = w[:n] @ (x / np.max(np.abs(x), axis=0))
+    return c / np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+
+
+def _spectrum_order(vals: np.ndarray) -> np.ndarray:
+    """Indices that sort ``vals`` by descending modulus, then descending
+    real, then descending imaginary part.
 
     Puts each conjugate pair in adjacent positions (+imag first).
     """
-    order = sorted(range(len(vals)),
-                   key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag))
-    return vals[np.array(order)]
+    return np.array(sorted(range(len(vals)),
+                           key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag)))
 
 
 def _cluster_indices(vals: np.ndarray, radius: float) -> list[list[int]]:
@@ -358,107 +417,25 @@ def _cluster_indices(vals: np.ndarray, radius: float) -> list[list[int]]:
     return [sorted(g) for g in groups.values()]
 
 
-def _hessenberg_lu(h: np.ndarray, pivot_floor: float):
-    """Factor an upper Hessenberg matrix as P h = L U, pivoting between
-    rows k and k+1 at step k: O(n^2), one row update per step.  Returns U
-    and the steps (swapped, multiplier) that make up P and L.
-
-    Pivots below ``pivot_floor`` are raised to it instead of raising an
-    error, the standard device that lets inverse iteration solve against
-    a nearly singular shift.
-    """
-    u = h.copy()
-    n = u.shape[0]
-    steps = []
-    for k in range(n):
-        swap = k + 1 < n and abs(u[k + 1, k]) > abs(u[k, k])
-        if swap:
-            u[[k, k + 1], k:] = u[[k + 1, k], k:]
-        if abs(u[k, k]) < pivot_floor:
-            u[k, k] = pivot_floor
-        if k + 1 < n:
-            mult = complex(u[k + 1, k] / u[k, k])
-            u[k + 1, k + 1:] -= mult * u[k, k + 1:]
-            u[k + 1, k] = 0.0
-            steps.append((swap, mult))
-    return u, steps
-
-
-def _hessenberg_solve(u: np.ndarray, steps, b: np.ndarray) -> np.ndarray:
-    """Solve h x = b from ``_hessenberg_lu``'s factors."""
-    y = b.tolist()
-    for k, (swap, mult) in enumerate(steps):
-        if swap:
-            y[k], y[k + 1] = y[k + 1], y[k]
-        y[k + 1] -= mult * y[k]
-    x = np.array(y, dtype=complex)
-    for i in range(len(y) - 1, -1, -1):
-        x[i] = (x[i] - u[i, i + 1:] @ x[i + 1:]) / u[i, i]
-    return x
-
-
-def _eigenspace_basis(h: np.ndarray, lam: complex, m: int, radius: float,
-                      scale: float, rng) -> list[np.ndarray]:
-    """Inverse iteration on the Hessenberg form ``h`` for an orthonormal
-    basis, in H-coordinates, of the eigenspace at ``lam``.
-
-    A repeated collapse of the component orthogonal to the vectors already
-    found means the eigenspace has fewer than ``m`` dimensions, i.e. the
-    matrix is defective to working precision.
-    """
-    n = h.shape[0]
-    u, steps = _hessenberg_lu(h - lam * np.eye(n, dtype=complex),
-                              pivot_floor=_EPS * max(scale, 1.0))
-    resid_target = max(1e-13 * scale, 4.0 * radius)
-    basis: list[np.ndarray] = []
-    for _ in range(m):
-        best_vec = None
-        best_resid = np.inf
-        collapses = 0
-        for _restart in range(3):
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x /= np.sqrt(np.sum(np.abs(x) ** 2))
-            collapsed = False
-            for _round in range(6):
-                y = _hessenberg_solve(u, steps, x)
-                pre = float(np.sqrt(np.sum(np.abs(y) ** 2)))
-                if not np.isfinite(pre) or pre == 0.0:
-                    collapsed = True
-                    break
-                for _pass in range(2):
-                    for q in basis:
-                        y = y - (q.conj() @ y) * q
-                post = float(np.sqrt(np.sum(np.abs(y) ** 2)))
-                if post < 1e-8 * pre:
-                    collapsed = True
-                    break
-                x = y / post
-                # Q is unitary, so this is ||A Qx - lam Qx||
-                resid = float(np.sqrt(np.sum(np.abs(h @ x - lam * x) ** 2)))
-                if resid < best_resid:
-                    best_resid = resid
-                    best_vec = x.copy()
-                if resid <= resid_target:
-                    break
-            if best_resid <= resid_target:
-                break
-            if collapsed:
-                collapses += 1
-        if collapses >= 3 or best_vec is None:
-            raise DefectiveMatrixError(
-                f"eigenspace at {lam:.6g} has dimension below multiplicity {m}: "
-                "matrix is not diagonalizable to working precision")
-        basis.append(best_vec)
-    # final polish: one modified Gram-Schmidt pass over the cluster
-    for i, v in enumerate(basis):
-        for q in basis[:i]:
-            v = v - (q.conj() @ v) * q
+def _orthonormalize(cols: np.ndarray, lam: complex) -> np.ndarray:
+    """Orthonormal basis, by modified Gram-Schmidt with one
+    reorthogonalization, of the unit eigenvectors in ``cols`` for one
+    eigenvalue cluster.  A vector whose component orthogonal to the earlier
+    ones is below ``_RANK_TOL`` leaves the cluster short of its
+    multiplicity: the matrix is defective to working precision."""
+    q = cols.copy()
+    for i in range(q.shape[1]):
+        v = q[:, i]
+        for _pass in range(2):
+            for j in range(i):
+                v = v - (q[:, j].conj() @ v) * q[:, j]
         nv = float(np.sqrt(np.sum(np.abs(v) ** 2)))
-        if nv < 1e-10:
+        if nv < _RANK_TOL:
             raise DefectiveMatrixError(
-                f"eigenspace basis at {lam:.6g} is numerically dependent")
-        basis[i] = v / nv
-    return basis
+                f"eigenspace at {lam:.6g} has dimension below multiplicity "
+                f"{cols.shape[1]}: matrix is not diagonalizable to working precision")
+        q[:, i] = v / nv
+    return q
 
 
 def _fix_phase(c: np.ndarray) -> np.ndarray:
@@ -476,48 +453,34 @@ def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
     """Sorted eigenvalues of the real matrix ``am`` and a phase-fixed unit
     eigenvector per eigenvalue; the work arrays die on return, before the
     caller inverts the basis."""
-    n = am.shape[0]
-    h, reflectors = _hessenberg(am.real)
-    vals = _qr_eigenvalues(h.copy(), max_sweeps=100 * n)
+    eig, z, t = _real_schur(am.real, max_sweeps=100 * am.shape[0])
+    c = _schur_eigenvectors(z, t, eig)
     # complex pairs are exactly conjugate already; near-real values go onto
-    # the axis, which clustering and the conjugate deferral below rely on
+    # the axis, which clustering and the conjugate columns below rely on
     im_tol = 1e-10 * scale
-    vals = _sort_spectrum(np.where(np.abs(vals.imag) <= im_tol, vals.real + 0j, vals))
+    eig = np.where(np.abs(eig.imag) <= im_tol, eig.real + 0j, eig)
+    order = _spectrum_order(eig)
+    vals, c = eig[order], c[:, order]
 
     clusters = _cluster_indices(vals, cluster_tol * scale)
     means = [complex(np.mean(vals[idx])) for idx in clusters]
-    radii = [max(abs(vals[i] - mu) for i in idx)
-             for idx, mu in zip(clusters, means)]
-
-    rng = np.random.Generator(np.random.PCG64(_INV_ITER_SEED))
-    columns: dict[int, np.ndarray] = {}
-    deferred: list[int] = []
     conj_partner: dict[int, int] = {}
     for ci, mu in enumerate(means):
         if mu.imag < -im_tol:
-            # only a cluster computed directly can lend its vectors; never
-            # the cluster itself, which may lie within tolerance of the axis
+            # only a cluster orthonormalized directly can lend its vectors;
+            # never the cluster itself, which may lie within tolerance of the axis
             matches = [cj for cj, nu in enumerate(means)
                        if nu.imag >= -im_tol
                        and abs(nu - np.conj(mu)) <= max(cluster_tol * scale, im_tol)]
             if matches:
                 conj_partner[ci] = matches[0]
-                deferred.append(ci)
                 continue
-        vecs = _eigenspace_basis(h, mu, len(clusters[ci]), radii[ci], scale, rng)
-        for pos, vec in zip(clusters[ci], vecs):
-            columns[pos] = vec
-    # back to A's coordinates before conjugating, so A real makes the
-    # conjugate columns exact eigenvectors
-    direct = sorted(columns)
-    back = _apply_reflectors(reflectors, np.column_stack([columns[i] for i in direct]))
-    columns = dict(zip(direct, back.T))
-    for ci in deferred:
-        src = clusters[conj_partner[ci]]
-        for pos, src_pos in zip(clusters[ci], src):
-            columns[pos] = np.conj(columns[src_pos])
-
-    return vals, _fix_phase(np.column_stack([columns[i] for i in range(n)]))
+        if len(clusters[ci]) > 1:
+            c[:, clusters[ci]] = _orthonormalize(c[:, clusters[ci]], mu)
+    # A is real, so the conjugate of an eigenvector is one for the conjugate
+    for ci, cj in conj_partner.items():
+        c[:, clusters[ci]] = np.conj(c[:, clusters[cj]])
+    return vals, _fix_phase(c)
 
 
 def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
@@ -544,22 +507,42 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
                                   0.0, tol, 1.0, 1.0)
 
     vals, c = _eigenpairs(am, scale, cluster_tol)
-    return certify_eigenbasis(am, vals, c, tol)
+    return certify_eigenbasis(am, vals, c, tol, cluster_tol)
+
+
+def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float,
+                 cluster_tol: float) -> float:
+    """Largest eps * ||A||_F * (s_i + s_j) / |lambda_i - lambda_j| over the
+    eigenvalue pairs farther apart than ``cluster_tol`` * ||A||_F, where
+    s_i, the norm of row i of C^-1, is the condition number of lambda_i
+    for unit columns (Golub & Van Loan 7.2.2).  Near 1 or above, a
+    perturbation of A at roundoff size can merge the pair into one
+    eigenvalue, so the two nearly parallel eigenvectors may belong to a
+    Jordan block that roundoff split."""
+    s = np.sqrt(np.sum(np.abs(c_inv) ** 2, axis=1))
+    gap = np.abs(vals[:, None] - vals[None, :])
+    apart = gap > cluster_tol * scale
+    if not np.any(apart):
+        return 0.0
+    return float(np.max(_EPS * scale * (s[:, None] + s[None, :])[apart] / gap[apart]))
 
 
 def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
-                       tol: float) -> EigenDecomposition:
-    """Invert a candidate eigenbasis of the nonzero matrix ``a`` and certify
-    it: the basis must be well conditioned (sigma_min and kappa cutoffs),
-    its inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
+                       tol: float, cluster_tol: float = 1e-8) -> EigenDecomposition:
+    """Invert a candidate unit-column eigenbasis of the nonzero matrix ``a``
+    and certify it: the basis must be well conditioned (sigma_min and kappa
+    cutoffs), no two eigenvalues farther apart than ``cluster_tol`` *
+    ||a||_F may be within roundoff of coalescing (``_coalescence``), its
+    inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
     ||A C - C diag(lambda)||_F must be at most ``tol`` * ||a||_F.
 
-    A singular or rank-deficient basis raises ``DefectiveMatrixError``, a
-    failed identity check ``NumericalError`` and a large residual
-    ``ConvergenceError``.
+    A singular, rank-deficient or coalescing basis raises
+    ``DefectiveMatrixError``, a failed identity check ``NumericalError``
+    and a large residual ``ConvergenceError``.
     """
     am = as_matrix(a)
     n = am.shape[0]
+    scale = frobenius(am)
     try:
         c_inv = invert(basis)
     except SingularMatrixError as exc:
@@ -575,6 +558,12 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
             f"eigenvector basis is rank deficient (sigma_min={sigma_min:.3e}, "
             f"kappa={kappa:.3e}): matrix is not diagonalizable to working precision")
 
+    ratio = _coalescence(eigenvalues, c_inv, scale, cluster_tol)
+    if ratio > COALESCE_CUTOFF:
+        raise DefectiveMatrixError(
+            f"two eigenvalues lie within roundoff of coalescing (ratio {ratio:.3e} > "
+            f"{COALESCE_CUTOFF:.0e}): matrix is not diagonalizable to working precision")
+
     identity_err = frobenius(basis @ c_inv - np.eye(n))
     if identity_err > 1e-9 * n:
         # the identity floor is ~eps * kappa(C): only near-defective bases land here
@@ -582,7 +571,6 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
             f"basis inversion check failed: ||C C^-1 - I||_F = {identity_err:.3e} "
             f"(kappa ~ {kappa:.2e}); the eigenbasis is too ill-conditioned to trust")
 
-    scale = frobenius(am)
     residual = frobenius(am @ basis - basis * eigenvalues[None, :])
     if residual > tol * scale:
         raise ConvergenceError(

@@ -144,7 +144,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
     basis = dec.basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
-    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol)
+    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol, cluster_tol)
 
     rho = float(np.max(np.abs(vals[1:]))) if n > 1 else 0.0
     if rho >= 1.0 - 1e-12:

@@ -1,7 +1,6 @@
-"""Mixing inequalities for subset pairs: the asymmetric-spectrum bound,
-its condition-number simplification, and the classical regular-graph
-reduction, each verifiable exhaustively over all 4^n subset pairs or by
-seeded sampling.
+"""Mixing inequalities for subset pairs: the asymmetric-spectrum bound and
+its condition-number simplification, each verifiable exhaustively over all
+4^n subset pairs or by seeded sampling.
 
 Subsets are bitmasks over [0, n): bit i set means vertex i is in the set.
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .graph import DirectedGraph, seeded_rng
-from .markov import SpectralProfile, build_transition_matrix, spectral_profile
+from .markov import SpectralProfile
 
 EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
@@ -411,66 +410,3 @@ def _sweep_sampled(profile: SpectralProfile, count: int, seed: int,
                             min(block, count - done))
         u, w = pairs[:, 0], pairs[:, 1]
         acc.add_block(lambda idx: (u[idx], w[idx]), *_block_values(profile, u, w))
-
-
-# ---------------------------------------------------------------------------
-# Classical reduction for undirected k-regular graphs
-# ---------------------------------------------------------------------------
-
-def regular_degree(g: DirectedGraph) -> int:
-    """Degree of a symmetric k-regular digraph; error if it is not one."""
-    for t, h in g.edges:
-        if (h, t) not in g.edges:
-            raise PreconditionError("graph is not symmetric (an undirected doubling)")
-    degs = {g.out_degree(v) for v in range(g.n)}
-    degs |= {g.in_degree(v) for v in range(g.n)}
-    if len(degs) != 1:
-        raise PreconditionError("graph is not regular")
-    return degs.pop()
-
-
-def second_adjacency_eigenvalue(g: DirectedGraph) -> float:
-    """mu: largest adjacency-eigenvalue modulus below the degree (k * rho)."""
-    k = regular_degree(g)
-    profile = spectral_profile(build_transition_matrix(g))
-    return k * profile.rho
-
-
-@dataclass(frozen=True)
-class AlonChungReport:
-    n: int
-    k: int
-    mu: float
-    pair_count: int
-    min_slack: float
-    max_violation: float
-    violations: int
-    passed: bool
-
-
-def alon_chung_sweep(g: DirectedGraph) -> AlonChungReport:
-    """Exhaustive check of the classical inequality over all 4^n pairs,
-    with mu = k * rho and a slack tolerance of 1e-9."""
-    k = regular_degree(g)
-    n = g.n
-    if n > EXHAUSTIVE_CAP:
-        raise PreconditionError(f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP}")
-    mu = second_adjacency_eigenvalue(g)
-    slack_tol = 1e-9
-    pc = subset_sums(np.ones(n))
-    rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
-    min_slack = np.inf
-    violations = 0
-    for first, e_rows in _mass_blocks(subset_sums(g.adjacency_matrix()), 0):
-        cu = pc[first:first + len(e_rows), None]
-        lhs = np.abs(e_rows - k * cu * pc / n)
-        rhs = mu * np.sqrt(np.maximum(cu * (1.0 - cu / n), 0.0)) * rhs_w
-        slack = rhs - lhs
-        low = float(slack.min())
-        min_slack = min(min_slack, low)
-        if low < -slack_tol:
-            violations += int(np.count_nonzero(slack < -slack_tol))
-    return AlonChungReport(
-        n=n, k=k, mu=mu, pair_count=4 ** n, min_slack=min_slack,
-        max_violation=-min_slack, violations=violations,
-        passed=-min_slack <= slack_tol)

@@ -1,5 +1,5 @@
 """Exact directed toughness by exhaustive enumeration, plus its spectral
-lower bound and the regular-graph specialization.
+lower bound.
 
 Toughness minimizes |S| / c(G - S) over vertex sets S whose removal
 leaves two or more strongly connected components; complete graphs admit
@@ -15,7 +15,6 @@ from typing import Optional
 from .errors import PreconditionError
 from .graph import DirectedGraph, _scc_masks, is_strongly_connected
 from .markov import SpectralProfile
-from .mixing import regular_degree, second_adjacency_eigenvalue
 
 INFINITE = math.inf
 
@@ -98,15 +97,6 @@ def toughness_spectral_bound(profile: SpectralProfile) -> float:
     damp = 1.0 / (1.0 + profile.rho * profile.norm_c ** 2 * profile.pi_min
                   / (profile.kappa * profile.pi_max))
     return (lead - damp - 1.0) / 3.0
-
-
-def alon_toughness_bound(g: DirectedGraph) -> float:
-    """(1/3)(k^2/(k mu + mu^2) - 1) for a symmetric k-regular graph."""
-    k = regular_degree(g)
-    mu = second_adjacency_eigenvalue(g)
-    if mu <= k * ZERO_RHO_TOL:
-        return INFINITE
-    return (k * k / (k * mu + mu * mu) - 1.0) / 3.0
 
 
 @dataclass(frozen=True)

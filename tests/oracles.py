@@ -11,9 +11,12 @@ routines too.  So do ``eml_lhs``, ``eml_bound`` and ``eml_bound_simple``,
 which read one pair through dgspec's mixing kernel, and
 ``reference_exhaustive_sweep``, which runs that kernel over the exhaustive
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
-``induced_subgraph``, ``alon_chung_bound`` and ``eml_symbol_check`` are
-helpers no runtime path calls; they build on dgspec's graph constructor,
-regularity check, second adjacency eigenvalue and spectral profile.
+``induced_subgraph``, ``eml_symbol_check`` and the classical reduction for
+symmetric k-regular graphs (``regular_degree``,
+``second_adjacency_eigenvalue``, ``alon_chung_bound``,
+``alon_chung_sweep`` and ``alon_toughness_bound``) are helpers no runtime
+path calls; they build on dgspec's graph constructor, spectral profile and
+mixing-sweep blocks.
 """
 
 from __future__ import annotations
@@ -25,27 +28,31 @@ from typing import Iterable, Optional
 import numpy as np
 
 from dgspec import (
+    INFINITE,
     DirectedGraph,
     EmlReport,
     PreconditionError,
     SingularMatrixError,
     SpectralProfile,
     SubsetPair,
+    build_transition_matrix,
     graph_from_edges,
     invert,
     operator_norm,
+    spectral_profile,
 )
 from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
 from dgspec.mixing import (
     BLOCK_FLOATS,
+    EXHAUSTIVE_CAP,
     _check_pair,
+    _mass_blocks,
     _masks,
     eml_kernel,
     eml_pair_values,
-    regular_degree,
-    second_adjacency_eigenvalue,
     subset_sums,
 )
+from dgspec.toughness import ZERO_RHO_TOL
 
 
 def reachability(n: int, edges) -> list[list[bool]]:
@@ -360,6 +367,74 @@ def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
     edges = {(remap[t], remap[h]) for t, h in g.edges if t in remap and h in remap}
     labels = tuple(g.label_of(v) for v in kept) if g.labels is not None else None
     return graph_from_edges(len(kept), edges, labels)
+
+
+def regular_degree(g: DirectedGraph) -> int:
+    """Degree of a symmetric k-regular digraph; error if it is not one."""
+    for t, h in g.edges:
+        if (h, t) not in g.edges:
+            raise PreconditionError("graph is not symmetric (an undirected doubling)")
+    degs = {g.out_degree(v) for v in range(g.n)}
+    degs |= {g.in_degree(v) for v in range(g.n)}
+    if len(degs) != 1:
+        raise PreconditionError("graph is not regular")
+    return degs.pop()
+
+
+def second_adjacency_eigenvalue(g: DirectedGraph) -> float:
+    """mu: largest adjacency-eigenvalue modulus below the degree (k * rho)."""
+    k = regular_degree(g)
+    profile = spectral_profile(build_transition_matrix(g))
+    return k * profile.rho
+
+
+@dataclass(frozen=True)
+class AlonChungReport:
+    n: int
+    k: int
+    mu: float
+    pair_count: int
+    min_slack: float
+    max_violation: float
+    violations: int
+    passed: bool
+
+
+def alon_chung_sweep(g: DirectedGraph) -> AlonChungReport:
+    """Exhaustive check of the classical inequality over all 4^n pairs,
+    with mu = k * rho and a slack tolerance of 1e-9."""
+    k = regular_degree(g)
+    n = g.n
+    if n > EXHAUSTIVE_CAP:
+        raise PreconditionError(f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP}")
+    mu = second_adjacency_eigenvalue(g)
+    slack_tol = 1e-9
+    pc = subset_sums(np.ones(n))
+    rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
+    min_slack = np.inf
+    violations = 0
+    for first, e_rows in _mass_blocks(subset_sums(g.adjacency_matrix()), 0):
+        cu = pc[first:first + len(e_rows), None]
+        lhs = np.abs(e_rows - k * cu * pc / n)
+        rhs = mu * np.sqrt(np.maximum(cu * (1.0 - cu / n), 0.0)) * rhs_w
+        slack = rhs - lhs
+        low = float(slack.min())
+        min_slack = min(min_slack, low)
+        if low < -slack_tol:
+            violations += int(np.count_nonzero(slack < -slack_tol))
+    return AlonChungReport(
+        n=n, k=k, mu=mu, pair_count=4 ** n, min_slack=min_slack,
+        max_violation=-min_slack, violations=violations,
+        passed=-min_slack <= slack_tol)
+
+
+def alon_toughness_bound(g: DirectedGraph) -> float:
+    """(1/3)(k^2/(k mu + mu^2) - 1) for a symmetric k-regular graph."""
+    k = regular_degree(g)
+    mu = second_adjacency_eigenvalue(g)
+    if mu <= k * ZERO_RHO_TOL:
+        return INFINITE
+    return (k * k / (k * mu + mu * mu) - 1.0) / 3.0
 
 
 def alon_chung_bound(g: DirectedGraph, pair: SubsetPair,

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ from dgspec import (
     complete_bidirected,
     de_bruijn,
     eigendecompose_nonsymmetric,
+    graph_from_edges,
     invert,
     operator_norm,
     parse_edge_list,
+    petersen,
     random_strongly_connected,
     write_edge_list,
 )
@@ -38,6 +41,24 @@ CHORD_ROOTS = sorted(
      (-1 + cmath.sqrt(1 - 2)) / 2,
      (-1 - cmath.sqrt(1 - 2)) / 2],
     key=lambda z: (-abs(z), -z.real, -z.imag))
+
+# A 4-vertex digraph whose walk matrix has characteristic polynomial
+# x (x - 1) (x + 1/2)^2 and a one-dimensional eigenspace at -1/2 (sympy).
+JORDAN_ARCS = [(0, 1), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)]
+
+
+def relabel(n, arcs, perm):
+    return graph_from_edges(n, [(int(perm[u]), int(perm[v])) for u, v in arcs])
+
+
+def similar_to(d, seed):
+    """S d S^-1 for a random S = U diag(1..3) V^T, U and V orthogonal:
+    kappa(S) <= 3."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal(d.shape))
+    v, _ = np.linalg.qr(rng.standard_normal(d.shape))
+    s = u @ np.diag(rng.uniform(1.0, 3.0, len(d))) @ v.T
+    return s @ d @ np.linalg.inv(s)
 
 
 class TestLuSolve:
@@ -163,25 +184,31 @@ class TestHessenbergKernels:
             assert frobenius(q @ h @ q.conj().T - a) <= 1e-13 * frobenius(a)
             assert frobenius(q.conj().T @ q - np.eye(len(a))) <= 1e-13 * len(a)
 
-    def test_lu_solve_matches_numpy_oracle(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 5, 30, 80):
-            h, _ = linalg._hessenberg(linalg.as_matrix(rng.standard_normal((n, n))))
-            shifted = h - complex(*rng.standard_normal(2)) * np.eye(n)
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = linalg._hessenberg_solve(*linalg._hessenberg_lu(shifted, 1e-300), b)
-            ref = np.linalg.solve(shifted, b)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_schur_form_rebuilds_the_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed)).p
+        for a in (rng.standard_normal((30, 30)), walk):
+            _, z, t = linalg._real_schur(a, max_sweeps=100 * len(a))
+            assert frobenius(z.T @ z - np.eye(len(a))) <= 1e-13 * len(a)
+            assert frobenius(z @ t @ z.T - a) <= 1e-13 * frobenius(a)
+            # quasi-triangular: nothing below the subdiagonal, and no two
+            # adjacent nonzero subdiagonal entries (blocks of size 1 or 2)
+            sub = np.diag(t, -1) != 0
+            assert np.all(np.tril(t, -2) == 0)
+            assert not np.any(sub[1:] & sub[:-1])
 
-    def test_exact_eigenvalue_takes_the_pivot_floor(self):
+    @staticmethod
+    def eigenvector_at(h, lam):
+        eig, z, t = linalg._real_schur(h, max_sweeps=100 * len(h))
+        c = linalg._schur_eigenvectors(z, t, eig)
+        return c[:, int(np.argmin(np.abs(eig - lam)))]
+
+    def test_exact_eigenvalue_of_a_symmetric_tridiagonal(self):
         # H - 2I is exactly singular; its kernel is spanned by (1, 0, -1)
-        h = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=complex)
-        floor = linalg._EPS * frobenius(h)
-        u, steps = linalg._hessenberg_lu(h - 2 * np.eye(3), floor)
-        assert u[2, 2] == floor
-        y = linalg._hessenberg_solve(u, steps, np.array([1.0, 2.0, 3.0], dtype=complex))
-        assert np.all(np.isfinite(y))
-        x = y / np.sqrt(np.sum(np.abs(y) ** 2))
+        h = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
+        x = self.eigenvector_at(h, 2.0)
+        assert np.all(np.isfinite(x))
         assert np.sqrt(np.sum(np.abs(h @ x - 2 * x) ** 2)) <= 1e-12
 
     def test_exact_eigenvalue_of_equal_row_sums(self):
@@ -191,12 +218,18 @@ class TestHessenbergKernels:
         h = np.triu(rng.integers(-5, 6, size=(n, n)), -1).astype(float)
         h[np.arange(1, n), np.arange(n - 1)] = rng.integers(1, 6, size=n - 1)
         h[np.arange(n), np.arange(n)] += 3 - h.sum(axis=1)
-        shifted = (h - 3 * np.eye(n)).astype(complex)
-        factors = linalg._hessenberg_lu(shifted, linalg._EPS * frobenius(h))
-        y = linalg._hessenberg_solve(*factors, rng.standard_normal(n) + 0j)
-        assert np.all(np.isfinite(y))
-        x = y / np.sqrt(np.sum(np.abs(y) ** 2))
-        assert np.sqrt(np.sum(np.abs(shifted @ x) ** 2)) <= 1e-12
+        x = self.eigenvector_at(h, 3.0)
+        assert np.all(np.isfinite(x))
+        assert np.sqrt(np.sum(np.abs(h @ x - 3 * x) ** 2)) <= 1e-12
+
+    def test_back_substitution_overflow_is_defective(self):
+        # a 30x30 Jordan block: each row step divides by the eps * ||T||_F
+        # floor, so the last column's entries pass 1e308
+        j = np.diag(np.ones(29), 1) + 0.5 * np.eye(30)
+        with pytest.raises(DefectiveMatrixError):
+            linalg._schur_eigenvectors(np.eye(30), j, np.full(30, 0.5 + 0j))
+        with pytest.raises(DefectiveMatrixError):
+            eigendecompose_nonsymmetric(j)
 
 
 class TestFrancisQR:
@@ -204,8 +237,7 @@ class TestFrancisQR:
 
     @staticmethod
     def qr_eigenvalues(a):
-        h, _ = linalg._hessenberg(np.asarray(a, dtype=float))
-        return linalg._qr_eigenvalues(h, max_sweeps=10 * len(a))
+        return linalg._real_schur(np.asarray(a, dtype=float), max_sweeps=10 * len(a))[0]
 
     @pytest.mark.parametrize("n", [12, 48, 65])
     def test_complete_bidirected_window_deflates(self, n):
@@ -303,6 +335,38 @@ class TestEigendecompose:
         j = np.diag(np.ones(3), 1) + 0.5 * np.eye(4)
         with pytest.raises(DefectiveMatrixError):
             eigendecompose_nonsymmetric(j)
+
+    def test_jordan_graph_is_defective_under_every_relabeling(self):
+        # roundoff splits the double eigenvalue -1/2 by ~sqrt(eps): inside
+        # the cluster radius the rank test rejects it, past it the
+        # coalescence gate
+        for perm in itertools.permutations(range(4)):
+            g = relabel(4, JORDAN_ARCS, perm)
+            with pytest.raises(DefectiveMatrixError):
+                eigendecompose_nonsymmetric(build_transition_matrix(g).p)
+
+    def test_petersen_relabelings_are_accepted(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            g = relabel(10, petersen().edges, rng.permutation(10))
+            dec = eigendecompose_nonsymmetric(build_transition_matrix(g).p)
+            assert dec.norm_c * dec.norm_c_inv <= 1.0 + 1e-8  # orthonormal basis
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1))
+    def test_planted_jordan_block_is_defective(self, n, seed):
+        rest = np.random.default_rng(seed).uniform(-1.0, 0.0, n - 2)
+        j = np.diag(np.r_[0.5, 0.5, rest])
+        j[0, 1] = 1.0
+        with pytest.raises(DefectiveMatrixError):
+            eigendecompose_nonsymmetric(similar_to(j, seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1))
+    def test_eigenvalues_1e6_apart_are_accepted(self, n, seed):
+        vals = np.r_[0.5, 0.5 + 1e-6, np.random.default_rng(seed).uniform(-1.0, 0.0, n - 2)]
+        dec = eigendecompose_nonsymmetric(similar_to(np.diag(vals), seed))
+        assert eig_multiset_error(dec.eigenvalues, vals) <= 1e-12
 
     def test_rejects_complex_input(self):
         with pytest.raises(PreconditionError):

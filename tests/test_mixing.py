@@ -11,7 +11,6 @@ from dgspec import (
     NumericalError,
     PreconditionError,
     SubsetPair,
-    alon_chung_sweep,
     build_transition_matrix,
     chord_cycle,
     complete_bidirected,
@@ -28,6 +27,7 @@ from dgspec.mixing import BLOCK_FLOATS, mask_from_indices
 
 from oracles import (
     alon_chung_bound,
+    alon_chung_sweep,
     eml_bound,
     eml_bound_simple,
     eml_lhs,

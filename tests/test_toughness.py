@@ -11,7 +11,6 @@ from dgspec import (
     INFINITE,
     PreconditionError,
     ToughnessResult,
-    alon_toughness_bound,
     build_transition_matrix,
     chord_cycle,
     compare_bounds,
@@ -26,7 +25,7 @@ from dgspec import (
     undirected_cycle,
 )
 
-from oracles import induced_subgraph, toughness_by_combinations
+from oracles import alon_toughness_bound, induced_subgraph, toughness_by_combinations
 
 
 def profile_of(g):
