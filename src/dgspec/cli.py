@@ -222,18 +222,8 @@ def _cmd_toughness(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_PARAM_SPECS = {
-    "complete_bidirected": (("n", int),),
-    "undirected_cycle": (("n", int),),
-    "petersen": (),
-    "de_bruijn": (("symbols", int), ("word_len", int)),
-    "chord_cycle": (("n", int),),
-    "random_strongly_connected": (("n", int), ("p", float)),
-}
-
-
 def _parse_generate_params(family: str, raw: list[str], seed: int) -> dict:
-    spec = _PARAM_SPECS[family]
+    spec = graphs.GENERATORS[family][1]
     fixed, rest = raw[:len(spec)], raw[len(spec):]
     if len(fixed) < len(spec):
         names = " ".join(name for name, _ in spec)

@@ -15,16 +15,6 @@ import numpy as np
 
 from .errors import EdgeListParseError, PreconditionError
 
-GENERATOR_FAMILIES = (
-    "complete_bidirected",
-    "undirected_cycle",
-    "petersen",
-    "de_bruijn",
-    "chord_cycle",
-    "random_strongly_connected",
-)
-
-
 @dataclass(frozen=True)
 class DirectedGraph:
     """A finite directed graph on vertices 0..n-1."""
@@ -291,10 +281,9 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_strongly_connected(n: int, p: float, seed: int,
-                              max_attempts: int = 200) -> DirectedGraph:
+def random_strongly_connected(n: int, p: float, seed: int) -> DirectedGraph:
     """Directed Erdos-Renyi sample (no self-loops), resampled until strongly
-    connected.
+    connected, at most 200 times.
 
     Uses numpy's PCG64 generator so corpora reproduce bit-for-bit per seed.
     """
@@ -303,7 +292,7 @@ def random_strongly_connected(n: int, p: float, seed: int,
     if not (0.0 < p <= 1.0):
         raise PreconditionError("edge probability must lie in (0, 1]")
     rng = seeded_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(200):
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
         edges = {(int(t), int(h)) for t, h in zip(*np.nonzero(mask))}
@@ -311,22 +300,25 @@ def random_strongly_connected(n: int, p: float, seed: int,
         if is_strongly_connected(g):
             return g
     raise PreconditionError(
-        f"no strongly connected sample in {max_attempts} attempts (n={n}, p={p})")
+        f"no strongly connected sample in 200 attempts (n={n}, p={p})")
+
+
+# family -> (generator, its positional parameters with their types);
+# chord_cycle's chords and random_strongly_connected's seed go by keyword
+GENERATORS = {
+    "complete_bidirected": (complete_bidirected, (("n", int),)),
+    "undirected_cycle": (undirected_cycle, (("n", int),)),
+    "petersen": (petersen, ()),
+    "de_bruijn": (de_bruijn, (("symbols", int), ("word_len", int))),
+    "chord_cycle": (chord_cycle, (("n", int),)),
+    "random_strongly_connected": (random_strongly_connected, (("n", int), ("p", float))),
+}
+GENERATOR_FAMILIES = tuple(GENERATORS)
 
 
 def generate(family: str, **params) -> DirectedGraph:
     """Dispatch to a generator family by name (CLI entry point)."""
-    if family == "complete_bidirected":
-        return complete_bidirected(**params)
-    if family == "undirected_cycle":
-        return undirected_cycle(**params)
-    if family == "petersen":
-        return petersen(**params)
-    if family == "de_bruijn":
-        return de_bruijn(**params)
-    if family == "chord_cycle":
-        return chord_cycle(**params)
-    if family == "random_strongly_connected":
-        return random_strongly_connected(**params)
-    raise PreconditionError(
-        f"unknown family {family!r}; choose from {', '.join(GENERATOR_FAMILIES)}")
+    if family not in GENERATORS:
+        raise PreconditionError(
+            f"unknown family {family!r}; choose from {', '.join(GENERATOR_FAMILIES)}")
+    return GENERATORS[family][0](**params)

@@ -10,12 +10,13 @@ the real Schur form A = Z T Z^T (exceptional shifts on stagnation, and a
 normwise deflation floor of eps * ||H||_F), with each complex pair read
 exactly conjugate from its 2x2 block.  One complex rotation per 2x2 block
 makes T triangular, back-substitution on T gives every eigenvector at once,
-Z takes them back to A's coordinates, and each eigenvalue cluster is
-orthonormalized with a rank test.  ``certify_eigenbasis`` is the one place
-a candidate eigenbasis is inverted and checked (condition cutoffs,
-coalescing eigenvalues, C C^-1 = I, residual): the solver's own basis and
-the spectral profile's basis with the pinned all-ones column both go
-through it.
+Z takes them back to A's coordinates, each eigenvalue cluster is
+orthonormalized with a rank test, and each eigenvalue below the real axis
+takes the conjugated column of its exact conjugate.  ``certify_eigenbasis``
+is the one place a candidate eigenbasis is inverted and checked (condition
+cutoffs, coalescing eigenvalues, C C^-1 = I, residual): the solver's own
+basis and the spectral profile's basis with the pinned all-ones column
+both go through it.
 """
 
 from __future__ import annotations
@@ -395,26 +396,19 @@ def _spectrum_order(vals: np.ndarray) -> np.ndarray:
 
 
 def _cluster_indices(vals: np.ndarray, radius: float) -> list[list[int]]:
-    """Transitive grouping of eigenvalues closer than ``radius``."""
-    n = len(vals)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    """Transitive grouping of eigenvalues closer than ``radius``, by label
+    propagation: each takes the smallest label among its neighbours until
+    none changes.  Groups come ascending, ordered by smallest member."""
+    gap = vals[:, None] - vals[None, :]
+    # hypot rounds as scalar abs() does; the ufunc np.abs can differ by an ulp
+    close = np.hypot(gap.real, gap.imag) <= radius
+    labels, smallest = None, np.arange(len(vals))
+    while not np.array_equal(labels, smallest):
+        labels, smallest = smallest, np.min(np.where(close, smallest, len(vals)), axis=1)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in groups.values()]
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values())
 
 
 def _orthonormalize(cols: np.ndarray, lam: complex) -> np.ndarray:
@@ -440,13 +434,9 @@ def _orthonormalize(cols: np.ndarray, lam: complex) -> np.ndarray:
 
 def _fix_phase(c: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus component is real positive."""
-    out = c.copy()
-    for j in range(c.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[k, j]
-        if pivot != 0:
-            out[:, j] *= np.conj(pivot) / abs(pivot)
-    return out
+    pivots = c[np.argmax(np.abs(c), axis=0), np.arange(c.shape[1])]
+    # numpy scalar quotients: array or Python complex division rounds otherwise
+    return c * np.array([np.conj(p) / abs(p) for p in pivots])
 
 
 def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
@@ -457,29 +447,23 @@ def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
     c = _schur_eigenvectors(z, t, eig)
     # complex pairs are exactly conjugate already; near-real values go onto
     # the axis, which clustering and the conjugate columns below rely on
-    im_tol = 1e-10 * scale
-    eig = np.where(np.abs(eig.imag) <= im_tol, eig.real + 0j, eig)
+    eig = np.where(np.abs(eig.imag) <= 1e-10 * scale, eig.real + 0j, eig)
     order = _spectrum_order(eig)
     vals, c = eig[order], c[:, order]
 
-    clusters = _cluster_indices(vals, cluster_tol * scale)
-    means = [complex(np.mean(vals[idx])) for idx in clusters]
-    conj_partner: dict[int, int] = {}
-    for ci, mu in enumerate(means):
-        if mu.imag < -im_tol:
-            # only a cluster orthonormalized directly can lend its vectors;
-            # never the cluster itself, which may lie within tolerance of the axis
-            matches = [cj for cj, nu in enumerate(means)
-                       if nu.imag >= -im_tol
-                       and abs(nu - np.conj(mu)) <= max(cluster_tol * scale, im_tol)]
-            if matches:
-                conj_partner[ci] = matches[0]
-                continue
-        if len(clusters[ci]) > 1:
-            c[:, clusters[ci]] = _orthonormalize(c[:, clusters[ci]], mu)
-    # A is real, so the conjugate of an eigenvector is one for the conjugate
-    for ci, cj in conj_partner.items():
-        c[:, clusters[ci]] = np.conj(c[:, clusters[cj]])
+    # A is real, so the conjugate of an eigenvector is one for the exact
+    # conjugate eigenvalue; equal values sit side by side in vals, and the
+    # k-th copy of a value takes the k-th copy of its conjugate
+    first = {v: i for i, v in reversed(list(enumerate(vals.tolist())))}
+    below = []
+    for idx in _cluster_indices(vals, cluster_tol * scale):
+        if np.all(vals[idx].imag < 0.0):
+            below.append(idx)
+        elif len(idx) > 1:
+            c[:, idx] = _orthonormalize(c[:, idx], complex(np.mean(vals[idx])))
+    for idx in below:
+        c[:, idx] = np.conj(c[:, [first[v.conjugate()] + i - first[v]
+                                  for i, v in zip(idx, vals[idx].tolist())]])
     return vals, _fix_phase(c)
 
 

@@ -110,10 +110,8 @@ def _mass_blocks(table: np.ndarray, start: int):
     """
     n, cols = table.shape
     low = _block_bits(n, cols)
-    base = np.zeros((1, cols))
-    for b in range(low):
-        base = np.concatenate([base, base + table[b]])
-    stack = [(0, base)]
+    # C order: the sweep's slack.sum(axis=1) rounds by memory layout
+    stack = [(0, np.ascontiguousarray(subset_sums(table[:low].T).T))]
     while stack:
         high, sums = stack.pop()
         skip = max(0, start - (high << low))  # the masks below start

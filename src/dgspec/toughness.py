@@ -42,8 +42,7 @@ class ToughnessResult:
         return math.isinf(self.value)
 
 
-def exact_toughness(g: DirectedGraph, cap: int = ENUMERATION_CAP,
-                    allow_large: bool = False) -> ToughnessResult:
+def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessResult:
     """Minimize |S| / c(G - S) over all proper nonempty removal sets.
 
     Removal sets are taken by increasing size, each size in ascending
@@ -55,9 +54,9 @@ def exact_toughness(g: DirectedGraph, cap: int = ENUMERATION_CAP,
     """
     if not is_strongly_connected(g):
         raise PreconditionError("toughness is defined for strongly connected graphs")
-    if g.n > cap and not allow_large:
-        raise PreconditionError(
-            f"n={g.n} exceeds the enumeration cap {cap}; pass allow_large to override")
+    if g.n > ENUMERATION_CAP and not allow_large:
+        raise PreconditionError(f"n={g.n} exceeds the enumeration cap {ENUMERATION_CAP}; "
+                                "pass allow_large to override")
     n = g.n
     out_nb, in_nb = g.neighbour_masks()
     full = (1 << n) - 1

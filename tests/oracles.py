@@ -11,6 +11,8 @@ routines too.  So do ``eml_lhs``, ``eml_bound`` and ``eml_bound_simple``,
 which read one pair through dgspec's mixing kernel, and
 ``reference_exhaustive_sweep``, which runs that kernel over the exhaustive
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
+``cluster_indices_by_union_find`` groups eigenvalues by a pairwise
+union-find, the reference for the solver's label propagation.
 ``induced_subgraph``, ``eml_symbol_check`` and the classical reduction for
 symmetric k-regular graphs (``regular_degree``,
 ``second_adjacency_eigenvalue``, ``alon_chung_bound``,
@@ -181,6 +183,31 @@ def eig_multiset_error(values, reference) -> float:
         worst = max(worst, abs(ref[j] - z))
         ref.pop(j)
     return worst
+
+
+def cluster_indices_by_union_find(vals, radius: float) -> list[list[int]]:
+    """Transitive grouping of eigenvalues closer than ``radius`` by
+    union-find over every pair, each group ascending, groups ordered by
+    smallest member: the reference for ``linalg._cluster_indices``."""
+    n = len(vals)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(g) for g in groups.values()]
 
 
 def svd_condition_number(c) -> float:

@@ -109,6 +109,18 @@ class TestAnalyze:
             assert out == ""
             assert "diagonalizable" in err and "Traceback" not in err
 
+    def test_wide_cluster_radius_is_numerical(self, capsys, tmp_path):
+        # at --cluster-tol 0.03 two upper-half clusters lie within the radius
+        # of one lower-half cluster's conjugate; the wide clusters then miss
+        # the residual gate
+        path = str(tmp_path / "g.txt")
+        run(capsys, "generate", "random_strongly_connected", "40", "0.3", "--seed", "1",
+            "-o", path)
+        code, out, err = run(capsys, "analyze", path, "--cluster-tol", "0.03")
+        assert code == 4
+        assert out == ""
+        assert "residual" in err and "Traceback" not in err
+
 
 class TestEml:
     def test_verify_pass(self, capsys, chord_file):

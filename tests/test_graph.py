@@ -261,4 +261,4 @@ class TestGenerators:
 
     def test_retry_budget_exhausted(self):
         with pytest.raises(PreconditionError, match="attempts"):
-            random_strongly_connected(12, 0.01, seed=0, max_attempts=3)
+            random_strongly_connected(12, 0.01, seed=0)

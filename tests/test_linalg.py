@@ -29,8 +29,8 @@ from dgspec import (
 from dgspec import linalg
 from dgspec.linalg import frobenius
 
-from oracles import (condition_number, determinant, eig_multiset_error, lu_solve,
-                     svd_condition_number)
+from oracles import (cluster_indices_by_union_find, condition_number, determinant,
+                     eig_multiset_error, lu_solve, svd_condition_number)
 from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
@@ -232,6 +232,36 @@ class TestHessenbergKernels:
             eigendecompose_nonsymmetric(j)
 
 
+@st.composite
+def clustered_points(draw):
+    """Complex points, a radius, and around each of up to 8 base points a
+    planted chain of steps at most the radius (some exactly it), an exact
+    duplicate, a conjugate mirror, or nothing; in shuffled order."""
+    radius = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    points = []
+    for z in draw(st.lists(st.builds(complex, coord, coord), min_size=1, max_size=8)):
+        points.append(z)
+        kind = draw(st.sampled_from(["chain", "duplicate", "mirror", "none"]))
+        if kind == "chain":
+            step = radius * draw(st.sampled_from([1.0, 0.999, 0.5]))
+            angle = draw(st.floats(0.0, 2 * np.pi))
+            points += [z + k * step * cmath.exp(1j * angle)
+                       for k in range(1, draw(st.integers(1, 4)) + 1)]
+        elif kind == "duplicate":
+            points.append(z)
+        elif kind == "mirror":
+            points.append(z.conjugate())
+    return np.array(draw(st.permutations(points)), dtype=complex), radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_points())
+def test_cluster_indices_match_union_find(case):
+    vals, radius = case
+    assert linalg._cluster_indices(vals, radius) == cluster_indices_by_union_find(vals, radius)
+
+
 class TestFrancisQR:
     """The QR stage alone, on a tenth of the solver's 100 n sweep budget."""
 
@@ -367,6 +397,54 @@ class TestEigendecompose:
         vals = np.r_[0.5, 0.5 + 1e-6, np.random.default_rng(seed).uniform(-1.0, 0.0, n - 2)]
         dec = eigendecompose_nonsymmetric(similar_to(np.diag(vals), seed))
         assert eig_multiset_error(dec.eigenvalues, vals) <= 1e-12
+
+    def test_zero_matrix_gets_the_identity_basis(self):
+        dec = eigendecompose_nonsymmetric(np.zeros((3, 3)))
+        assert np.array_equal(dec.eigenvalues, np.zeros(3))
+        assert np.array_equal(dec.basis, np.eye(3))
+        assert np.array_equal(dec.basis_inverse, np.eye(3))
+        assert dec.residual == 0.0
+        assert dec.norm_c == 1.0 and dec.norm_c_inv == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conjugate_clusters_pair_by_exact_value(self, seed):
+        # upper half: a chain z0 + k 0.9 r, one cluster of 4, and w = z0 +
+        # 1.35 r + 0.95 r i, a cluster of its own whose distance to the
+        # chain's mean is below the cluster radius r = 1e-8 ||A||_F; S has
+        # orthogonal columns, so the chain's eigenvectors are orthogonal
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((13, 13)))
+        s = q @ np.diag(np.linspace(1.0, 2.0, 13))
+        z0 = 0.3 + 0.4j
+
+        def planted(r):
+            upper = [z0 + k * 0.9 * r for k in range(4)] + [z0 + 1.35 * r + 0.95j * r]
+            d = np.diag([0.0] * 10 + [0.9, -0.8, 0.5])
+            for k, z in enumerate(upper):
+                d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[z.real, z.imag], [-z.imag, z.real]]
+            return s @ d @ np.linalg.inv(s), upper
+
+        a, upper = planted(0.0)
+        for _ in range(3):
+            a, upper = planted(1e-8 * frobenius(a))
+        dec = eigendecompose_nonsymmetric(a)
+        vals = dec.eigenvalues
+        assert eig_multiset_error(vals, upper + [z.conjugate() for z in upper]
+                                  + [0.9, -0.8, 0.5]) <= 1e-12
+        for j in np.flatnonzero(vals.imag < 0):
+            i = int(np.flatnonzero(vals == vals[j].conjugate())[0])
+            assert np.array_equal(dec.basis[:, j], np.conj(dec.basis[:, i]))
+
+    def test_repeated_complex_pair_gets_independent_columns(self):
+        # two equal rotation blocks: exactly equal eigenvalues 0.3 +- 0.4i
+        # twice, and each copy below the axis takes its own conjugate column
+        b = np.array([[0.3, 0.4], [-0.4, 0.3]])
+        a = np.zeros((5, 5))
+        a[:2, :2], a[2:4, 2:4], a[4, 4] = b, b, 0.9
+        dec = eigendecompose_nonsymmetric(a)
+        vals, basis = dec.eigenvalues, dec.basis
+        assert list(vals) == [0.9, 0.3 + 0.4j, 0.3 + 0.4j, 0.3 - 0.4j, 0.3 - 0.4j]
+        assert np.array_equal(basis[:, 3:], np.conj(basis[:, 1:3]))
+        assert frobenius(basis.conj().T @ basis - np.eye(5)) <= 1e-12
 
     def test_rejects_complex_input(self):
         with pytest.raises(PreconditionError):

@@ -24,6 +24,7 @@ from dgspec import (
     toughness_spectral_bound,
     undirected_cycle,
 )
+from dgspec import toughness
 
 from oracles import alon_toughness_bound, induced_subgraph, toughness_by_combinations
 
@@ -131,11 +132,12 @@ class TestExactToughness:
         with pytest.raises(PreconditionError, match="strongly connected"):
             exact_toughness(graph_from_edges(2, [(0, 1)]))
 
-    def test_cap_and_override(self):
+    def test_cap_and_override(self, monkeypatch):
+        monkeypatch.setattr(toughness, "ENUMERATION_CAP", 4)
         g = undirected_cycle(5)
         with pytest.raises(PreconditionError, match="cap"):
-            exact_toughness(g, cap=4)
-        assert exact_toughness(g, cap=4, allow_large=True).value == 1.0
+            exact_toughness(g)
+        assert exact_toughness(g, allow_large=True).value == 1.0
 
 
 class TestSpectralBound:
