@@ -9,9 +9,9 @@ Grammar::
     dgspec generate <family> [params ...] -o <file>
 
 Global flags (valid after any subcommand): --format text|json|csv,
---slack-tol, --eig-tol, --cluster-tol, --seed, -v/--verbose.
+--slack-tol, --eig-tol, --seed, -v/--verbose.
 Environment variables DGSPEC_FORMAT, DGSPEC_SLACK_TOL, DGSPEC_EIG_TOL,
-DGSPEC_CLUSTER_TOL, DGSPEC_SEED override the defaults.
+DGSPEC_SEED override the defaults.
 
 Exit codes: 0 success (including a compare run whose bound fails to
 hold), 1 mixing verification FAIL, 2 parse/usage error, 3 precondition
@@ -71,9 +71,6 @@ def _global_flags() -> argparse.ArgumentParser:
     p.add_argument("--eig-tol", type=float,
                    default=_env("EIG_TOL", float, 1e-10),
                    help="eigensolver residual tolerance, relative (default 1e-10)")
-    p.add_argument("--cluster-tol", type=float,
-                   default=_env("CLUSTER_TOL", float, 1e-8),
-                   help="eigenvalue clustering tolerance, relative (default 1e-8)")
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0),
                    help="64-bit seed for sampling and random generators")
     p.add_argument("-v", "--verbose", action="count", default=0,
@@ -130,7 +127,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         slack_tol=args.slack_tol,
         eig_tol=args.eig_tol,
-        cluster_tol=args.cluster_tol,
         fmt=args.fmt,
         seed=args.seed,
         verbosity=args.verbose,
@@ -170,8 +166,7 @@ def _parse_subset(arg: str, g: graphs.DirectedGraph) -> list[int]:
 
 
 def _profile(g, cfg: RunConfig):
-    return spectral_profile(build_transition_matrix(g),
-                            eig_tol=cfg.eig_tol, cluster_tol=cfg.cluster_tol)
+    return spectral_profile(build_transition_matrix(g), eig_tol=cfg.eig_tol)
 
 
 def _emit(report, cfg: RunConfig):
@@ -257,8 +252,11 @@ def _parse_generate_params(family: str, raw: list[str], seed: int) -> dict:
 def _cmd_generate(args, cfg: RunConfig) -> int:
     params = _parse_generate_params(args.family, args.params, cfg.seed)
     g = graphs.generate(args.family, **params)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(graphs.write_edge_list(g))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(graphs.write_edge_list(g))
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {args.out}: {exc.strerror}") from exc
     shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
     _emit(GenerateReport(family=args.family, params=tuple(shown.items()),
                          path=args.out, n=g.n, edge_count=g.edge_count), cfg)

@@ -48,6 +48,9 @@ _NORM_MAX_ITER = 100_000
 SIGMA_MIN_CUTOFF = 1e-10
 KAPPA_CUTOFF = 1e10
 
+# Eigenvalues within CLUSTER_TOL * ||A||_F of each other form one cluster.
+CLUSTER_TOL = 1e-8
+
 # Coalescence cutoff for the largest ratio of ``_coalescence``: above it,
 # two eigenvalues are indistinguishable from a defective double one.
 COALESCE_CUTOFF = 1e-4
@@ -439,7 +442,7 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return c * np.array([np.conj(p) / abs(p) for p in pivots])
 
 
-def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
+def _eigenpairs(am: np.ndarray, scale: float):
     """Sorted eigenvalues of the real matrix ``am`` and a phase-fixed unit
     eigenvector per eigenvalue; the work arrays die on return, before the
     caller inverts the basis."""
@@ -456,7 +459,7 @@ def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
     # k-th copy of a value takes the k-th copy of its conjugate
     first = {v: i for i, v in reversed(list(enumerate(vals.tolist())))}
     below = []
-    for idx in _cluster_indices(vals, cluster_tol * scale):
+    for idx in _cluster_indices(vals, CLUSTER_TOL * scale):
         if np.all(vals[idx].imag < 0.0):
             below.append(idx)
         elif len(idx) > 1:
@@ -467,14 +470,13 @@ def _eigenpairs(am: np.ndarray, scale: float, cluster_tol: float):
     return vals, _fix_phase(c)
 
 
-def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
-                                cluster_tol: float = 1e-8) -> EigenDecomposition:
+def eigendecompose_nonsymmetric(a, tol: float = 1e-10) -> EigenDecomposition:
     """Full eigendecomposition of a real square matrix.
 
     Eigenvalues come from Hessenberg reduction plus Francis double-shift
     QR; complex conjugate pairs are emitted adjacently with conjugate
     eigenvectors.
-    Eigenvalues within ``cluster_tol * ||a||_F`` of each other are treated
+    Eigenvalues within ``CLUSTER_TOL * ||a||_F`` of each other are treated
     as one eigenspace and that eigenspace is orthonormalized, so the basis
     norms are intrinsic to the matrix.  Non-diagonalizable input raises
     ``DefectiveMatrixError``.
@@ -490,14 +492,13 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10,
         return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
                                   0.0, tol, 1.0, 1.0)
 
-    vals, c = _eigenpairs(am, scale, cluster_tol)
-    return certify_eigenbasis(am, vals, c, tol, cluster_tol)
+    vals, c = _eigenpairs(am, scale)
+    return certify_eigenbasis(am, vals, c, tol)
 
 
-def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float,
-                 cluster_tol: float) -> float:
+def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:
     """Largest eps * ||A||_F * (s_i + s_j) / |lambda_i - lambda_j| over the
-    eigenvalue pairs farther apart than ``cluster_tol`` * ||A||_F, where
+    eigenvalue pairs farther apart than ``CLUSTER_TOL`` * ||A||_F, where
     s_i, the norm of row i of C^-1, is the condition number of lambda_i
     for unit columns (Golub & Van Loan 7.2.2).  Near 1 or above, a
     perturbation of A at roundoff size can merge the pair into one
@@ -505,17 +506,17 @@ def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float,
     Jordan block that roundoff split."""
     s = np.sqrt(np.sum(np.abs(c_inv) ** 2, axis=1))
     gap = np.abs(vals[:, None] - vals[None, :])
-    apart = gap > cluster_tol * scale
+    apart = gap > CLUSTER_TOL * scale
     if not np.any(apart):
         return 0.0
     return float(np.max(_EPS * scale * (s[:, None] + s[None, :])[apart] / gap[apart]))
 
 
 def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
-                       tol: float, cluster_tol: float = 1e-8) -> EigenDecomposition:
+                       tol: float) -> EigenDecomposition:
     """Invert a candidate unit-column eigenbasis of the nonzero matrix ``a``
     and certify it: the basis must be well conditioned (sigma_min and kappa
-    cutoffs), no two eigenvalues farther apart than ``cluster_tol`` *
+    cutoffs), no two eigenvalues farther apart than ``CLUSTER_TOL`` *
     ||a||_F may be within roundoff of coalescing (``_coalescence``), its
     inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
     ||A C - C diag(lambda)||_F must be at most ``tol`` * ||a||_F.
@@ -542,7 +543,7 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
             f"eigenvector basis is rank deficient (sigma_min={sigma_min:.3e}, "
             f"kappa={kappa:.3e}): matrix is not diagonalizable to working precision")
 
-    ratio = _coalescence(eigenvalues, c_inv, scale, cluster_tol)
+    ratio = _coalescence(eigenvalues, c_inv, scale)
     if ratio > COALESCE_CUTOFF:
         raise DefectiveMatrixError(
             f"two eigenvalues lie within roundoff of coalescing (ratio {ratio:.3e} > "

@@ -115,8 +115,7 @@ class SpectralProfile:
         return self.transition.graph
 
 
-def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
-                     cluster_tol: float = 1e-8) -> SpectralProfile:
+def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10) -> SpectralProfile:
     """Eigendecompose the walk matrix and derive rho, pi, and basis norms.
 
     The eigenvector for the eigenvalue nearest 1 is replaced by the exact
@@ -128,7 +127,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
     whole profile.
     """
     pi = stationary_distribution(t)
-    dec = eigendecompose_nonsymmetric(t.p, tol=eig_tol, cluster_tol=cluster_tol)
+    dec = eigendecompose_nonsymmetric(t.p, tol=eig_tol)
     n = t.n
     vals = dec.eigenvalues
     lead = int(np.argmin(np.abs(vals - 1.0)))
@@ -144,7 +143,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10,
     basis = dec.basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
-    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol, cluster_tol)
+    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol)
 
     rho = float(np.max(np.abs(vals[1:]))) if n > 1 else 0.0
     if rho >= 1.0 - 1e-12:

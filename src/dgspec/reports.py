@@ -46,13 +46,12 @@ class RunConfig:
 
     slack_tol: float = 1e-9
     eig_tol: float = 1e-10
-    cluster_tol: float = 1e-8
     fmt: str = "text"
     seed: int = 0
     verbosity: int = 0
 
     def __post_init__(self):
-        for name in ("slack_tol", "eig_tol", "cluster_tol"):
+        for name in ("slack_tol", "eig_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise PreconditionError(f"{name} must be positive and finite")

@@ -109,17 +109,16 @@ class TestAnalyze:
             assert out == ""
             assert "diagonalizable" in err and "Traceback" not in err
 
-    def test_wide_cluster_radius_is_numerical(self, capsys, tmp_path):
-        # at --cluster-tol 0.03 two upper-half clusters lie within the radius
-        # of one lower-half cluster's conjugate; the wide clusters then miss
-        # the residual gate
+    def test_cluster_radius_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # the clustering radius is a solver constant: a radius of 0.03 would
+        # merge clusters of this graph and fail the residual gate
         path = str(tmp_path / "g.txt")
         run(capsys, "generate", "random_strongly_connected", "40", "0.3", "--seed", "1",
             "-o", path)
-        code, out, err = run(capsys, "analyze", path, "--cluster-tol", "0.03")
-        assert code == 4
-        assert out == ""
-        assert "residual" in err and "Traceback" not in err
+        plain = run(capsys, "analyze", path)
+        assert plain[0] == 0
+        monkeypatch.setenv("DGSPEC_CLUSTER_TOL", "0.03")
+        assert run(capsys, "analyze", path) == plain
 
 
 class TestEml:
@@ -316,6 +315,14 @@ class TestGenerate:
                            "-o", str(tmp_path / "x.txt"))
         assert code == 3
 
+    @pytest.mark.parametrize("out", ["", "/nonexistent/x.txt", "{tmp}"])
+    def test_unwritable_output_is_precondition(self, capsys, tmp_path, out):
+        out = out.format(tmp=tmp_path)
+        code, stdout, err = run(capsys, "generate", "petersen", "-o", out)
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"dgspec: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_json_confirmation(self, capsys, tmp_path):
         out_file = tmp_path / "p.txt"
         code, out, _ = run(capsys, "generate", "petersen",
@@ -383,6 +390,12 @@ class TestEnvironmentOverrides:
 def test_threads_is_an_unknown_flag(capsys, chord_file):
     with pytest.raises(SystemExit) as exc:
         main(["toughness", "exact", chord_file, "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_cluster_tol_is_an_unknown_flag(capsys, chord_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", chord_file, "--cluster-tol", "0.03"])
     assert exc.value.code == 2
 
 
@@ -456,7 +469,9 @@ ENV_NAMES = ["FORMAT", "SLACK_TOL", "EIG_TOL", "CLUSTER_TOL", "SEED", "THREADS"]
 @given(data=st.data(),
        content=st.one_of(st.binary(max_size=300), edge_list_text(), edge_list_text()),
        env=st.dictionaries(st.sampled_from(ENV_NAMES), values, max_size=2))
-def test_exit_codes_hold_for_any_input(tmp_path, data, content, env):
+def test_exit_codes_hold_for_any_input(tmp_path, monkeypatch, data, content, env):
+    # a drawn relative -o path lands in tmp_path, not the working directory
+    monkeypatch.chdir(tmp_path)
     graph = tmp_path / "g.txt"
     graph.write_bytes(content)
     argv = data.draw(command_line(str(graph), str(tmp_path / "out.txt")))

@@ -60,15 +60,12 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.slack_tol == 1e-9
         assert cfg.eig_tol == 1e-10
-        assert cfg.cluster_tol == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         {"slack_tol": 0.0},
         {"eig_tol": -1e-9},
-        {"cluster_tol": 0.0},
-        {"cluster_tol": -1e-8},
         {"fmt": "yaml"},
-        *({name: bad} for name in ("slack_tol", "eig_tol", "cluster_tol")
+        *({name: bad} for name in ("slack_tol", "eig_tol")
           for bad in (float("nan"), float("inf"))),
     ])
     def test_validation(self, kwargs):
