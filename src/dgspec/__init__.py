@@ -49,7 +49,6 @@ from .mixing import (
 )
 from .reports import (
     AnalysisReport,
-    RunConfig,
     analysis_report,
     render,
     report_from_json,

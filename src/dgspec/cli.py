@@ -8,10 +8,10 @@ Grammar::
     dgspec toughness <exact|bound|compare> <file> [--allow-large]
     dgspec generate <family> [params ...] -o <file>
 
-Global flags (valid after any subcommand): --format text|json|csv,
---slack-tol, --eig-tol, --seed, -v/--verbose.
-Environment variables DGSPEC_FORMAT, DGSPEC_SLACK_TOL, DGSPEC_EIG_TOL,
-DGSPEC_SEED override the defaults.
+Global flags, valid after any subcommand: --format text|json|csv,
+--seed N, -v/--verbose.  These flags are the only settings; the residual
+and slack tolerances are the constants ``linalg.RESIDUAL_TOL`` and
+``mixing.SLACK_TOL``.
 
 Exit codes: 0 success (including a compare run whose bound fails to
 hold), 1 mixing verification FAIL, 2 parse/usage error, 3 precondition
@@ -21,7 +21,6 @@ violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import graph as graphs
@@ -34,10 +33,10 @@ from .errors import (
 from .markov import build_transition_matrix, spectral_profile
 from .mixing import SubsetPair, check_exhaustive_cap, eml_pair_values, verify_eml
 from .reports import (
+    FORMATS,
     BoundOnlyReport,
     GenerateReport,
     PairBoundReport,
-    RunConfig,
     analysis_report,
     render,
 )
@@ -50,28 +49,11 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"DGSPEC_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"bad DGSPEC_{name} value {raw!r}") from exc
-
-
 def _global_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                   default=_env("FORMAT", str, "text"),
+    p.add_argument("--format", dest="fmt", choices=FORMATS, default="text",
                    help="output format (default text)")
-    p.add_argument("--slack-tol", type=float,
-                   default=_env("SLACK_TOL", float, 1e-9),
-                   help="mixing slack tolerance (default 1e-9)")
-    p.add_argument("--eig-tol", type=float,
-                   default=_env("EIG_TOL", float, 1e-10),
-                   help="eigensolver residual tolerance, relative (default 1e-10)")
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0),
+    p.add_argument("--seed", type=int, default=0,
                    help="64-bit seed for sampling and random generators")
     p.add_argument("-v", "--verbose", action="count", default=0,
                    help="more diagnostic output in text mode")
@@ -123,16 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        slack_tol=args.slack_tol,
-        eig_tol=args.eig_tol,
-        fmt=args.fmt,
-        seed=args.seed,
-        verbosity=args.verbose,
-    )
-
-
 def _load_graph(path: str) -> graphs.DirectedGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -165,55 +137,52 @@ def _parse_subset(arg: str, g: graphs.DirectedGraph) -> list[int]:
     return out
 
 
-def _profile(g, cfg: RunConfig):
-    return spectral_profile(build_transition_matrix(g), eig_tol=cfg.eig_tol)
+def _profile(g):
+    return spectral_profile(build_transition_matrix(g))
 
 
-def _emit(report, cfg: RunConfig):
-    sys.stdout.write(render(report, cfg.fmt, cfg.verbosity))
+def _emit(report, args):
+    sys.stdout.write(render(report, args.fmt, args.verbose))
 
 
-def _cmd_analyze(args, cfg: RunConfig) -> int:
+def _cmd_analyze(args) -> int:
     g = _load_graph(args.path)
-    profile = _profile(g, cfg)
-    _emit(analysis_report(g, profile), cfg)
+    _emit(analysis_report(g, _profile(g)), args)
     return EXIT_OK
 
 
-def _cmd_eml_verify(args, cfg: RunConfig) -> int:
+def _cmd_eml_verify(args) -> int:
     g = _load_graph(args.path)
     if args.sample is None:
         # the cap needs only n: reject before the profile's O(n^3) work
         check_exhaustive_cap(g.n)
-    profile = _profile(g, cfg)
-    report = verify_eml(profile, sample=args.sample, seed=cfg.seed,
-                        nonempty_only=args.nonempty_only,
-                        slack_tol=cfg.slack_tol)
-    _emit(report, cfg)
+    report = verify_eml(_profile(g), sample=args.sample, seed=args.seed,
+                        nonempty_only=args.nonempty_only)
+    _emit(report, args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _cmd_eml_bound(args, cfg: RunConfig) -> int:
+def _cmd_eml_bound(args) -> int:
     g = _load_graph(args.path)
-    profile = _profile(g, cfg)
+    profile = _profile(g)
     pair = SubsetPair.from_indices(_parse_subset(args.u, g),
                                    _parse_subset(args.w, g))
     lhs, _, bound, simple = eml_pair_values(profile, pair)
     _emit(PairBoundReport(u=pair.u_indices, w=pair.w_indices, lhs=lhs,
                           bound=bound, bound_simple=simple,
-                          slack=bound - lhs, slack_simple=simple - lhs), cfg)
+                          slack=bound - lhs, slack_simple=simple - lhs), args)
     return EXIT_OK
 
 
-def _cmd_toughness(args, cfg: RunConfig) -> int:
+def _cmd_toughness(args) -> int:
     g = _load_graph(args.path)
     if args.mode == "exact":
-        _emit(exact_toughness(g, allow_large=args.allow_large), cfg)
+        _emit(exact_toughness(g, allow_large=args.allow_large), args)
     elif args.mode == "bound":
-        _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g, cfg))), cfg)
+        _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g))), args)
     else:
         exact = exact_toughness(g, allow_large=args.allow_large)
-        _emit(compare_bounds(exact, _profile(g, cfg)), cfg)
+        _emit(compare_bounds(exact, _profile(g)), args)
     return EXIT_OK
 
 
@@ -249,8 +218,8 @@ def _parse_generate_params(family: str, raw: list[str], seed: int) -> dict:
     return params
 
 
-def _cmd_generate(args, cfg: RunConfig) -> int:
-    params = _parse_generate_params(args.family, args.params, cfg.seed)
+def _cmd_generate(args) -> int:
+    params = _parse_generate_params(args.family, args.params, args.seed)
     g = graphs.generate(args.family, **params)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -259,23 +228,22 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
         raise PreconditionError(f"cannot write {args.out}: {exc.strerror}") from exc
     shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
     _emit(GenerateReport(family=args.family, params=tuple(shown.items()),
-                         path=args.out, n=g.n, edge_count=g.edge_count), cfg)
+                         path=args.out, n=g.n, edge_count=g.edge_count), args)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config(args)
         if args.command == "analyze":
-            return _cmd_analyze(args, cfg)
+            return _cmd_analyze(args)
         if args.command == "eml":
             if args.eml_command == "verify":
-                return _cmd_eml_verify(args, cfg)
-            return _cmd_eml_bound(args, cfg)
+                return _cmd_eml_verify(args)
+            return _cmd_eml_bound(args)
         if args.command == "toughness":
-            return _cmd_toughness(args, cfg)
-        return _cmd_generate(args, cfg)
+            return _cmd_toughness(args)
+        return _cmd_generate(args)
     except EdgeListParseError as exc:
         print(f"dgspec: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -51,6 +51,9 @@ KAPPA_CUTOFF = 1e10
 # Eigenvalues within CLUSTER_TOL * ||A||_F of each other form one cluster.
 CLUSTER_TOL = 1e-8
 
+# A certified eigenbasis has ||A C - C diag(lambda)||_F <= RESIDUAL_TOL * ||A||_F.
+RESIDUAL_TOL = 1e-10
+
 # Coalescence cutoff for the largest ratio of ``_coalescence``: above it,
 # two eigenvalues are indistinguishable from a defective double one.
 COALESCE_CUTOFF = 1e-4
@@ -174,16 +177,14 @@ class EigenDecomposition:
     """Eigenvalues with a unit-column eigenbasis and its explicit inverse.
 
     ``residual`` is ||A C - C diag(lambda)||_F, guaranteed at most
-    ``tol`` * ||A||_F for the tolerance declared at construction;
-    ``norm_c`` and ``norm_c_inv`` are the operator norms of the basis and
-    of its inverse.
+    ``RESIDUAL_TOL`` * ||A||_F; ``norm_c`` and ``norm_c_inv`` are the
+    operator norms of the basis and of its inverse.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     basis_inverse: np.ndarray
     residual: float
-    tol: float
     norm_c: float
     norm_c_inv: float
 
@@ -470,7 +471,7 @@ def _eigenpairs(am: np.ndarray, scale: float):
     return vals, _fix_phase(c)
 
 
-def eigendecompose_nonsymmetric(a, tol: float = 1e-10) -> EigenDecomposition:
+def eigendecompose_nonsymmetric(a) -> EigenDecomposition:
     """Full eigendecomposition of a real square matrix.
 
     Eigenvalues come from Hessenberg reduction plus Francis double-shift
@@ -490,10 +491,10 @@ def eigendecompose_nonsymmetric(a, tol: float = 1e-10) -> EigenDecomposition:
     if scale == 0.0:
         eye = np.eye(n, dtype=complex)
         return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
-                                  0.0, tol, 1.0, 1.0)
+                                  0.0, 1.0, 1.0)
 
     vals, c = _eigenpairs(am, scale)
-    return certify_eigenbasis(am, vals, c, tol)
+    return certify_eigenbasis(am, vals, c)
 
 
 def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:
@@ -512,14 +513,14 @@ def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:
     return float(np.max(_EPS * scale * (s[:, None] + s[None, :])[apart] / gap[apart]))
 
 
-def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
-                       tol: float) -> EigenDecomposition:
+def certify_eigenbasis(a, eigenvalues: np.ndarray,
+                       basis: np.ndarray) -> EigenDecomposition:
     """Invert a candidate unit-column eigenbasis of the nonzero matrix ``a``
     and certify it: the basis must be well conditioned (sigma_min and kappa
     cutoffs), no two eigenvalues farther apart than ``CLUSTER_TOL`` *
     ||a||_F may be within roundoff of coalescing (``_coalescence``), its
     inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
-    ||A C - C diag(lambda)||_F must be at most ``tol`` * ||a||_F.
+    ||A C - C diag(lambda)||_F must be at most ``RESIDUAL_TOL`` * ||a||_F.
 
     A singular, rank-deficient or coalescing basis raises
     ``DefectiveMatrixError``, a failed identity check ``NumericalError``
@@ -557,8 +558,8 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray,
             f"(kappa ~ {kappa:.2e}); the eigenbasis is too ill-conditioned to trust")
 
     residual = frobenius(am @ basis - basis * eigenvalues[None, :])
-    if residual > tol * scale:
+    if residual > RESIDUAL_TOL * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{tol:.1e} * ||a||_F = {tol * scale:.3e}")
-    return EigenDecomposition(eigenvalues, basis, c_inv, residual, tol, norm_c, norm_c_inv)
+            f"{RESIDUAL_TOL:.1e} * ||a||_F = {RESIDUAL_TOL * scale:.3e}")
+    return EigenDecomposition(eigenvalues, basis, c_inv, residual, norm_c, norm_c_inv)

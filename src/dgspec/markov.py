@@ -115,7 +115,7 @@ class SpectralProfile:
         return self.transition.graph
 
 
-def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10) -> SpectralProfile:
+def spectral_profile(t: TransitionMatrix) -> SpectralProfile:
     """Eigendecompose the walk matrix and derive rho, pi, and basis norms.
 
     The eigenvector for the eigenvalue nearest 1 is replaced by the exact
@@ -127,7 +127,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10) -> SpectralPro
     whole profile.
     """
     pi = stationary_distribution(t)
-    dec = eigendecompose_nonsymmetric(t.p, tol=eig_tol)
+    dec = eigendecompose_nonsymmetric(t.p)
     n = t.n
     vals = dec.eigenvalues
     lead = int(np.argmin(np.abs(vals - 1.0)))
@@ -143,7 +143,7 @@ def spectral_profile(t: TransitionMatrix, eig_tol: float = 1e-10) -> SpectralPro
     basis = dec.basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
-    adjusted = certify_eigenbasis(t.p, vals, basis, eig_tol)
+    adjusted = certify_eigenbasis(t.p, vals, basis)
 
     rho = float(np.max(np.abs(vals[1:]))) if n > 1 else 0.0
     if rho >= 1.0 - 1e-12:

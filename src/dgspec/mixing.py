@@ -25,6 +25,8 @@ from .graph import DirectedGraph, seeded_rng
 from .markov import SpectralProfile
 
 EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
+# A sweep passes when no slack is below -SLACK_TOL (roundoff reaches ~1e-15).
+SLACK_TOL = 1e-9
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
@@ -194,9 +196,9 @@ class EmlReport:
     Slack is bound minus deviation, so negative slack is a violation;
     ``max_violation`` is the most negative slack observed across both the
     full and the simplified bound, sign-flipped (a run passes when it
-    stays at or below ``slack_tol``).  ``stmt_min_slack`` tracks the
-    alternative deviation |sum - |U| pi(U)| against the full bound; it is
-    reported for visibility, never asserted.
+    stays at or below ``slack_tol``, the ``SLACK_TOL`` the sweep ran with).
+    ``stmt_min_slack`` tracks the alternative deviation |sum - |U| pi(U)|
+    against the full bound; it is reported for visibility, never asserted.
     """
 
     n: int
@@ -221,8 +223,8 @@ class EmlReport:
 
 
 class _SweepAccumulator:
-    def __init__(self, slack_tol: float, keep_rows: bool):
-        self.slack_tol = slack_tol
+    def __init__(self, keep_rows: bool):
+        self.slack_tol = SLACK_TOL
         self.keep_rows = keep_rows
         self.pair_count = 0
         self.slack_sum = 0.0
@@ -287,8 +289,8 @@ class _SweepAccumulator:
             u, w = members(np.arange(flat.size))
             self.add_rows(_masks(u), _masks(w), lhs, bound, bound_simple, slack)
 
-    def report(self, n: int, policy: str, sample_count, seed, nonempty_only,
-               slack_tol) -> EmlReport:
+    def report(self, n: int, policy: str, sample_count, seed,
+               nonempty_only) -> EmlReport:
         max_violation = max(-self.min_slack, -self.simple_min)
         return EmlReport(
             n=n,
@@ -297,7 +299,7 @@ class _SweepAccumulator:
             sample_count=sample_count,
             seed=seed,
             nonempty_only=nonempty_only,
-            slack_tol=slack_tol,
+            slack_tol=self.slack_tol,
             max_violation=max_violation,
             min_slack=self.min_slack,
             simple_min_slack=self.simple_min,
@@ -308,7 +310,7 @@ class _SweepAccumulator:
             theorem_violations=self.thm_viol,
             simple_violations=self.simple_viol,
             worst_pair=SubsetPair(*self.worst[1:]),
-            passed=max_violation <= slack_tol,
+            passed=max_violation <= self.slack_tol,
             rows=tuple(self.rows) if self.keep_rows else None,
         )
 
@@ -322,7 +324,7 @@ def check_exhaustive_cap(n: int):
 
 def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
                seed: int = 0, nonempty_only: bool = False,
-               slack_tol: float = 1e-9, keep_rows: bool = False) -> EmlReport:
+               keep_rows: bool = False) -> EmlReport:
     """Sweep subset pairs and check both bound forms against the deviation.
 
     ``sample=None`` enumerates all 4^n pairs (n capped); otherwise that
@@ -331,7 +333,7 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
     n = profile.n
     if keep_rows and n > 8:
         raise PreconditionError("per-pair rows are only kept for n <= 8")
-    acc = _SweepAccumulator(slack_tol, keep_rows)
+    acc = _SweepAccumulator(keep_rows)
     if sample is None:
         check_exhaustive_cap(n)
         _sweep_exhaustive(profile, nonempty_only, acc)
@@ -341,7 +343,7 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
             raise PreconditionError("sample count must be positive")
         _sweep_sampled(profile, sample, seed, nonempty_only, acc)
         policy, sample_count, seed_out = "sample", sample, seed
-    return acc.report(n, policy, sample_count, seed_out, nonempty_only, slack_tol)
+    return acc.report(n, policy, sample_count, seed_out, nonempty_only)
 
 
 def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,

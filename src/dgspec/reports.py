@@ -1,4 +1,4 @@
-"""Run configuration and report serialization.
+"""Report serialization.
 
 Each report is a frozen dataclass, and its field declaration is the only
 field table of the machine-readable formats: ``to_jsonable``,
@@ -38,25 +38,6 @@ from .mixing import EmlReport, SubsetPair, indices_from_mask, mask_from_indices
 from .toughness import BoundComparison, ToughnessResult
 
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass
-class RunConfig:
-    """Tolerances and output options shared by the CLI commands."""
-
-    slack_tol: float = 1e-9
-    eig_tol: float = 1e-10
-    fmt: str = "text"
-    seed: int = 0
-    verbosity: int = 0
-
-    def __post_init__(self):
-        for name in ("slack_tol", "eig_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise PreconditionError(f"{name} must be positive and finite")
-        if self.fmt not in FORMATS:
-            raise PreconditionError(f"format must be one of {', '.join(FORMATS)}")
 
 
 # JSON groups of the analysis report's fields
@@ -389,4 +370,6 @@ def render(report, fmt: str, verbosity: int = 0) -> str:
         return to_json(report)
     if fmt == "csv":
         return to_csv(report)
-    return to_text(report, verbosity)
+    if fmt == "text":
+        return to_text(report, verbosity)
+    raise PreconditionError(f"format must be one of {', '.join(FORMATS)}")

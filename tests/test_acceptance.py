@@ -224,8 +224,14 @@ def test_criterion_8_empirical_sweep(random_corpus):
     assert time.time() - start < 60.0
 
 
-@criterion(9, "byte-identical JSON from every CLI command across 3 runs")
-def test_criterion_9_cli_determinism(tmp_path, capsys):
+# Variables the CLI once read as overrides; it must ignore them now.
+STRAY_ENV = {"DGSPEC_FORMAT": "csv", "DGSPEC_SEED": "5",
+             "DGSPEC_SLACK_TOL": "tiny", "DGSPEC_EIG_TOL": "1e-30"}
+
+
+@criterion(9, "byte-identical JSON from every CLI command across 3 runs, "
+              "and the same bytes with stray DGSPEC_* variables set")
+def test_criterion_9_cli_determinism(tmp_path, capsys, monkeypatch):
     chord = tmp_path / "chord.txt"
     chord.write_text(CHORD)
     big = tmp_path / "big.txt"
@@ -249,8 +255,11 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     ]
     for argv in commands:
         outputs = set()
-        for _ in range(3):
-            code = cli_main(list(argv))
+        for env in ({}, {}, {}, STRAY_ENV):
+            with monkeypatch.context() as m:
+                for name, value in env.items():
+                    m.setenv(name, value)
+                code = cli_main(list(argv))
             out = capsys.readouterr().out
             assert code == 0, argv
             outputs.add(out.encode())

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgspec import graph as graphs
-from dgspec import mixing, parse_edge_list, render, report_from_json
+from dgspec import linalg, mixing, parse_edge_list, render, report_from_json
 from dgspec.cli import main
 
 CHORD = "a b\nb c\nc a\na c\n"
@@ -179,13 +179,13 @@ class TestEml:
                            "--nonempty-only", "--format", "json")
         assert json.loads(out)["pair_count"] == 49
 
-    def test_violation_exits_one(self, capsys, tmp_path):
+    def test_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         # roundoff slack (~1e-16) exceeds an absurdly tight tolerance,
         # exercising the FAIL exit without any doctored numbers
         p = tmp_path / "k3.txt"
         p.write_text("a b\nb a\nb c\nc b\na c\nc a\n")
-        code, out, _ = run(capsys, "eml", "verify", str(p),
-                           "--slack-tol", "1e-30")
+        monkeypatch.setattr(mixing, "SLACK_TOL", 1e-30)
+        code, out, _ = run(capsys, "eml", "verify", str(p))
         assert code == 1
         assert "FAIL" in out
 
@@ -253,13 +253,12 @@ class TestToughness:
         assert isinstance(payload["holds"], bool)
 
     @pytest.mark.parametrize("mode", ["bound", "compare"])
-    def test_profile_tolerance_flag_and_env(self, capsys, chord_file, monkeypatch, mode):
-        code, out, err = run(capsys, "toughness", mode, chord_file, "--eig-tol", "1e-30")
+    def test_residual_gate_is_numerical(self, capsys, chord_file, monkeypatch, mode):
+        # the roundoff residual (~5e-16) exceeds an absurdly tight gate
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
+        code, out, err = run(capsys, "toughness", mode, chord_file)
         assert (code, out) == (4, "")
         assert "residual" in err
-        monkeypatch.setenv("DGSPEC_EIG_TOL", "1e-30")
-        code, out, _ = run(capsys, "toughness", mode, chord_file)
-        assert (code, out) == (4, "")
 
 
 class TestGenerate:
@@ -332,59 +331,48 @@ class TestGenerate:
         assert payload["n"] == 10
 
 
-class TestEnvironmentOverrides:
-    def test_format_env(self, capsys, chord_file, monkeypatch):
-        monkeypatch.setenv("DGSPEC_FORMAT", "json")
-        code, out, _ = run(capsys, "analyze", chord_file)
-        assert json.loads(out)["report"] == "analysis"
+@pytest.mark.parametrize("command", [
+    ("eml", "verify", "{graph}", "--sample", "10"),
+    ("generate", "random_strongly_connected", "8", "0.3", "-o", "{out}"),
+], ids=["eml_verify", "generate"])
+def test_negative_seed_is_precondition(capsys, chord_file, tmp_path, command):
+    argv = [a.format(graph=chord_file, out=tmp_path / "r.txt") for a in command]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "dgspec: seed must be nonnegative, got -1\n"
 
-    def test_flag_beats_env(self, capsys, chord_file, monkeypatch):
-        monkeypatch.setenv("DGSPEC_FORMAT", "json")
-        code, out, _ = run(capsys, "analyze", chord_file, "--format", "text")
-        assert out.startswith("graph:")
 
-    def test_seed_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DGSPEC_SEED", "42")
-        f1 = tmp_path / "a.txt"
-        run(capsys, "generate", "random_strongly_connected", "8", "0.3",
-            "-o", str(f1))
-        monkeypatch.undo()
-        f2 = tmp_path / "b.txt"
-        run(capsys, "generate", "random_strongly_connected", "8", "0.3",
-            "--seed", "42", "-o", str(f2))
-        assert f1.read_bytes() == f2.read_bytes()
+# Variables the CLI once read as overrides of its defaults.
+STRAY_ENV = {"DGSPEC_FORMAT": "json", "DGSPEC_SEED": "42",
+             "DGSPEC_SLACK_TOL": "1e9", "DGSPEC_EIG_TOL": "1e-30"}
 
-    @pytest.mark.parametrize("command", [
-        ("eml", "verify", "{graph}", "--sample", "10"),
-        ("generate", "random_strongly_connected", "8", "0.3", "-o", "{out}"),
-    ])
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_negative_seed_is_precondition(self, capsys, chord_file, tmp_path,
-                                           monkeypatch, command, via_env):
-        argv = [a.format(graph=chord_file, out=tmp_path / "r.txt") for a in command]
-        if via_env:
-            monkeypatch.setenv("DGSPEC_SEED", "-1")
-        else:
-            argv += ["--seed", "-1"]
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err == "dgspec: seed must be nonnegative, got -1\n"
 
-    def test_bad_env_value(self, capsys, chord_file, monkeypatch):
-        monkeypatch.setenv("DGSPEC_SLACK_TOL", "tiny")
-        code, _, err = run(capsys, "analyze", chord_file)
-        assert code == 3
-        assert "DGSPEC_SLACK_TOL" in err
+@pytest.mark.parametrize("command", [
+    ("analyze", "{graph}"),
+    ("eml", "verify", "{graph}", "--sample", "50"),
+    ("toughness", "compare", "{graph}"),
+    ("generate", "random_strongly_connected", "8", "0.3", "-o", "{out}"),
+], ids=["analyze", "eml_verify", "toughness_compare", "generate"])
+def test_environment_is_ignored(capsys, chord_file, tmp_path, monkeypatch, command):
+    argv = [a.format(graph=chord_file, out=tmp_path / "r.txt") for a in command]
+    plain = run(capsys, *argv)
+    written = (tmp_path / "r.txt").read_bytes() if argv[0] == "generate" else None
+    assert plain[0] == 0
+    for name, value in STRAY_ENV.items():
+        monkeypatch.setenv(name, value)
+    assert run(capsys, *argv) == plain
+    if written is not None:
+        assert (tmp_path / "r.txt").read_bytes() == written
 
-    def test_non_finite_tolerance_is_precondition(self, capsys, chord_file, monkeypatch):
-        code, out, err = run(capsys, "eml", "verify", chord_file, "--slack-tol", "nan")
-        assert (code, out) == (3, "")
-        assert "slack_tol" in err
-        monkeypatch.setenv("DGSPEC_EIG_TOL", "inf")
-        code, out, err = run(capsys, "analyze", chord_file)
-        assert (code, out) == (3, "")
-        assert "eig_tol" in err
+
+def test_help_ignores_the_environment(capsys, monkeypatch):
+    # a malformed value of a variable the CLI once read stops nothing
+    monkeypatch.setenv("DGSPEC_SLACK_TOL", "tiny")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dgspec")
 
 
 def test_threads_is_an_unknown_flag(capsys, chord_file):
@@ -396,6 +384,14 @@ def test_threads_is_an_unknown_flag(capsys, chord_file):
 def test_cluster_tol_is_an_unknown_flag(capsys, chord_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", chord_file, "--cluster-tol", "0.03"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--eig-tol", "--slack-tol"])
+def test_tolerance_flags_are_unknown(capsys, chord_file, flag):
+    # the residual and slack gates are constants, not settings
+    with pytest.raises(SystemExit) as exc:
+        main(["eml", "verify", chord_file, flag, "1e-9"])
     assert exc.value.code == 2
 
 

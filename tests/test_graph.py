@@ -250,7 +250,8 @@ class TestGenerators:
         ("chord_cycle", {"n": 2}),
         ("random_strongly_connected", {"n": 4, "p": 0.0, "seed": 1}),
         ("random_strongly_connected", {"n": 4, "p": 1.5, "seed": 1}),
-    ])
+    ], ids=["complete_bidirected-n1", "undirected_cycle-n1", "de_bruijn-one_symbol",
+            "chord_cycle-n2", "random_strongly_connected-p0", "random_strongly_connected-p1.5"])
     def test_invalid_params(self, family, params):
         with pytest.raises(PreconditionError):
             generate(family, **params)

@@ -316,7 +316,7 @@ class TestCertifyEigenbasis:
         rng = np.random.default_rng(73)
         for a in (CHORD_P, rng.standard_normal((9, 9))):
             dec = eigendecompose_nonsymmetric(a)
-            again = linalg.certify_eigenbasis(a, dec.eigenvalues, dec.basis, dec.tol)
+            again = linalg.certify_eigenbasis(a, dec.eigenvalues, dec.basis)
             assert np.array_equal(again.basis_inverse, dec.basis_inverse)
             assert again.residual == dec.residual
             assert again.norm_c == dec.norm_c
@@ -327,12 +327,12 @@ class TestCertifyEigenbasis:
         basis = dec.basis.copy()
         basis[:, 2] = basis[:, 1]
         with pytest.raises(DefectiveMatrixError):
-            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues, basis, dec.tol)
+            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues, basis)
 
     def test_shifted_eigenvalues_fail_the_residual(self):
         dec = eigendecompose_nonsymmetric(CHORD_P)
         with pytest.raises(ConvergenceError):
-            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues + 1e-6, dec.basis, dec.tol)
+            linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues + 1e-6, dec.basis)
 
 
 class TestEigendecompose:
@@ -507,7 +507,7 @@ class TestEigendecompose:
             dec = eigendecompose_nonsymmetric(a)
             direct = frobenius(a @ dec.basis - dec.basis * dec.eigenvalues[None, :])
             assert direct <= dec.residual + 1e-15
-            assert dec.residual <= dec.tol * frobenius(a)
+            assert dec.residual <= linalg.RESIDUAL_TOL * frobenius(a)
 
     def test_symmetric_gives_orthonormal_basis(self):
         rng = np.random.default_rng(67)
@@ -555,7 +555,7 @@ class TestEigendecompose:
         scale = frobenius(p)
         vals, basis = dec.eigenvalues, dec.basis
         assert eig_multiset_error(vals, np.linalg.eigvals(p)) <= 1e-8 * scale
-        assert frobenius(p @ basis - basis * vals[None, :]) <= dec.tol * scale
+        assert frobenius(p @ basis - basis * vals[None, :]) <= linalg.RESIDUAL_TOL * scale
         for i in np.flatnonzero(vals.imag):
             assert any(vals[j] == np.conj(vals[i])
                        and np.array_equal(basis[:, j], np.conj(basis[:, i]))

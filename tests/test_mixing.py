@@ -183,6 +183,16 @@ class TestVerifySweep:
         assert slack == pytest.approx(bound - lhs, abs=1e-15)
         assert bound_simple >= bound - 1e-12
 
+    def test_slack_tolerance_is_read_at_call_time(self, monkeypatch):
+        # K3's roundoff slack (~-4e-16) passes the 1e-9 gate and fails a 1e-30 one
+        prof = profile_of(complete_bidirected(3))
+        report = verify_eml(prof)
+        assert (report.slack_tol, report.passed) == (1e-9, True)
+        monkeypatch.setattr(mixing, "SLACK_TOL", 1e-30)
+        report = verify_eml(prof)
+        assert (report.slack_tol, report.passed) == (1e-30, False)
+        assert report.theorem_violations + report.simple_violations > 0
+
     def test_keep_rows_capped(self):
         with pytest.raises(PreconditionError, match="rows"):
             verify_eml(profile_of(petersen()), keep_rows=True)
@@ -213,7 +223,7 @@ class TestVerifySweep:
         u[smallest_at], w[smallest_at] = 0, 0  # the smallest pair, planted
         k = np.lexsort(np.hstack([w, u]).T)[0]
         lhs, bound = np.full((count, 1), 0.25), np.full((count, 1), 0.75)
-        acc = mixing._SweepAccumulator(1e-9, keep_rows=False)
+        acc = mixing._SweepAccumulator(keep_rows=False)
         acc.add_block(lambda idx: (u[idx], w[idx]), lhs, lhs, bound, bound)
         assert acc.worst == (0.5, mask_from_indices(np.flatnonzero(u[k])),
                              mask_from_indices(np.flatnonzero(w[k])))

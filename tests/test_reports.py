@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dgspec import (
     DgspecError,
     PreconditionError,
-    RunConfig,
     analysis_report,
     build_transition_matrix,
     chord_cycle,
@@ -53,24 +52,6 @@ def chord_reports():
 def schema():
     with resources.files("dgspec").joinpath("schema.json").open() as fh:
         return json.load(fh)
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.slack_tol == 1e-9
-        assert cfg.eig_tol == 1e-10
-
-    @pytest.mark.parametrize("kwargs", [
-        {"slack_tol": 0.0},
-        {"eig_tol": -1e-9},
-        {"fmt": "yaml"},
-        *({name: bad} for name in ("slack_tol", "eig_tol")
-          for bad in (float("nan"), float("inf"))),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(PreconditionError):
-            RunConfig(**kwargs)
 
 
 class TestJsonRoundTrip:
@@ -117,6 +98,11 @@ class TestSchema:
 
 
 class TestTextAndCsv:
+    @pytest.mark.parametrize("fmt", ["yaml", "JSON", "tsv"])
+    def test_unknown_format_is_precondition(self, chord_reports, fmt):
+        with pytest.raises(PreconditionError):
+            render(chord_reports["pair"], fmt)
+
     def test_text_seven_digits(self, chord_reports):
         text = render(chord_reports["analysis"], "text")
         assert "rho        = 0.7071068" in text
