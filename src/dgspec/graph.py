@@ -155,6 +155,56 @@ def _scc_masks(keep: int, out_nb: Sequence[int], in_nb: Sequence[int]) -> list[i
     return comps
 
 
+def _union_tables(nbrs: Sequence[int], word: np.dtype) -> np.ndarray:
+    """Byte-indexed neighbour unions: ``tab[j][b]`` is the OR of
+    ``nbrs[8 j + i]`` over the bits i of byte b."""
+    tab = np.zeros(((len(nbrs) + 7) // 8, 256), dtype=word)
+    for v, mask in enumerate(nbrs):
+        j, i = divmod(v, 8)
+        bit = 1 << i
+        tab[j, bit:2 * bit] = tab[j, :bit] | word.type(mask)
+    return tab
+
+
+def _closures(start: np.ndarray, tab: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """``_closure`` of every start mask at once, each inside its own
+    ``within``; ``tab`` holds the neighbour unions of ``_union_tables``.
+    Masks drop out of the loop once their closure stops growing."""
+    word = start.dtype.type
+    byte = word(255)
+    shifts = [word(8 * j) for j in range(len(tab))]
+    reach = start.copy()
+    idx = np.arange(len(start))
+    grown = start
+    while len(idx):
+        nbrs = tab[0][(grown & byte).astype(np.intp)]
+        for j in range(1, len(tab)):
+            nbrs |= tab[j][((grown >> shifts[j]) & byte).astype(np.intp)]
+        nxt = nbrs & within | grown
+        moved = nxt != grown
+        idx, grown, within = idx[moved], nxt[moved], within[moved]
+        reach[idx] = grown
+    return reach
+
+
+def _scc_counts(keep: np.ndarray, out_tab: np.ndarray, in_tab: np.ndarray) -> np.ndarray:
+    """SCC counts of the subgraphs induced by each bitmask of ``keep``.
+
+    ``_scc_masks`` on a whole array: each round peels the component of the
+    lowest remaining vertex from every mask not yet used up.
+    """
+    counts = np.zeros(len(keep), dtype=np.intp)
+    idx = np.arange(len(keep))
+    rest = keep
+    while len(rest):
+        root = rest & -rest
+        counts[idx] += 1
+        rest = rest ^ _closures(root, in_tab, _closures(root, out_tab, rest))
+        live = rest != 0
+        idx, rest = idx[live], rest[live]
+    return counts
+
+
 def scc(g: DirectedGraph) -> SccDecomposition:
     """Strongly connected components on bitsets, ids stable across runs."""
     comps = _scc_masks((1 << g.n) - 1, *g.neighbour_masks())

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import PreconditionError
-from .graph import DirectedGraph, _scc_masks, is_strongly_connected
+from .graph import DirectedGraph, _scc_counts, _union_tables, is_strongly_connected
 from .markov import SpectralProfile
 
 INFINITE = math.inf
 
 ENUMERATION_CAP = 20
+
+# removal sets whose components are counted in one batch
+MASK_CHUNK = 1 << 14
 
 # rho below this is indistinguishable from an exactly rank-one walk matrix
 ZERO_RHO_TOL = 1e-13
@@ -42,15 +47,54 @@ class ToughnessResult:
         return math.isinf(self.value)
 
 
+def _subsets(memo: dict, m: int, k: int, word: np.dtype) -> np.ndarray:
+    """The k-subsets of range(m) as ascending bitmasks, by Pascal's rule:
+    the subsets without bit m - 1 come first, then those with it.  Only
+    the band of Pascal's triangle that (m, k) rests on is built; ``memo``
+    keeps it for later calls."""
+    for mm in range(m + 1):
+        for kk in range(max(0, k - (m - mm)), min(k, mm) + 1):
+            if (mm, kk) in memo:
+                continue
+            if kk == 0:
+                memo[mm, kk] = np.zeros(1, dtype=word)
+            else:
+                without = memo.get((mm - 1, kk), np.zeros(0, dtype=word))
+                memo[mm, kk] = np.concatenate(
+                    (without, memo[mm - 1, kk - 1] | word.type(1 << (mm - 1))))
+    return memo[m, k]
+
+
+def _subset_chunks(n: int, size: int, word: np.dtype) -> Iterator[np.ndarray]:
+    """The size-subsets of range(n) as bitmask arrays of at most
+    ``MASK_CHUNK`` masks each, all in ascending order.
+
+    A range of more than ``MASK_CHUNK`` subsets splits on its highest
+    bit, into the subsets without it and then those with it.
+    """
+    memo: dict = {}
+    stack = [(n, size, 0)]  # (bits, subset size, high bits OR'd in)
+    while stack:
+        m, k, high = stack.pop()
+        if math.comb(m, k) <= MASK_CHUNK:
+            yield _subsets(memo, m, k, word) | word.type(high)
+        else:
+            stack.append((m - 1, k - 1, high | 1 << (m - 1)))
+            stack.append((m - 1, k, high))
+
+
 def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessResult:
     """Minimize |S| / c(G - S) over all proper nonempty removal sets.
 
     Removal sets are taken by increasing size, each size in ascending
-    bitmask order.  The search stops before size k once k / (n - k) is at
-    least the best value so far: G - S has at most n - |S| components, so
-    no set of size k or more can do better, and a tie loses to the
-    smaller set already found.  Values are compared as exact fractions.
-    Sets of n - 1 vertices leave a single component and are not tried.
+    bitmask order, a chunk of masks at a time; the components of G - S
+    are counted for a whole chunk at once.  The search stops before size
+    k once k / (n - k) is at least the best value so far: G - S has at
+    most n - |S| components, so no set of size k or more can do better,
+    and a tie loses to the smaller set already found.  Values are
+    compared as exact fractions.  Sets of n - 1 vertices leave a single
+    component and are not tried.  Masks are uint64 words up to n = 64
+    and Python ints beyond.
     """
     if not is_strongly_connected(g):
         raise PreconditionError("toughness is defined for strongly connected graphs")
@@ -58,21 +102,19 @@ def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessRes
         raise PreconditionError(f"n={g.n} exceeds the enumeration cap {ENUMERATION_CAP}; "
                                 "pass allow_large to override")
     n = g.n
-    out_nb, in_nb = g.neighbour_masks()
-    full = (1 << n) - 1
+    word = np.dtype(np.uint64 if n <= 64 else object)
+    out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks())
+    full = word.type((1 << n) - 1)
     best = None  # (|S|, c(G - S), S-mask)
     for size in range(1, n - 1):
         if best is not None and size * best[1] >= best[0] * (n - size):
             break
-        mask = (1 << size) - 1
-        while mask < full:
-            count = len(_scc_masks(full ^ mask, out_nb, in_nb))
+        for masks in _subset_chunks(n, size, word):
+            counts = _scc_counts(full ^ masks, out_tab, in_tab)
+            top = int(np.argmax(counts))  # the first, so the smallest mask
+            count = int(counts[top])
             if count >= 2 and (best is None or size * best[1] < best[0] * count):
-                best = (size, count, mask)
-            # Gosper's hack: the next larger mask with as many bits set
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | ((mask ^ ripple) >> 2) // low
+                best = (size, count, int(masks[top]))
     if best is None:
         return ToughnessResult(INFINITE, None, None)
     size, count, mask = best

@@ -13,6 +13,9 @@ which read one pair through dgspec's mixing kernel, and
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
 ``cluster_indices_by_union_find`` groups eigenvalues by a pairwise
 union-find, the reference for the solver's label propagation.
+``toughness_by_gosper`` is the scalar enumeration the batched toughness
+path replaced: one mask at a time in Gosper order through dgspec's
+``_scc_masks``, fast enough to judge the batched path at n = 15-18.
 ``induced_subgraph``, ``eml_symbol_check`` and the classical reduction for
 symmetric k-regular graphs (``regular_degree``,
 ``second_adjacency_eigenvalue``, ``alon_chung_bound``,
@@ -43,6 +46,7 @@ from dgspec import (
     operator_norm,
     spectral_profile,
 )
+from dgspec.graph import _scc_masks
 from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
 from dgspec.mixing import (
     BLOCK_FLOATS,
@@ -153,6 +157,36 @@ def toughness_by_combinations(n: int, edges):
     if best is None:
         return None
     return best[0][0], best[1], best[2]
+
+
+def toughness_by_gosper(g: DirectedGraph):
+    """Exact toughness by the pruned scalar enumeration: sizes ascending,
+    each size's masks in ascending order by Gosper's hack, the same k / (n - k)
+    stop and tie-break as ``exact_toughness``.
+
+    Returns (value, witness tuple, components) or None when no removal
+    set disconnects the graph.
+    """
+    n = g.n
+    out_nb, in_nb = g.neighbour_masks()
+    full = (1 << n) - 1
+    best = None  # (|S|, c(G - S), S-mask)
+    for size in range(1, n - 1):
+        if best is not None and size * best[1] >= best[0] * (n - size):
+            break
+        mask = (1 << size) - 1
+        while mask < full:
+            count = len(_scc_masks(full ^ mask, out_nb, in_nb))
+            if count >= 2 and (best is None or size * best[1] < best[0] * count):
+                best = (size, count, mask)
+            # Gosper's hack: the next larger mask with as many bits set
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
+    if best is None:
+        return None
+    size, count, mask = best
+    return size / count, tuple(v for v in range(n) if mask >> v & 1), count
 
 
 def directed_cycle_lengths(n: int, edges, length_cap: int) -> set[int]:

@@ -91,7 +91,8 @@ class TestAnalyze:
         assert code == 4
         assert "diagonalizable" in err
 
-    @pytest.mark.parametrize("params", [("15", "0.2", "82"), ("20", "0.15", "319")])
+    @pytest.mark.parametrize("params", [("15", "0.2", "82"), ("20", "0.15", "319")],
+                             ids=["15-0.2-82", "20-0.15-319"])
     def test_cluster_near_real_axis_is_numerical(self, capsys, tmp_path, params):
         # a triple eigenvalue cluster near 0 whose mean lies just below the
         # real axis, within tolerance of its own conjugate; the graph is

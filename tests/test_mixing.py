@@ -133,7 +133,7 @@ class TestVerifySweep:
         (complete_bidirected(3), 64),
         (chord_cycle(3), 64),
         (undirected_cycle(5), 1024),
-    ])
+    ], ids=["complete_bidirected3", "chord_cycle3", "undirected_cycle5"])
     def test_exhaustive_counts_and_validity(self, g, pairs):
         report = verify_eml(profile_of(g))
         assert report.pair_count == pairs

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from dgspec import (
     chord_cycle,
     compare_bounds,
     complete_bidirected,
+    de_bruijn,
     exact_toughness,
     graph_from_edges,
     is_strongly_connected,
     petersen,
+    random_strongly_connected,
     scc,
     spectral_profile,
     toughness_spectral_bound,
@@ -26,7 +29,12 @@ from dgspec import (
 )
 from dgspec import toughness
 
-from oracles import alon_toughness_bound, induced_subgraph, toughness_by_combinations
+from oracles import (
+    alon_toughness_bound,
+    induced_subgraph,
+    toughness_by_combinations,
+    toughness_by_gosper,
+)
 
 
 def profile_of(g):
@@ -37,10 +45,44 @@ def complete_with_loops(n):
     return graph_from_edges(n, {(i, j) for i in range(n) for j in range(n)})
 
 
+def check_against_combination_oracle(data):
+    # self-loops allowed; the AND (OR) of k random adjacency words has
+    # density 2^-k (1 - 2^-k); an optional spanning cycle keeps sparse
+    # draws strongly connected often enough, and bidirected draws
+    # (undirected graphs) give removal sets many components
+    n = data.draw(st.one_of(st.integers(2, 9), st.integers(6, 9)))
+    words = data.draw(st.lists(st.integers(0, 2 ** (n * n) - 1), min_size=1, max_size=4))
+    combine = data.draw(st.sampled_from([operator.and_, operator.or_]))
+    bits = functools.reduce(combine, words)
+    edges = {(i // n, i % n) for i in range(n * n) if bits >> i & 1}
+    if data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(n)))
+        edges |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+    if data.draw(st.booleans()):
+        edges |= {(h, t) for t, h in edges}
+    g = graph_from_edges(n, edges)
+    assume(is_strongly_connected(g))
+    result = exact_toughness(g)
+    oracle = toughness_by_combinations(n, edges)
+    if oracle is None:
+        assert result == ToughnessResult(INFINITE, None, None)
+    else:
+        value, witness, components = oracle
+        assert result.value == value
+        assert frozenset(result.witness) == witness
+        assert result.component_count == components
+
+
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None,
+                           suppress_health_check=[HealthCheck.filter_too_much,
+                                                  HealthCheck.too_slow])
+
+
 class TestExactToughness:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_complete_graphs_never_disconnect(self, n):
-        result = exact_toughness(complete_bidirected(n))
+        g = graph_from_edges(1, []) if n == 1 else complete_bidirected(n)
+        result = exact_toughness(g)
         assert result.is_infinite
         assert result.witness is None
         assert result.component_count is None
@@ -98,35 +140,37 @@ class TestExactToughness:
             h = graph_from_edges(g.n, {(perm[t], perm[hd]) for t, hd in g.edges})
             assert exact_toughness(h).value == base
 
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @ORACLE_SETTINGS
     @given(st.data())
     def test_pruned_enumeration_matches_oracle(self, data):
-        # self-loops allowed; the AND (OR) of k random adjacency words has
-        # density 2^-k (1 - 2^-k); an optional spanning cycle keeps sparse
-        # draws strongly connected often enough, and bidirected draws
-        # (undirected graphs) give removal sets many components
-        n = data.draw(st.one_of(st.integers(2, 9), st.integers(6, 9)))
-        words = data.draw(st.lists(st.integers(0, 2 ** (n * n) - 1), min_size=1, max_size=4))
-        combine = data.draw(st.sampled_from([operator.and_, operator.or_]))
-        bits = functools.reduce(combine, words)
-        edges = {(i // n, i % n) for i in range(n * n) if bits >> i & 1}
-        if data.draw(st.booleans()):
-            order = data.draw(st.permutations(range(n)))
-            edges |= {(order[i], order[(i + 1) % n]) for i in range(n)}
-        if data.draw(st.booleans()):
-            edges |= {(h, t) for t, h in edges}
-        g = graph_from_edges(n, edges)
-        assume(is_strongly_connected(g))
+        check_against_combination_oracle(data)
+
+    @ORACLE_SETTINGS
+    @given(st.data())
+    def test_pruned_enumeration_matches_oracle_in_tiny_chunks(self, data):
+        # three masks a chunk: most sizes span several chunks, and the best
+        # set must survive the chunk boundaries
+        with mock.patch.object(toughness, "MASK_CHUNK", 3):
+            check_against_combination_oracle(data)
+
+    @pytest.mark.parametrize("g", [
+        undirected_cycle(17),
+        random_strongly_connected(17, 0.5, seed=1),
+        random_strongly_connected(17, 0.5, seed=2),
+        random_strongly_connected(17, 0.5, seed=3),
+        de_bruijn(2, 4),
+    ], ids=["undirected_cycle17", "random17_seed1", "random17_seed2", "random17_seed3",
+            "de_bruijn_2_4"])
+    def test_matches_scalar_reference(self, g):
         result = exact_toughness(g)
-        oracle = toughness_by_combinations(n, edges)
-        if oracle is None:
-            assert result == ToughnessResult(INFINITE, None, None)
-        else:
-            value, witness, components = oracle
-            assert result.value == value
-            assert frozenset(result.witness) == witness
-            assert result.component_count == components
+        assert (result.value, result.witness, result.component_count) == \
+            toughness_by_gosper(g)
+
+    @pytest.mark.parametrize("n", [33, 64, 65, 70])
+    def test_mask_widths(self, n):
+        # past 32 bits, at the last uint64 width, and on Python-int masks
+        result = exact_toughness(chord_cycle(n), allow_large=True)
+        assert result == ToughnessResult(1 / (n - 1), (0,), n - 1)
 
     def test_requires_strong_connectivity(self):
         with pytest.raises(PreconditionError, match="strongly connected"):
