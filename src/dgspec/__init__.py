@@ -14,7 +14,6 @@ from .errors import (
 )
 from .graph import (
     DirectedGraph,
-    SccDecomposition,
     chord_cycle,
     complete_bidirected,
     de_bruijn,
@@ -25,7 +24,6 @@ from .graph import (
     period,
     petersen,
     random_strongly_connected,
-    scc,
     undirected_cycle,
     write_edge_list,
 )

@@ -40,7 +40,8 @@ from .reports import (
     analysis_report,
     render,
 )
-from .toughness import compare_bounds, exact_toughness, toughness_spectral_bound
+from .toughness import (check_enumeration, compare_bounds, exact_toughness,
+                        toughness_spectral_bound)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -181,8 +182,10 @@ def _cmd_toughness(args) -> int:
     elif args.mode == "bound":
         _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g))), args)
     else:
-        exact = exact_toughness(g, allow_large=args.allow_large)
-        _emit(compare_bounds(exact, _profile(g)), args)
+        # the checks, then the profile, then the 2^n enumeration: fail as early as can be
+        check_enumeration(g, args.allow_large)
+        profile = _profile(g)
+        _emit(compare_bounds(exact_toughness(g, allow_large=args.allow_large), profile), args)
     return EXIT_OK
 
 

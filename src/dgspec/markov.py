@@ -39,16 +39,13 @@ class TransitionMatrix:
 
 def build_transition_matrix(g: DirectedGraph) -> TransitionMatrix:
     """Uniform random-walk matrix: p_ij = 1/outdegree(v_i) on edges."""
-    out_deg = [0] * g.n
-    for t, _ in g.edges:
-        out_deg[t] += 1
-    for v, d in enumerate(out_deg):
-        if d == 0:
-            raise PreconditionError(
-                f"vertex {g.label_of(v)} has outdegree 0: no stochastic row possible")
-    p = np.zeros((g.n, g.n))
-    for t, h in g.edges:
-        p[t, h] = 1.0 / out_deg[t]
+    a = g.adjacency_matrix()
+    out_deg = a.sum(axis=1)
+    sinks = np.flatnonzero(out_deg == 0)
+    if len(sinks):
+        raise PreconditionError(
+            f"vertex {g.label_of(int(sinks[0]))} has outdegree 0: no stochastic row possible")
+    p = a / out_deg[:, None]
     row_err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
     if row_err > 1e-12:
         raise NumericalError(f"row sums deviate from 1 by {row_err:.3e}")

@@ -83,6 +83,16 @@ def _subset_chunks(n: int, size: int, word: np.dtype) -> Iterator[np.ndarray]:
             stack.append((m - 1, k, high))
 
 
+def check_enumeration(g: DirectedGraph, allow_large: bool) -> None:
+    """The preconditions of ``exact_toughness``: g is strongly connected,
+    and n is within ``ENUMERATION_CAP`` unless ``allow_large``."""
+    if not is_strongly_connected(g):
+        raise PreconditionError("toughness is defined for strongly connected graphs")
+    if g.n > ENUMERATION_CAP and not allow_large:
+        raise PreconditionError(f"n={g.n} exceeds the enumeration cap {ENUMERATION_CAP}; "
+                                "pass allow_large to override")
+
+
 def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessResult:
     """Minimize |S| / c(G - S) over all proper nonempty removal sets.
 
@@ -96,11 +106,7 @@ def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessRes
     component and are not tried.  Masks are uint64 words up to n = 64
     and Python ints beyond.
     """
-    if not is_strongly_connected(g):
-        raise PreconditionError("toughness is defined for strongly connected graphs")
-    if g.n > ENUMERATION_CAP and not allow_large:
-        raise PreconditionError(f"n={g.n} exceeds the enumeration cap {ENUMERATION_CAP}; "
-                                "pass allow_large to override")
+    check_enumeration(g, allow_large)
     n = g.n
     word = np.dtype(np.uint64 if n <= 64 else object)
     out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks())

@@ -1,21 +1,22 @@
 """Independent oracles the tests check library output against.
 
 Everything here deliberately avoids the implementation paths it judges:
-reachability closure and Kosaraju instead of bitset closures for SCCs,
-unpruned combinations-by-size for the toughness enumeration, and numpy's
-LAPACK-backed routines as the reference for the hand-rolled eigensolver,
-norm estimators and stationary distribution.  ``lu_solve``,
-``determinant`` and ``condition_number`` are the exceptions: they compose
-dgspec's own LU and operator norm, so the tests that use them check those
-routines too.  So do ``eml_lhs``, ``eml_bound`` and ``eml_bound_simple``,
-which read one pair through dgspec's mixing kernel, and
+reachability closure and Kosaraju instead of dgspec's breadth-first levels
+and batched peel for SCCs, unpruned combinations-by-size for the toughness
+enumeration, and numpy's LAPACK-backed routines as the reference for the
+hand-rolled eigensolver, norm estimators and stationary distribution.
+``lu_solve``, ``determinant`` and ``condition_number`` are the exceptions:
+they compose dgspec's own LU and operator norm, so the tests that use them
+check those routines too.  So do ``eml_lhs``, ``eml_bound`` and
+``eml_bound_simple``, which read one pair through dgspec's mixing kernel, and
 ``reference_exhaustive_sweep``, which runs that kernel over the exhaustive
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
 ``cluster_indices_by_union_find`` groups eigenvalues by a pairwise
 union-find, the reference for the solver's label propagation.
 ``toughness_by_gosper`` is the scalar enumeration the batched toughness
-path replaced: one mask at a time in Gosper order through dgspec's
-``_scc_masks``, fast enough to judge the batched path at n = 15-18.
+path replaced: one mask at a time in Gosper order, each counted by its own
+scalar bitmask peel (``scc_count_by_peeling``), fast enough to judge the
+batched path at n = 15-18.
 ``induced_subgraph``, ``eml_symbol_check`` and the classical reduction for
 symmetric k-regular graphs (``regular_degree``,
 ``second_adjacency_eigenvalue``, ``alon_chung_bound``,
@@ -46,7 +47,6 @@ from dgspec import (
     operator_norm,
     spectral_profile,
 )
-from dgspec.graph import _scc_masks
 from dgspec.linalg import _lu_factor, _lu_solve_factored, _require_square, as_matrix
 from dgspec.mixing import (
     BLOCK_FLOATS,
@@ -159,6 +159,31 @@ def toughness_by_combinations(n: int, edges):
     return best[0][0], best[1], best[2]
 
 
+def _closure(start: int, nbrs, within: int) -> int:
+    """Bitmask of the vertices of ``within`` reachable from ``start``."""
+    unseen = within ^ start
+    frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbrs[low.bit_length() - 1] & unseen
+        unseen ^= new
+        frontier |= new
+    return within ^ unseen
+
+
+def scc_count_by_peeling(keep: int, out_nb, in_nb) -> int:
+    """SCC count of the subgraph induced by the bitmask ``keep``: peel the
+    component of the lowest remaining vertex, the vertices of its forward
+    closure that reach it back, until nothing is left."""
+    count = 0
+    while keep:
+        root = keep & -keep
+        keep ^= _closure(root, in_nb, _closure(root, out_nb, keep))
+        count += 1
+    return count
+
+
 def toughness_by_gosper(g: DirectedGraph):
     """Exact toughness by the pruned scalar enumeration: sizes ascending,
     each size's masks in ascending order by Gosper's hack, the same k / (n - k)
@@ -176,7 +201,7 @@ def toughness_by_gosper(g: DirectedGraph):
             break
         mask = (1 << size) - 1
         while mask < full:
-            count = len(_scc_masks(full ^ mask, out_nb, in_nb))
+            count = scc_count_by_peeling(full ^ mask, out_nb, in_nb)
             if count >= 2 and (best is None or size * best[1] < best[0] * count):
                 best = (size, count, mask)
             # Gosper's hack: the next larger mask with as many bits set

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgspec import graph as graphs
-from dgspec import linalg, mixing, parse_edge_list, render, report_from_json
+from dgspec import cli, linalg, mixing, parse_edge_list, render, report_from_json
 from dgspec.cli import main
 
 CHORD = "a b\nb c\nc a\na c\n"
@@ -260,6 +260,18 @@ class TestToughness:
         code, out, err = run(capsys, "toughness", mode, chord_file)
         assert (code, out) == (4, "")
         assert "residual" in err
+
+    @pytest.mark.parametrize("word_len,code,message", [
+        (4, 4, "diagonalizable"), (5, 3, "enumeration cap")], ids=["defective", "over_cap"])
+    def test_compare_fails_before_the_enumeration(self, capsys, tmp_path, monkeypatch,
+                                                  word_len, code, message):
+        # de_bruijn(2, 4) is defective; de_bruijn(2, 5) is also past the cap
+        path = str(tmp_path / "db.txt")
+        run(capsys, "generate", "de_bruijn", "2", str(word_len), "-o", path)
+        monkeypatch.setattr(cli, "exact_toughness", mock.Mock(side_effect=AssertionError))
+        got, out, err = run(capsys, "toughness", "compare", path)
+        assert (got, out) == (code, "")
+        assert message in err and "Traceback" not in err
 
 
 class TestGenerate:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dgspec import (
     EdgeListParseError,
@@ -14,12 +17,13 @@ from dgspec import (
     period,
     petersen,
     random_strongly_connected,
-    scc,
     undirected_cycle,
     write_edge_list,
 )
+from dgspec.graph import _scc_counts, _union_tables
 
 from oracles import directed_cycle_lengths, induced_subgraph, scc_by_reachability
+from strategies import any_digraphs
 
 
 def cycle3():
@@ -28,6 +32,14 @@ def cycle3():
 
 def path3():
     return graph_from_edges(3, [(0, 1), (1, 2)])
+
+
+def component_count(g):
+    """SCC count of the whole graph by the batched peel exact toughness uses."""
+    word = np.dtype(np.uint64 if g.n <= 64 else object)
+    out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks())
+    keep = np.array([word.type((1 << g.n) - 1)], dtype=word)
+    return int(_scc_counts(keep, out_tab, in_tab)[0])
 
 
 class TestParse:
@@ -79,20 +91,15 @@ class TestParse:
 
 class TestScc:
     def test_cycle_is_one_component(self):
-        assert scc(cycle3()).component_count == 1
+        assert component_count(cycle3()) == 1
 
     def test_path_is_all_singletons(self):
-        assert scc(path3()).component_count == 3
+        assert component_count(path3()) == 3
 
     def test_chord_cycle_minus_vertex(self):
         g = induced_subgraph(chord_cycle(3), [1, 2])
         assert g.edges == frozenset({(0, 1)})
-        assert scc(g).component_count == 2
-
-    def test_ids_ordered_by_smallest_member(self):
-        g = graph_from_edges(4, [(2, 3), (3, 2), (0, 1), (1, 0), (1, 2)])
-        dec = scc(g)
-        assert dec.component_id == (0, 0, 1, 1)
+        assert component_count(g) == 2
 
     def test_agrees_with_reachability_oracle(self):
         rng = np.random.default_rng(2024)
@@ -104,14 +111,9 @@ class TestScc:
             edges = {(int(u), int(v)) for u in range(n) for v in range(n)
                      if u != v and rng.random() < density}
             g = graph_from_edges(n, edges)
-            dec = scc(g)
             oracle = scc_by_reachability(n, edges)
-            assert dec.component_count == len(oracle)
-            for comp in oracle:
-                assert len({dec.component_id[v] for v in comp}) == 1
-            # ids number the components by their smallest member
-            by_min = sorted(oracle, key=min)
-            assert [dec.component_id[min(c)] for c in by_min] == list(range(len(oracle)))
+            assert is_strongly_connected(g) == (len(oracle) == 1)
+            assert component_count(g) == len(oracle)
 
     def test_is_strongly_connected(self):
         assert is_strongly_connected(cycle3())
@@ -152,10 +154,33 @@ class TestPeriod:
             g = graph_from_edges(n, edges)
             if not is_strongly_connected(g):
                 continue
-            p = period(g)
-            for length in directed_cycle_lengths(n, edges, n):
-                assert length % p == 0
+            assert period(g) == math.gcd(*directed_cycle_lengths(n, edges, n))
             checked += 1
+
+    @pytest.mark.parametrize("g,expected", [
+        (undirected_cycle(81), 1), (undirected_cycle(130), 2),
+        (graph_from_edges(70, [(i, (i + 1) % 70) for i in range(70)]), 70),
+        (chord_cycle(70), 1), (chord_cycle(70, [(0, 5), (5, 20)]), 2),
+    ], ids=["undirected_cycle81", "undirected_cycle130", "directed_cycle70",
+            "chord_cycle70_lengths_70_69", "chord_cycle70_lengths_70_66_56_52"])
+    def test_past_one_word(self, g, expected):
+        assert period(g) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_digraphs(1, 7))
+    def test_matches_reachability_and_cycle_oracles(self, g):
+        strong = len(scc_by_reachability(g.n, g.edges)) == 1
+        assert is_strongly_connected(g) == strong
+        if not strong:
+            with pytest.raises(PreconditionError, match="strongly connected"):
+                period(g)
+            return
+        lengths = directed_cycle_lengths(g.n, g.edges, g.n)
+        if not lengths:
+            with pytest.raises(PreconditionError, match="no directed cycles"):
+                period(g)
+            return
+        assert period(g) == math.gcd(*lengths)
 
 
 class TestInducedSubgraph:
