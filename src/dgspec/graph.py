@@ -195,14 +195,17 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 
 
 def period(g: DirectedGraph) -> int:
-    """gcd of all directed cycle lengths of a strongly connected graph.
-
-    Computed from the breadth-first depths of the vertices: every edge
-    (u, v) contributes depth(u) + 1 - depth(v) to the gcd.
-    """
+    """gcd of all directed cycle lengths of a strongly connected graph."""
     levels = _strong_levels(g)
     if levels is None:
         raise PreconditionError("period requires a strongly connected graph")
+    return _period(g, levels)
+
+
+def _period(g: DirectedGraph, levels: list[int]) -> int:
+    """``period`` from the ``_strong_levels`` of g, computed from the
+    breadth-first depths of the vertices: every edge (u, v) contributes
+    depth(u) + 1 - depth(v) to the gcd."""
     depth = [0] * g.n
     for d, level in enumerate(levels):
         while level:

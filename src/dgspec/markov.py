@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, PreconditionError
-from .graph import DirectedGraph, is_strongly_connected, period
+from .graph import DirectedGraph, _period, _strong_levels
 from .linalg import certify_eigenbasis, eigendecompose_nonsymmetric
 
 if TYPE_CHECKING:
@@ -61,9 +61,10 @@ def stationary_distribution(t: TransitionMatrix) -> np.ndarray:
     is never used, so the sqrt(n) pi vs C^-1 row identity stays a check.
     """
     g = t.graph
-    if not is_strongly_connected(g):
+    levels = _strong_levels(g)
+    if levels is None:
         raise PreconditionError("stationary distribution needs a strongly connected graph")
-    if period(g) != 1:
+    if _period(g, levels) != 1:
         raise PreconditionError("stationary distribution needs an aperiodic graph (period 1)")
     a = t.p.copy()
     for k in range(g.n - 1, 0, -1):

@@ -9,12 +9,18 @@ s(U, W), the two deviations and their folds.  Both bounds depend on U only
 through |U|, so they are evaluated once per sweep, as tables over (|U|, W).
 Masses come in blocks of consecutive masks U, each block an earlier block
 plus one row of the subset-sum table, and the worst pair of a block is its
-first minimum, since rows ascend in U and columns in W.  An n = 13 sweep
-(6.7e7 pairs) takes about 0.46 s on a 2-core x86-64 box.
+first minimum, since rows ascend in U and columns in W.  From n = 12 the
+masks U split into one share per CPU the process may run on: every share
+but the first is swept in a forked child, and the merge of the shares
+gives the serial sweep's report bit for bit.  An n = 13 sweep (6.7e7
+pairs) takes about 0.73 s in one process and 0.38 s on 2 CPUs of an Intel
+Xeon.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -30,6 +36,11 @@ SLACK_TOL = 1e-9
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
+# An exhaustive sweep forks a child per CPU beyond the first while every
+# share keeps at least this many pairs: n = 12 and 13 split, n <= 11 runs
+# in one process, since a fork there costs more than it saves (on 2 Xeon
+# cores, n = 11 took 46 ms serial and 51 ms split, n = 12 190 and 106 ms).
+MIN_SHARE_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -99,27 +110,34 @@ def _block_bits(n: int, cols: int) -> int:
     return min(n, max(0, (BLOCK_FLOATS // 4 // cols).bit_length() - 1))
 
 
-def _mass_blocks(table: np.ndarray, start: int):
-    """Blocks ``(first, sums)`` that cover every mask u in [start, 2^n) once:
-    sums[i] adds up the rows of ``table`` (n x cols) over the bits of
-    u = first + i, lowest bit first.
+def _mass_blocks(table: np.ndarray, start: int, share: int = 0, bits: int = 0):
+    """Blocks ``(first, sums)`` that cover once every mask u in [start, 2^n)
+    of share ``share`` out of 2^``bits``: sums[i] adds up the rows of
+    ``table`` (n x cols) over the bits of u = first + i, lowest bit first.
 
     Block H holds the 2^low masks u with u >> low = H (from the first
-    one >= start), where low = ``_block_bits(n, cols)``.  Block H is block
-    H - 2^top(H) plus one table row, so each costs one add; the blocks
-    come depth first, with at most n of them waiting on the stack.  Later
-    blocks are built from a yielded one, so callers must not write into it.
+    one >= start), where low = ``_block_bits(n, cols)``, and belongs to
+    share H mod 2^bits.  Block H is block H - 2^top(H) plus one table row,
+    so each costs one add and every share adds in the order of the whole
+    sweep: the blocks of a share are the tree below block ``share``, whose
+    higher bits are added after its own.  The blocks come depth first,
+    with at most n of them waiting on the stack.  Later blocks are built
+    from a yielded one, so callers must not write into it.
     """
     n, cols = table.shape
     low = _block_bits(n, cols)
     # C order: the sweep's slack.sum(axis=1) rounds by memory layout
-    stack = [(0, np.ascontiguousarray(subset_sums(table[:low].T).T))]
+    sums = np.ascontiguousarray(subset_sums(table[:low].T).T)
+    for b in range(bits):
+        if share >> b & 1:
+            sums = sums + table[low + b]
+    stack = [(share, sums)]
     while stack:
         high, sums = stack.pop()
         skip = max(0, start - (high << low))  # the masks below start
         if skip < len(sums):
             yield (high << low) + skip, sums[skip:]
-        for b in range(high.bit_length(), n - low):
+        for b in range(max(high.bit_length(), bits), n - low):
             stack.append((high | 1 << b, sums + table[low + b]))
 
 
@@ -260,6 +278,26 @@ class _SweepAccumulator:
         self.tightness = max(self.tightness, float((lhs / divisor).max()))
         return slack, j
 
+    def scalars(self) -> list:
+        """What an exhaustive share folds in, as ``merge`` takes it back:
+        every value is a float64 exactly, since counts stay below 2^53."""
+        return [self.pair_count, self.thm_viol, self.simple_viol, self.min_slack,
+                self.simple_min, self.stmt_min, self.tightness, *self.worst]
+
+    def merge(self, scalars: list):
+        """Fold in another accumulator's ``scalars()``.  Counts add, minima
+        and the worst (slack, u, w) take the min, tightness the max, so
+        the result does not depend on how the pairs were split."""
+        count, thm, simple, low, simple_low, stmt_low, tight, slack, u, w = scalars
+        self.pair_count += int(count)
+        self.thm_viol += int(thm)
+        self.simple_viol += int(simple)
+        self.min_slack = min(self.min_slack, low)
+        self.simple_min = min(self.simple_min, simple_low)
+        self.stmt_min = min(self.stmt_min, stmt_low)
+        self.tightness = max(self.tightness, tight)
+        self.worst = min(self.worst, (slack, int(u), int(w)))
+
     def add_row_sums(self, sums: np.ndarray):
         """Add per-row slack sums to the total, one after another in row
         order, so the total does not depend on how rows fell into blocks."""
@@ -361,26 +399,118 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
     acc.gap_min = float((bound_simple - bound)[size_u[..., 0] >= start].min())
     divisor = _divisor(bound)
+    table = subset_sums(profile.transition.p)[:, start:]
+    bits = 0 if acc.keep_rows else _share_bits(n)
+
+    def sweep(share: int, acc: _SweepAccumulator, row_sums: np.ndarray):
+        """Fold the pairs of ``share`` into acc and put their row slack
+        sums in place in row_sums."""
+        for first, mass in _mass_blocks(table, start, share, bits):
+            last = first + len(mass)
+            lhs, lhs_stmt = _deviations(pc[first:last, None], pi_mask[first:last, None],
+                                        pi_w, mass)
+            i = first % (1 << low)  # > 0 only for the block that starts at u = 1
+            h, rows = int(pc[first - i]), slice(i, i + len(mass))
+            rows_bound, rows_simple = bound[h, rows], bound_simple[h, rows]
+            slack, j = acc.fold(lhs, lhs_stmt, rows_bound, rows_simple, divisor[h, rows])
+            row_sums[first - start:last - start] = slack.sum(axis=1)
+            # rows ascend in u and columns in w: the first minimum is the
+            # block's smallest (slack, u, w)
+            u, w = divmod(j, cols)
+            acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
+            if acc.keep_rows:
+                u, w = np.divmod(np.arange(slack.size), cols)
+                acc.add_rows((first + u).tolist(), (start + w).tolist(), lhs, rows_bound,
+                             rows_simple, slack)
+
     row_sums = np.empty(pc.size - start)
-    for first, mass in _mass_blocks(subset_sums(profile.transition.p)[:, start:], start):
-        last = first + len(mass)
-        lhs, lhs_stmt = _deviations(pc[first:last, None], pi_mask[first:last, None],
-                                    pi_w, mass)
-        i = first % (1 << low)  # > 0 only for the block that starts at u = 1
-        h, rows = int(pc[first - i]), slice(i, i + len(mass))
-        rows_bound, rows_simple = bound[h, rows], bound_simple[h, rows]
-        slack, j = acc.fold(lhs, lhs_stmt, rows_bound, rows_simple, divisor[h, rows])
-        row_sums[first - start:last - start] = slack.sum(axis=1)
-        # rows ascend in u and columns in w: the first minimum is the
-        # block's smallest (slack, u, w)
-        u, w = divmod(j, cols)
-        acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
-        if acc.keep_rows:
-            u, w = np.divmod(np.arange(slack.size), cols)
-            acc.add_rows((first + u).tolist(), (start + w).tolist(), lhs, rows_bound,
-                         rows_simple, slack)
+    share_of_row = (np.arange(start, pc.size) >> low) % (1 << bits)
+    _sweep_shares(sweep, 1 << bits, share_of_row, acc, row_sums)
     acc.add_row_sums(row_sums)
     acc.rows.sort()  # the blocks came out of u order
+
+
+def _share_bits(n: int) -> int:
+    """log2 of the shares an exhaustive sweep of n vertices splits into: one
+    per CPU this process may run on, rounded down to a power of 2, as long
+    as each share keeps ``MIN_SHARE_PAIRS`` pairs, some thousand blocks.
+    0, one share and no fork, where ``os.fork`` or the affinity set is
+    missing, or where another Python thread runs (a forked child could
+    wait forever on a lock that thread held)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return max(0, min(cpus.bit_length() - 1, 2 * n + 1 - MIN_SHARE_PAIRS.bit_length()))
+
+
+def _sweep_shares(sweep, shares: int, share_of_row: np.ndarray, acc: _SweepAccumulator,
+                  row_sums: np.ndarray):
+    """``sweep(share, acc, row_sums)`` for every share in range(shares), as
+    one serial sweep would fold them.  Share 0 runs here and every other
+    one in a forked child, which sends its accumulator's scalars and its
+    rows of ``row_sums`` (where ``share_of_row`` is the share) back through
+    a pipe.  A share whose fork fails, or whose child exits non-zero or
+    sends less, runs here too.  No child outlives the call: on an
+    exception here the children left are killed and reaped."""
+    children = []  # (share, pid, read end of its pipe)
+    own = [0]
+    try:
+        for share in range(1, shares):
+            child = _fork_share(sweep, share, share_of_row == share, row_sums.size)
+            if child is None:
+                own.append(share)
+            else:
+                children.append((share, *child))
+        for share in own:
+            sweep(share, acc, row_sums)
+        while children:
+            share, pid, read = children[-1]
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            os.close(read)
+            rows, k = share_of_row == share, len(acc.scalars())
+            if status == 0 and len(data) == 8 * (k + np.count_nonzero(rows)):
+                values = np.frombuffer(data)
+                acc.merge(values[:k].tolist())
+                row_sums[rows] = values[k:]
+            else:
+                sweep(share, acc, row_sums)
+    finally:
+        for _, pid, read in children:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _fork_share(sweep, share: int, rows: np.ndarray, size: int):
+    """Fork a child that runs ``sweep`` on ``share`` into a fresh
+    accumulator and a row-sum array of ``size``, writes the accumulator's
+    ``scalars()`` and the sums at ``rows`` to a pipe as float64, and leaves
+    by ``os._exit`` (status 1 on any exception).  Returns (pid, read end)
+    in the parent, or None where the fork fails."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        acc, row_sums = _SweepAccumulator(keep_rows=False), np.empty(size)
+        sweep(share, acc, row_sums)
+        with open(write, "wb") as pipe:
+            pipe.write(np.concatenate((acc.scalars(), row_sums[rows])).tobytes())
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -342,10 +345,10 @@ def check_block_against_oracle(profile, pairs):
 
 
 @st.composite
-def sweep_profiles(draw):
-    """Profiles of n = 2..10 vertices: random digraphs, and the K_n and odd
-    cycles whose symmetries tie many pairs at the same slack."""
-    n = draw(st.integers(2, 10))
+def sweep_profiles(draw, min_n=2, max_n=10):
+    """Profiles of ``min_n`` to ``max_n`` vertices: random digraphs, and the
+    K_n and odd cycles whose symmetries tie many pairs at the same slack."""
+    n = draw(st.integers(min_n, max_n))
     family = draw(st.sampled_from(["random", "complete", "cycle"]))
     try:
         if family == "complete":
@@ -373,6 +376,146 @@ class TestExhaustiveSweepReference:
                                              keep_rows=keep_rows)
             for field in dataclasses.fields(mine):
                 assert getattr(mine, field.name) == getattr(ref, field.name), field.name
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive sweep split across forked children
+# ---------------------------------------------------------------------------
+
+def count_forks(mp):
+    """Patch ``os.fork`` to count its calls into the list returned."""
+    forks = []
+    real_fork = os.fork
+    mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def sweep_in_shares(profile, shares, mp, **kwargs):
+    """``verify_eml`` on ``shares`` CPUs with no minimum share size, and the
+    number of forks it tried."""
+    forks = count_forks(mp)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
+    mp.setattr(mixing, "MIN_SHARE_PAIRS", 1)
+    return verify_eml(profile, **kwargs), len(forks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_profile(n=10):
+    return profile_of(random_strongly_connected(n, 0.4, seed=5))
+
+
+class TestShardedSweep:
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(sweep_profiles(10, 12), st.booleans())
+    def test_shard_split_equals_the_serial_sweep(self, profile, nonempty_only):
+        # rho scaled down makes violations, counts and worst pairs in every share
+        for prof in (profile, dataclasses.replace(profile, rho=0.05 * profile.rho)):
+            with pytest.MonkeyPatch.context() as mp:
+                serial, forks = sweep_in_shares(prof, 1, mp, nonempty_only=nonempty_only)
+            assert forks == 0
+            for shares in (2, 4, 8):
+                with pytest.MonkeyPatch.context() as mp:
+                    split, forks = sweep_in_shares(prof, shares, mp,
+                                                   nonempty_only=nonempty_only)
+                assert forks == shares - 1
+                for field in dataclasses.fields(serial):
+                    assert getattr(split, field.name) == getattr(serial, field.name), \
+                        (shares, field.name)
+                assert_no_child_left()
+
+    @pytest.mark.parametrize("n,cols", [(8, 255), (10, 1024), (12, 4095)])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_shard_blocks_add_up_as_the_serial_blocks(self, n, cols, bits):
+        # random rows round differently in every order of addition, so equal
+        # bits mean each share adds the table rows in the serial order
+        table = np.random.default_rng(n + bits).random((n, cols))
+        start = cols % 2
+        serial = {first: sums for first, sums in mixing._mass_blocks(table, start)}
+        shares = [(first, sums) for share in range(1 << bits)
+                  for first, sums in mixing._mass_blocks(table, start, share, bits)]
+        assert sorted(first for first, _ in shares) == sorted(serial)
+        for first, sums in shares:
+            assert np.array_equal(sums, serial[first]), first
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_shard_count_follows_the_cpus(self, monkeypatch, n):
+        # n = 11 runs in one process; n = 12 splits in two where 2 CPUs are free
+        forks = count_forks(monkeypatch)
+        verify_eml(sweep_profile(n))
+        cpus = len(os.sched_getaffinity(0))
+        assert len(forks) == (1 if n == 12 and cpus >= 2 else 0)
+        assert_no_child_left()
+
+    def test_shard_sweep_is_serial_beside_another_thread(self, monkeypatch):
+        profile = sweep_profile()
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            report, forks = sweep_in_shares(profile, 4, monkeypatch)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert forks == 0
+        assert report == verify_eml(profile)
+
+    def test_shard_fork_failure_sweeps_here(self, monkeypatch):
+        profile = sweep_profile()
+        serial = verify_eml(profile)
+
+        def failing_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        report, forks = sweep_in_shares(profile, 4, monkeypatch)
+        assert forks == 3
+        assert report == serial
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "writes_nothing"])
+    def test_shard_failed_child_is_swept_here(self, monkeypatch, failure):
+        # a child that raises exits 1; one that leaves early exits 0 unheard
+        profile = sweep_profile()
+        serial = verify_eml(profile)
+        parent, swept_here = os.getpid(), []
+        real = mixing._mass_blocks
+
+        def blocks(table, start, share, bits):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("child failure")
+                os._exit(0)
+            swept_here.append(share)
+            return real(table, start, share, bits)
+
+        monkeypatch.setattr(mixing, "_mass_blocks", blocks)
+        report, forks = sweep_in_shares(profile, 4, monkeypatch)
+        assert forks == 3
+        assert sorted(swept_here) == [0, 1, 2, 3]
+        assert report == serial
+        assert_no_child_left()
+
+    def test_shard_children_die_with_the_parent(self, monkeypatch):
+        # children that would sweep for a minute are killed and reaped at once
+        parent = os.getpid()
+
+        def blocks(table, start, share, bits):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(mixing, "_mass_blocks", blocks)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sweep_in_shares(sweep_profile(), 4, monkeypatch)
+        assert time.monotonic() - began < 30
+        assert_no_child_left()
 
 
 class TestKernelProperties:
