@@ -12,11 +12,11 @@ exactly conjugate from its 2x2 block.  One complex rotation per 2x2 block
 makes T triangular, back-substitution on T gives every eigenvector at once,
 Z takes them back to A's coordinates, each eigenvalue cluster is
 orthonormalized with a rank test, and each eigenvalue below the real axis
-takes the conjugated column of its exact conjugate.  ``certify_eigenbasis``
-is the one place a candidate eigenbasis is inverted and checked (condition
-cutoffs, coalescing eigenvalues, C C^-1 = I, residual): the solver's own
-basis and the spectral profile's basis with the pinned all-ones column
-both go through it.
+takes the conjugated column of its exact conjugate (``eigenpairs``).
+``certify_eigenbasis`` is the one place a basis is inverted and checked
+(condition cutoffs, coalescing eigenvalues, C C^-1 = I, residual), once:
+the solver's own basis in ``eigendecompose_nonsymmetric``, or instead the
+spectral profile's, whose all-ones column is pinned before it is checked.
 """
 
 from __future__ import annotations
@@ -443,10 +443,20 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return c * np.array([np.conj(p) / abs(p) for p in pivots])
 
 
-def _eigenpairs(am: np.ndarray, scale: float):
-    """Sorted eigenvalues of the real matrix ``am`` and a phase-fixed unit
-    eigenvector per eigenvalue; the work arrays die on return, before the
-    caller inverts the basis."""
+def eigenpairs(a):
+    """Sorted eigenvalues of the nonzero real square matrix ``a`` and a
+    phase-fixed unit eigenvector per eigenvalue, not yet certified.
+
+    Conjugate pairs sit side by side with conjugate eigenvectors.  Each
+    cluster of eigenvalues within ``CLUSTER_TOL * ||a||_F`` is one
+    orthonormalized eigenspace, so the basis norms are intrinsic to the
+    matrix.  The work arrays die on return, before the basis is inverted.
+    """
+    am = as_matrix(a)
+    _require_square(am)
+    if np.any(am.imag != 0.0):
+        raise PreconditionError("eigendecomposition expects real entries")
+    scale = frobenius(am)
     eig, z, t = _real_schur(am.real, max_sweeps=100 * am.shape[0])
     c = _schur_eigenvectors(z, t, eig)
     # complex pairs are exactly conjugate already; near-real values go onto
@@ -472,29 +482,16 @@ def _eigenpairs(am: np.ndarray, scale: float):
 
 
 def eigendecompose_nonsymmetric(a) -> EigenDecomposition:
-    """Full eigendecomposition of a real square matrix.
-
-    Eigenvalues come from Hessenberg reduction plus Francis double-shift
-    QR; complex conjugate pairs are emitted adjacently with conjugate
-    eigenvectors.
-    Eigenvalues within ``CLUSTER_TOL * ||a||_F`` of each other are treated
-    as one eigenspace and that eigenspace is orthonormalized, so the basis
-    norms are intrinsic to the matrix.  Non-diagonalizable input raises
-    ``DefectiveMatrixError``.
-    """
+    """The ``eigenpairs`` of a real square matrix, certified once by
+    ``certify_eigenbasis``; the zero matrix gets the identity basis.
+    Non-diagonalizable input raises ``DefectiveMatrixError``."""
     am = as_matrix(a)
-    _require_square(am)
-    if np.any(am.imag != 0.0):
-        raise PreconditionError("eigendecomposition expects real entries")
     n = am.shape[0]
-    scale = frobenius(am)
-    if scale == 0.0:
+    if am.shape[1] == n and frobenius(am) == 0.0:
         eye = np.eye(n, dtype=complex)
         return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
                                   0.0, 1.0, 1.0)
-
-    vals, c = _eigenpairs(am, scale)
-    return certify_eigenbasis(am, vals, c)
+    return certify_eigenbasis(am, *eigenpairs(am))
 
 
 def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, PreconditionError
 from .graph import DirectedGraph, _period, _strong_levels
-from .linalg import certify_eigenbasis, eigendecompose_nonsymmetric
+from .linalg import certify_eigenbasis, eigenpairs
 
 if TYPE_CHECKING:
     from .linalg import EigenDecomposition
@@ -116,18 +116,17 @@ class SpectralProfile:
 def spectral_profile(t: TransitionMatrix) -> SpectralProfile:
     """Eigendecompose the walk matrix and derive rho, pi, and basis norms.
 
-    The eigenvector for the eigenvalue nearest 1 is replaced by the exact
-    analytic vector (1/sqrt(n)) * ones (valid because rows sum to 1) and
-    moved to the first column; this pinned basis, on which both bounds are
-    stated, then passes the solver's own certification
-    (``certify_eigenbasis``), which inverts it and yields its norms.  pi
-    comes first: it runs the strong connectivity and period checks for the
-    whole profile.
+    Of the solver's uncertified ``eigenpairs``, the eigenvector for the
+    eigenvalue nearest 1 is replaced by the exact analytic vector
+    (1/sqrt(n)) * ones (valid because rows sum to 1) and moved to the first
+    column.  Only this pinned basis, on which both bounds are stated, is
+    certified: one ``certify_eigenbasis`` call inverts it, checks it and
+    yields its norms.  pi comes first: it runs the strong connectivity and
+    period checks for the whole profile.
     """
     pi = stationary_distribution(t)
-    dec = eigendecompose_nonsymmetric(t.p)
+    vals, basis = eigenpairs(t.p)
     n = t.n
-    vals = dec.eigenvalues
     lead = int(np.argmin(np.abs(vals - 1.0)))
     perron_gap = float(abs(vals[lead] - 1.0))
     if perron_gap > 1e-10:
@@ -137,8 +136,8 @@ def spectral_profile(t: TransitionMatrix) -> SpectralProfile:
     order = [lead] + [i for i in range(n) if i != lead]
     vals = vals[order]
     # the column gather comes out F-ordered; a C-ordered copy makes the BLAS
-    # products round as they do on the solver's own basis
-    basis = dec.basis[:, order].copy()
+    # products round as they do in ``eigendecompose_nonsymmetric``
+    basis = basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
     adjusted = certify_eigenbasis(t.p, vals, basis)

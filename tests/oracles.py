@@ -22,7 +22,8 @@ symmetric k-regular graphs (``regular_degree``,
 ``second_adjacency_eigenvalue``, ``alon_chung_bound``,
 ``alon_chung_sweep`` and ``alon_toughness_bound``) are helpers no runtime
 path calls; they build on dgspec's graph constructor, spectral profile and
-mixing-sweep blocks.
+mixing-sweep blocks.  ``JORDAN_ARCS`` is a frozen input whose walk matrix
+is defective, checked with sympy.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ from dgspec.mixing import (
     subset_sums,
 )
 from dgspec.toughness import ZERO_RHO_TOL
+
+# A 4-vertex digraph whose walk matrix has characteristic polynomial
+# x (x - 1) (x + 1/2)^2 and a one-dimensional eigenspace at -1/2 (sympy).
+JORDAN_ARCS = [(0, 1), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)]
 
 
 def reachability(n: int, edges) -> list[list[bool]]:

@@ -29,8 +29,8 @@ from dgspec import (
 from dgspec import linalg
 from dgspec.linalg import frobenius
 
-from oracles import (cluster_indices_by_union_find, condition_number, determinant,
-                     eig_multiset_error, lu_solve, svd_condition_number)
+from oracles import (JORDAN_ARCS, cluster_indices_by_union_find, condition_number,
+                     determinant, eig_multiset_error, lu_solve, svd_condition_number)
 from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
@@ -41,10 +41,6 @@ CHORD_ROOTS = sorted(
      (-1 + cmath.sqrt(1 - 2)) / 2,
      (-1 - cmath.sqrt(1 - 2)) / 2],
     key=lambda z: (-abs(z), -z.real, -z.imag))
-
-# A 4-vertex digraph whose walk matrix has characteristic polynomial
-# x (x - 1) (x + 1/2)^2 and a one-dimensional eigenspace at -1/2 (sympy).
-JORDAN_ARCS = [(0, 1), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1)]
 
 
 def relabel(n, arcs, perm):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from dgspec import (
     stationary_distribution,
     undirected_cycle,
 )
+from dgspec import linalg
 from dgspec.cli import main
 
-from oracles import eml_symbol_check, left_perron_oracle
+from oracles import JORDAN_ARCS, eml_symbol_check, left_perron_oracle
 from strategies import cycle_plus_arcs
 
 
@@ -191,10 +194,42 @@ class TestSpectralProfile:
             profile_of(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
     def test_defective_rejected(self):
-        with pytest.raises(DefectiveMatrixError):
-            profile_of(de_bruijn(2, 2))
+        # the profile certifies only the pinned basis: the Jordan graph's
+        # split double eigenvalue -1/2 must still be caught there, under
+        # every relabeling
+        jordan = graph_from_edges(4, JORDAN_ARCS)
+        for g in [de_bruijn(2, 2)] + [permute(jordan, perm)
+                                       for perm in itertools.permutations(range(4))]:
+            with pytest.raises(DefectiveMatrixError):
+                profile_of(g)
 
-    def test_power_iteration_matches_dual_eigenvector(self, corpus_profiles):
+    def test_petersen_relabelings_are_accepted(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            prof = profile_of(permute(petersen(), rng.permutation(10).tolist()))
+            assert prof.kappa <= 1.0 + 1e-8  # orthonormal basis
+
+    def test_certifies_one_basis(self, monkeypatch):
+        # one inversion and one norm pair, on the pinned basis; the solver's
+        # own basis is never certified on the way
+        calls = dict.fromkeys(("invert", "operator_norm", "eigendecompose_nonsymmetric"), 0)
+        modules = [mod for name, mod in sys.modules.items()
+                   if name == "dgspec" or name.startswith("dgspec.")]
+        for name in calls:
+            fn = getattr(linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for attr in [a for a, obj in vars(mod).items() if obj is fn]:
+                    monkeypatch.setattr(mod, attr, counted)
+        t = build_transition_matrix(chord_cycle(6, [(0, 2), (1, 4)]))
+        spectral_profile(t)
+        assert calls == {"invert": 1, "operator_norm": 2, "eigendecompose_nonsymmetric": 0}
+
+    def test_gth_matches_dual_eigenvector(self, corpus_profiles):
         # two independent routes to pi: GTH elimination vs first row of C^-1
         for prof in corpus_profiles.values():
             row = prof.decomposition.basis_inverse[0] / np.sqrt(prof.n)
