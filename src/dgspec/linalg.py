@@ -8,7 +8,13 @@ Computations, 7.5-7.6): Householder reduction to a real Hessenberg form,
 then implicit Francis double-shift QR in real arithmetic that accumulates
 the real Schur form A = Z T Z^T (exceptional shifts on stagnation, and a
 normwise deflation floor of eps * ||H||_F), with each complex pair read
-exactly conjugate from its 2x2 block.  One complex rotation per 2x2 block
+exactly conjugate from its 2x2 block.  Each sweep chases its bulge through
+diagonal blocks of ``SWEEP_WINDOW`` rows, in a small local copy that also
+accumulates the block's orthogonal factor U, and U reaches the rest of H
+and Z by two matrix products per block: a chase step costs mostly
+interpreter overhead and slicing, which is cheaper on the small copy than
+on the full matrix (Braman, Byers & Mathias, SIAM J. Matrix Anal. Appl.
+23(4), 2002, part I, with one bulge).  One complex rotation per 2x2 block
 makes T triangular, back-substitution on T gives every eigenvector at once,
 Z takes them back to A's coordinates, each eigenvalue cluster is
 orthonormalized with a rank test, and each eigenvalue below the real axis
@@ -62,6 +68,10 @@ COALESCE_CUTOFF = 1e-4
 # with a smaller component orthogonal to the cluster's earlier ones is
 # dependent on them.
 _RANK_TOL = 1e-6
+
+# A Francis sweep chases its bulge in diagonal blocks of at most this many
+# rows and columns (``_francis_sweep``).
+SWEEP_WINDOW = 16
 
 
 def as_matrix(a) -> np.ndarray:
@@ -270,20 +280,100 @@ def _bulge_start(h: np.ndarray, lo: int, hi: int, stagnant: int):
             float(h10 * h21)]
 
 
+def _deflation_start(h: np.ndarray, hi: int, hnorm: float) -> int:
+    """The largest l in [1, hi) whose subdiagonal entry is negligible,
+    |h[l, l-1]| <= eps * max(|h[l-1, l-1]| + |h[l, l]|, hnorm), or 0: the
+    top of the active window that ends at ``hi``, in one array pass."""
+    d = np.abs(h.diagonal()[:hi])
+    small = np.abs(h.diagonal(-1)[:hi - 1]) <= _EPS * np.maximum(d[:-1] + d[1:], hnorm)
+    hits = np.flatnonzero(small)
+    return int(hits[-1]) + 1 if hits.size else 0
+
+
+def _francis_sweep(w: np.ndarray, lo: int, hi: int, x: list) -> None:
+    """One implicit double-shift sweep over the active window [lo, hi) of
+    the stacked (Z; H) array ``w``, in place: the 3-element Householder
+    bulge that ``x`` starts is chased down the window and off its end.
+
+    The chase runs in diagonal blocks [k0, k1) of at most ``SWEEP_WINDOW``
+    rows, k0 = k - 1 for the block's first step k (k0 = lo at the start).
+    The block is copied beneath an m x m identity U into one local (2m, m)
+    array, and each step's reflector acts on that array only: on its rows
+    up to the block's last column, and on its columns over U and the block
+    rows down to k + 3.  A block's last step is k1 - 4, so no step reaches
+    past the block; the last block ends the sweep at k = hi - 2, with a
+    2x2 reflector.  Then the block goes back into H, and U carries its
+    steps to the rest of those rows of H by one product U^T H[k0:k1, k1:],
+    and to Z and the rows of H above k0 by another.  A step costs
+    interpreter overhead plus slicing that grows with the arrays it
+    slices, so a step on the small block is cheaper than one on the full
+    (2n, n) array.
+    """
+    n = w.shape[1]
+    h = w[n:]
+    # column-major, so the column update slices contiguous columns
+    block = np.empty((2 * SWEEP_WINDOW, SWEEP_WINDOW), order="F")
+    k = k0 = lo
+    while True:
+        k1 = min(k0 + SWEEP_WINDOW, hi)
+        m = k1 - k0
+        b = block[:2 * m, :m]
+        b[:m] = np.eye(m)
+        b[m:] = h[k0:k1, k0:k1]
+        end = hi - 1 if k1 == hi else k1 - 3
+        # slices clip at the block's edge, which is hi in the last block:
+        # there the last step, k = hi - 2, takes a 2x2 reflector
+        for k in range(k, end):
+            c = k - k0  # the block column of k; its block row is j
+            j = m + c
+            if k > lo:
+                x = b[j:j + 3, c - 1].tolist()
+            alpha = x[0]
+            xnorm = math.hypot(*x[1:])
+            if xnorm == 0.0:
+                continue
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            # the reflector I - tau v v^T, v = (1, v1, v2), maps x to (beta, 0, 0)
+            tau = (beta - alpha) / beta
+            v1 = x[1] / (alpha - beta)
+            v2 = x[2] / (alpha - beta) if len(x) == 3 else 0.0
+            t1, t2 = tau * v1, tau * v2
+            r = np.array((1.0 - tau, -t1, -t2,
+                          -t1, 1.0 - t1 * v1, -t1 * v2,
+                          -t2, -t2 * v1, 1.0 - t2 * v2)).reshape(3, 3)
+            if len(x) < 3:
+                r = r[:2, :2]
+            if k > lo:
+                b[j, c - 1] = beta
+                b[j + 1:j + 3, c - 1] = 0.0
+            y = b[j:j + 3, c:]
+            y[...] = np.dot(r, y)
+            y = b[:j + 4, c:c + 3]
+            y[...] = np.dot(y, r)
+        u = b[:m]
+        h[k0:k1, k0:k1] = b[m:]
+        h[k0:k1, k1:] = np.dot(u.T, h[k0:k1, k1:])
+        w[:n + k0, k0:k1] = np.dot(w[:n + k0, k0:k1], u)
+        if k1 == hi:
+            return
+        k, k0 = end, end - 1
+
+
 def _real_schur(a: np.ndarray, max_sweeps: int):
     """Real Schur form A = Z T Z^T of the real square ``a``; returns the
     eigenvalues by diagonal position of T, Z and T.
 
     Householder reduction to Hessenberg form, then implicit Francis
     double-shift QR on the active window [lo, hi).  Z is stacked above H
-    in one (2n, n) array, so each reflector's column update is one slice
-    that covers Z and the rows of H above the bulge; its row update runs
-    to the last column, which leaves T quasi-triangular.  Each sweep
-    chases one 3-element Householder bulge down the window, every
-    reflector acting as one 3x3 product.  A subdiagonal entry deflates when
-    it is at most eps times its two diagonal neighbours or, as a floor,
-    eps * ||H||_F: without the floor a window of lambda*I plus roundoff
-    never deflates.
+    in one (2n, n) array; each sweep (``_francis_sweep``) chases one
+    3-element Householder bulge down the window on a small copy of one
+    diagonal block at a time, whose accumulated orthogonal factor then
+    updates the rest of H and Z in two products (a step's slicing costs
+    less on the small copy), and leaves T quasi-triangular.  A subdiagonal
+    entry deflates when it is at most eps times its two diagonal
+    neighbours or, as a floor, eps * ||H||_F: without the floor a window
+    of lambda*I plus roundoff never deflates.  One array pass
+    (``_deflation_start``) finds the top of the window.
     """
     h, reflectors = _hessenberg(a)
     n = h.shape[0]
@@ -295,13 +385,9 @@ def _real_schur(a: np.ndarray, max_sweeps: int):
     total = 0
     stagnant = 0
     while hi > 0:
-        lo = hi - 1
-        while lo > 0:
-            s = max(abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]), hnorm)
-            if abs(h[lo, lo - 1]) <= _EPS * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
+        lo = _deflation_start(h, hi, hnorm)
+        if lo:
+            h[lo, lo - 1] = 0.0
         if lo == hi - 1:
             eig[lo] = h[lo, lo]
             hi -= 1
@@ -318,30 +404,7 @@ def _real_schur(a: np.ndarray, max_sweeps: int):
         if total > max_sweeps:
             raise ConvergenceError(
                 f"QR iteration exceeded {max_sweeps} sweeps without deflating")
-        x = _bulge_start(h, lo, hi, stagnant)
-        for k in range(lo, hi - 1):
-            nr = min(3, hi - k)
-            if k > lo:
-                x = h[k:k + nr, k - 1].tolist()
-            alpha = x[0]
-            xnorm = math.hypot(*x[1:nr])
-            if xnorm == 0.0:
-                continue
-            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-            # the reflector I - tau v v^T, v = (1, v1, v2), maps x to (beta, 0, 0)
-            tau = (beta - alpha) / beta
-            v1 = x[1] / (alpha - beta)
-            v2 = x[2] / (alpha - beta) if nr == 3 else 0.0
-            t1, t2 = tau * v1, tau * v2
-            r = np.array([[1.0 - tau, -t1, -t2],
-                          [-t1, 1.0 - t1 * v1, -t1 * v2],
-                          [-t2, -t2 * v1, 1.0 - t2 * v2]])[:nr, :nr]
-            if k > lo:
-                h[k, k - 1] = beta
-                h[k + 1:k + nr, k - 1] = 0.0
-            h[k:k + nr, k:] = r @ h[k:k + nr, k:]
-            rows = n + min(k + 4, hi)
-            w[:rows, k:k + nr] = w[:rows, k:k + nr] @ r
+        _francis_sweep(w, lo, hi, _bulge_start(h, lo, hi, stagnant))
     return eig, w[:n], h
 
 

@@ -20,7 +20,7 @@ from .markov import SpectralProfile
 
 INFINITE = math.inf
 
-ENUMERATION_CAP = 20
+ENUMERATION_CAP = 22
 
 # removal sets whose components are counted in one batch
 MASK_CHUNK = 1 << 14

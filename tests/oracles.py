@@ -13,6 +13,10 @@ check those routines too.  So do ``eml_lhs``, ``eml_bound`` and
 sweep the plain way: row blocks in mask order, every row summed bit by bit.
 ``cluster_indices_by_union_find`` groups eigenvalues by a pairwise
 union-find, the reference for the solver's label propagation.
+``francis_sweep_scalar`` is the QR sweep the blockwise chase replaced: each
+reflector applied to the full rows and columns of H and Z, one at a time;
+``deflation_start_scalar`` is the scalar scan for the top of the active
+window.
 ``toughness_by_gosper`` is the scalar enumeration the batched toughness
 path replaced: one mask at a time in Gosper order, each counted by its own
 scalar bitmask peel (``scc_count_by_peeling``), fast enough to judge the
@@ -29,6 +33,7 @@ is defective, checked with sympy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -272,6 +277,53 @@ def cluster_indices_by_union_find(vals, radius: float) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return [sorted(g) for g in groups.values()]
+
+
+def deflation_start_scalar(h, hi: int, hnorm: float) -> int:
+    """The top of the active window ending at ``hi``, by the scalar scan
+    up from hi - 1: the reference for ``linalg._deflation_start``."""
+    lo = hi - 1
+    while lo > 0:
+        s = max(abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]), hnorm)
+        if abs(h[lo, lo - 1]) <= np.finfo(np.float64).eps * s:
+            break
+        lo -= 1
+    return lo
+
+
+def francis_sweep_scalar(w, lo: int, hi: int, x: list) -> list[float]:
+    """One double-shift sweep over [lo, hi) of the stacked (Z; H) array
+    ``w``, in place, every 3x3 reflector applied to the full rows and
+    columns it touches: the reference for the blockwise
+    ``linalg._francis_sweep``.  Returns the norm of each bulge vector it
+    reflected."""
+    n = w.shape[1]
+    h = w[n:]
+    norms = []
+    for k in range(lo, hi - 1):
+        nr = min(3, hi - k)
+        if k > lo:
+            x = h[k:k + nr, k - 1].tolist()
+        alpha = x[0]
+        xnorm = math.hypot(*x[1:nr])
+        if xnorm == 0.0:
+            continue
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        norms.append(abs(beta))
+        tau = (beta - alpha) / beta
+        v1 = x[1] / (alpha - beta)
+        v2 = x[2] / (alpha - beta) if nr == 3 else 0.0
+        t1, t2 = tau * v1, tau * v2
+        r = np.array([[1.0 - tau, -t1, -t2],
+                      [-t1, 1.0 - t1 * v1, -t1 * v2],
+                      [-t2, -t2 * v1, 1.0 - t2 * v2]])[:nr, :nr]
+        if k > lo:
+            h[k, k - 1] = beta
+            h[k + 1:k + nr, k - 1] = 0.0
+        h[k:k + nr, k:] = r @ h[k:k + nr, k:]
+        rows = n + min(k + 4, hi)
+        w[:rows, k:k + nr] = w[:rows, k:k + nr] @ r
+    return norms
 
 
 def svd_condition_number(c) -> float:

@@ -101,17 +101,21 @@ def test_criterion_2_classical_reduction():
         assert sweep.violations == 0
         assert sweep.max_violation <= 1e-9
 
-        # per-pair coincidence: k * (asymmetric bound) vs classical bound
+        # per-pair coincidence: k * (asymmetric bound) vs classical bound,
+        # compared squared: at U or W in {empty, V} both forms are rounding
+        # noise, whose square root is ~1e-7, while its square is ~1e-30
         profile = spectral_profile(build_transition_matrix(g))
+        assert abs(profile.norm_c - 1) <= 1e-12
+        assert abs(profile.norm_c_inv - 1) <= 1e-12
         n = g.n
         pc = popcount_table(n).astype(float)
         pi_sums = mask_sums(profile.pi)
         fac_u = np.maximum(profile.norm_c ** 2 * pc - pc ** 2 / n, 0.0)
         fac_w = np.maximum(profile.norm_c_inv ** 2 * pc - pi_sums ** 2 * n, 0.0)
-        asym = k * profile.rho * np.sqrt(np.outer(fac_u, fac_w))
-        edge_form = np.sqrt(np.maximum(pc * (1 - pc / n), 0.0))
-        classical = mu * np.outer(edge_form, edge_form)
-        assert float(np.max(np.abs(asym - classical))) <= 1e-8
+        asym_sq = (k * profile.rho) ** 2 * np.outer(fac_u, fac_w)
+        edge_form_sq = np.maximum(pc * (1 - pc / n), 0.0)
+        classical_sq = mu ** 2 * np.outer(edge_form_sq, edge_form_sq)
+        assert float(np.max(np.abs(asym_sq - classical_sq))) <= 1e-12
 
 
 @criterion(3, "closed-form spectral values and kappa = 1 on symmetric inputs")

@@ -274,6 +274,41 @@ class TestToughness:
         assert message in err and "Traceback" not in err
 
 
+class TestEnumerationCap:
+    @staticmethod
+    def cycle_file(tmp_path, n):
+        # the undirected n-cycle, arcs i -> i + 1 first, so vertex i gets index i
+        arcs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+        path = tmp_path / f"cycle{n}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in arcs))
+        return str(path)
+
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_exact_up_to_the_cap(self, capsys, tmp_path, n):
+        code, out, _ = run(capsys, "toughness", "exact", self.cycle_file(tmp_path, n),
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["value"], payload["witness"], payload["component_count"]) == \
+            (1.0, [0, 2], 2)
+
+    def test_past_the_cap_is_precondition(self, capsys, tmp_path):
+        code, out, err = run(capsys, "toughness", "exact", self.cycle_file(tmp_path, 23))
+        assert (code, out) == (3, "")
+        assert "enumeration cap 22" in err
+
+    def test_allow_large_past_the_cap(self, capsys, tmp_path):
+        # removing vertex 0 leaves 22 singletons: the search stops at size 2
+        path = str(tmp_path / "chord23.txt")
+        run(capsys, "generate", "chord_cycle", "23", "-o", path)
+        code, out, _ = run(capsys, "toughness", "exact", path, "--allow-large",
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["value"], payload["witness"], payload["component_count"]) == \
+            (1 / 22, [0], 22)
+
+
 class TestGenerate:
     def test_writes_canonical_file(self, capsys, tmp_path):
         out_file = tmp_path / "c5.txt"
