@@ -45,7 +45,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # A fixed seed keeps the norm estimator deterministic.
 _NORM_SEED = 0x0B5E_55ED
 
-# operator_norm stops at this relative residual or after this many steps.
+# operator_norm accepts at this relative residual, and raises after this many steps.
 _NORM_REL_TOL = 1e-11
 _NORM_MAX_ITER = 100_000
 
@@ -155,7 +155,10 @@ def operator_norm(a) -> float:
     [theta - r, theta + r] and theta never exceeds the true maximum, so
     the returned sqrt(theta) carries relative error at most ~_NORM_REL_TOL.
     Near-degenerate top singular values converge through the same
-    criterion because the quotient lands inside the top cluster.
+    criterion because the quotient lands inside the top cluster.  Without
+    acceptance within ``_NORM_MAX_ITER`` steps it raises
+    ``ConvergenceError``: the quotient there may still lie below the norm,
+    and a norm too low makes the mixing and toughness bounds unsound.
     """
     am = as_matrix(a)
     b = am.conj().T @ am
@@ -163,7 +166,6 @@ def operator_norm(a) -> float:
     rng = np.random.Generator(np.random.PCG64(_NORM_SEED))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.sqrt(np.sum(np.abs(x) ** 2))
-    theta = 0.0
     for _ in range(_NORM_MAX_ITER):
         y = b @ x
         theta = float((x.conj() @ y).real)
@@ -174,8 +176,9 @@ def operator_norm(a) -> float:
         if ny == 0.0:
             return 0.0
         x = y / ny
-    # Rayleigh quotients only grow under power iteration: best lower bound.
-    return float(np.sqrt(max(theta, 0.0)))
+    raise ConvergenceError(
+        f"operator norm not certified after {_NORM_MAX_ITER} power steps: "
+        f"Rayleigh quotient {theta:.6e}, residual {r:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +204,6 @@ class EigenDecomposition:
     def __post_init__(self):
         for arr in (self.eigenvalues, self.basis, self.basis_inverse):
             arr.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _hessenberg(a: np.ndarray):

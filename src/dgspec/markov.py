@@ -108,10 +108,6 @@ class SpectralProfile:
     def n(self) -> int:
         return self.transition.n
 
-    @property
-    def graph(self) -> DirectedGraph:
-        return self.transition.graph
-
 
 def spectral_profile(t: TransitionMatrix) -> SpectralProfile:
     """Eigendecompose the walk matrix and derive rho, pi, and basis norms.

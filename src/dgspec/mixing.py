@@ -11,14 +11,15 @@ Masses come in blocks of consecutive masks U, each block an earlier block
 plus one row of the subset-sum table, and the worst pair of a block is its
 first minimum, since rows ascend in U and columns in W.  From n = 12 the
 masks U split into one share per CPU the process may run on: every share
-but the first is swept in a forked child, and the merge of the shares
-gives the serial sweep's report bit for bit.  An n = 13 sweep (6.7e7
-pairs) takes about 0.73 s in one process and 0.38 s on 2 CPUs of an Intel
-Xeon.
+but the first is swept in a forked child, which writes its results into a
+mapping it shares with the parent, and the merge of the shares gives the
+serial sweep's report bit for bit.  An n = 13 sweep (6.7e7 pairs) takes
+about 0.73 s in one process and 0.38 s on 2 CPUs of an Intel Xeon.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -423,10 +424,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                 acc.add_rows((first + u).tolist(), (start + w).tolist(), lhs, rows_bound,
                              rows_simple, slack)
 
-    row_sums = np.empty(pc.size - start)
-    share_of_row = (np.arange(start, pc.size) >> low) % (1 << bits)
-    _sweep_shares(sweep, 1 << bits, share_of_row, acc, row_sums)
-    acc.add_row_sums(row_sums)
+    acc.add_row_sums(_sweep_shares(sweep, 1 << bits, acc, pc.size - start))
     acc.rows.sort()  # the blocks came out of u order
 
 
@@ -444,73 +442,50 @@ def _share_bits(n: int) -> int:
     return max(0, min(cpus.bit_length() - 1, 2 * n + 1 - MIN_SHARE_PAIRS.bit_length()))
 
 
-def _sweep_shares(sweep, shares: int, share_of_row: np.ndarray, acc: _SweepAccumulator,
-                  row_sums: np.ndarray):
+def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator, rows: int) -> np.ndarray:
     """``sweep(share, acc, row_sums)`` for every share in range(shares), as
-    one serial sweep would fold them.  Share 0 runs here and every other
-    one in a forked child, which sends its accumulator's scalars and its
-    rows of ``row_sums`` (where ``share_of_row`` is the share) back through
-    a pipe.  A share whose fork fails, or whose child exits non-zero or
-    sends less, runs here too.  No child outlives the call: on an
+    one serial sweep would fold them, into ``rows`` row sums, returned.
+    Share 0 runs here and every other one in a forked child.  The row sums
+    and one slot per share lie in one anonymous shared mapping: a child
+    writes its rows of the sums in place, then its accumulator's
+    ``scalars()`` into its slot, and last the slot's done mark.  Once every
+    child is reaped, the marked slots are merged and every unmarked share
+    (its fork failed, or its child raised, left early or was killed) runs
+    here, over any rows its child wrote.  No child outlives the call: on an
     exception here the children left are killed and reaped."""
-    children = []  # (share, pid, read end of its pipe)
-    own = [0]
+    k = len(acc.scalars())
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (rows + shares * (k + 1))))
+    row_sums, slots = shared[:rows], shared[rows:].reshape(shares, k + 1)
+    children = []
     try:
         for share in range(1, shares):
-            child = _fork_share(sweep, share, share_of_row == share, row_sums.size)
-            if child is None:
-                own.append(share)
-            else:
-                children.append((share, *child))
-        for share in own:
-            sweep(share, acc, row_sums)
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                try:
+                    child = _SweepAccumulator(keep_rows=False)
+                    sweep(share, child, row_sums)
+                    slots[share, :k] = child.scalars()
+                    slots[share, k] = 1.0
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        sweep(0, acc, row_sums)
         while children:
-            share, pid, read = children[-1]
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            os.waitpid(children[-1], 0)
             children.pop()
-            os.close(read)
-            rows, k = share_of_row == share, len(acc.scalars())
-            if status == 0 and len(data) == 8 * (k + np.count_nonzero(rows)):
-                values = np.frombuffer(data)
-                acc.merge(values[:k].tolist())
-                row_sums[rows] = values[k:]
+        for share in range(1, shares):
+            if slots[share, k]:
+                acc.merge(slots[share, :k].tolist())
             else:
                 sweep(share, acc, row_sums)
     finally:
-        for _, pid, read in children:
+        for pid in children:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-            os.close(read)
-
-
-def _fork_share(sweep, share: int, rows: np.ndarray, size: int):
-    """Fork a child that runs ``sweep`` on ``share`` into a fresh
-    accumulator and a row-sum array of ``size``, writes the accumulator's
-    ``scalars()`` and the sums at ``rows`` to a pipe as float64, and leaves
-    by ``os._exit`` (status 1 on any exception).  Returns (pid, read end)
-    in the parent, or None where the fork fails."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        acc, row_sums = _SweepAccumulator(keep_rows=False), np.empty(size)
-        sweep(share, acc, row_sums)
-        with open(write, "wb") as pipe:
-            pipe.write(np.concatenate((acc.scalars(), row_sums[rows])).tobytes())
-        status = 0
-    finally:
-        os._exit(status)
+    return row_sums
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:

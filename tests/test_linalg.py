@@ -142,6 +142,13 @@ class TestOperatorNorm:
             ref = float(np.linalg.svd(a, compute_uv=False)[0])
             assert operator_norm(a) == pytest.approx(ref, rel=1e-9)
 
+    def test_step_cap_raises_instead_of_an_uncertified_value(self, monkeypatch):
+        # a^T a has top eigenvalues 1 and 1 - 2e-9, which power steps barely
+        # separate: after 200 of them the residual is far above the tolerance
+        monkeypatch.setattr(linalg, "_NORM_MAX_ITER", 200)
+        with pytest.raises(ConvergenceError, match="not certified after 200"):
+            operator_norm(np.diag([1.0, 1.0 - 1e-9, 0.5]))
+
 
 class TestConditionNumber:
     def test_unitary_is_one(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import signal
 import threading
 import time
 
@@ -478,23 +479,40 @@ class TestShardedSweep:
         assert report == serial
         assert_no_child_left()
 
-    @pytest.mark.parametrize("failure", ["raises", "writes_nothing"])
+    @pytest.mark.parametrize("failure", ["raises", "writes_nothing", "killed",
+                                         "fails_before_mark"])
     def test_shard_failed_child_is_swept_here(self, monkeypatch, failure):
-        # a child that raises exits 1; one that leaves early exits 0 unheard
+        # a child that raises, leaves early, is killed mid-sweep or fails
+        # after its row sums but before its done mark leaves its slot
+        # unmarked; the last two have written skewed row sums, which the
+        # sweep here must overwrite for the report to match
         profile = sweep_profile()
         serial = verify_eml(profile)
         parent, swept_here = os.getpid(), []
-        real = mixing._mass_blocks
+        real, real_scalars = mixing._mass_blocks, mixing._SweepAccumulator.scalars
 
         def blocks(table, start, share, bits):
-            if os.getpid() != parent:
-                if failure == "raises":
-                    raise RuntimeError("child failure")
+            if os.getpid() == parent:
+                swept_here.append(share)
+                yield from real(table, start, share, bits)
+                return
+            if failure == "raises":
+                raise RuntimeError("child failure")
+            if failure == "writes_nothing":
                 os._exit(0)
-            swept_here.append(share)
-            return real(table, start, share, bits)
+            for first, sums in real(table, start, share, bits):
+                yield first, sums + 1.0
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        def scalars(acc):
+            if os.getpid() != parent:
+                raise RuntimeError("child failure before its done mark")
+            return real_scalars(acc)
 
         monkeypatch.setattr(mixing, "_mass_blocks", blocks)
+        if failure == "fails_before_mark":
+            monkeypatch.setattr(mixing._SweepAccumulator, "scalars", scalars)
         report, forks = sweep_in_shares(profile, 4, monkeypatch)
         assert forks == 3
         assert sorted(swept_here) == [0, 1, 2, 3]
