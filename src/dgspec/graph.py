@@ -36,12 +36,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def out_degree(self, v: int) -> int:
-        return sum(1 for t, _ in self.edges if t == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, h in self.edges if h == v)
-
     def neighbour_masks(self) -> tuple[list[int], list[int]]:
         """Out- and in-neighbour sets as bitmasks, indexed by vertex."""
         out_nb = [0] * self.n

@@ -210,7 +210,7 @@ def eml_pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
 
 @dataclass(frozen=True)
 class EmlReport:
-    """Aggregate of a mixing-inequality sweep.
+    """Aggregate of a mixing-inequality sweep; it keeps no per-pair values.
 
     Slack is bound minus deviation, so negative slack is a violation;
     ``max_violation`` is the most negative slack observed across both the
@@ -238,13 +238,11 @@ class EmlReport:
     simple_violations: int
     worst_pair: SubsetPair
     passed: bool
-    rows: Optional[tuple] = None
 
 
 class _SweepAccumulator:
-    def __init__(self, keep_rows: bool):
+    def __init__(self):
         self.slack_tol = SLACK_TOL
-        self.keep_rows = keep_rows
         self.pair_count = 0
         self.slack_sum = 0.0
         self.min_slack = np.inf
@@ -255,7 +253,6 @@ class _SweepAccumulator:
         self.tightness = 0.0
         self.thm_viol = 0
         self.simple_viol = 0
-        self.rows: list[tuple] = []
 
     def fold(self, lhs: np.ndarray, lhs_stmt: np.ndarray, bound: np.ndarray,
              bound_simple: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, int]:
@@ -304,16 +301,10 @@ class _SweepAccumulator:
         order, so the total does not depend on how rows fell into blocks."""
         self.slack_sum = float(np.cumsum(np.concatenate(([self.slack_sum], sums)))[-1])
 
-    def add_rows(self, u: list, w: list, lhs: np.ndarray, bound: np.ndarray,
-                 bound_simple: np.ndarray, slack: np.ndarray):
-        self.rows += zip(u, w, lhs.ravel().tolist(), bound.ravel().tolist(),
-                         bound_simple.ravel().tolist(), slack.ravel().tolist())
-
-    def add_block(self, members, lhs: np.ndarray, lhs_stmt: np.ndarray,
-                  bound: np.ndarray, bound_simple: np.ndarray):
-        """Fold in a block of pairs in draw order, one pair per row.
-        ``members(idx)`` gives the 0/1 membership rows of U and W of the
-        pairs at flat indices ``idx``."""
+    def add_block(self, u: np.ndarray, w: np.ndarray, lhs: np.ndarray,
+                  lhs_stmt: np.ndarray, bound: np.ndarray, bound_simple: np.ndarray):
+        """Fold in a block of pairs in draw order, one pair per row, whose
+        U and W are the 0/1 membership rows ``u`` and ``w``."""
         slack, j = self.fold(lhs, lhs_stmt, bound, bound_simple, _divisor(bound))
         self.add_row_sums(slack.sum(axis=1))
         self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
@@ -321,12 +312,10 @@ class _SweepAccumulator:
         if flat[j] <= self.worst[0]:
             # the worst pair is the smallest (slack, u, w); lexsort's last
             # key, the top vertex of U, is its primary one
-            u, w = members(np.flatnonzero(flat == flat[j]))
+            ties = np.flatnonzero(flat == flat[j])
+            u, w = u[ties], w[ties]
             k = np.lexsort(np.hstack([w, u]).T)[:1]
             self.worst = min(self.worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
-        if self.keep_rows:
-            u, w = members(np.arange(flat.size))
-            self.add_rows(_masks(u), _masks(w), lhs, bound, bound_simple, slack)
 
     def report(self, n: int, policy: str, sample_count, seed,
                nonempty_only) -> EmlReport:
@@ -350,7 +339,6 @@ class _SweepAccumulator:
             simple_violations=self.simple_viol,
             worst_pair=SubsetPair(*self.worst[1:]),
             passed=max_violation <= self.slack_tol,
-            rows=tuple(self.rows) if self.keep_rows else None,
         )
 
 
@@ -362,17 +350,16 @@ def check_exhaustive_cap(n: int):
 
 
 def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
-               seed: int = 0, nonempty_only: bool = False,
-               keep_rows: bool = False) -> EmlReport:
-    """Sweep subset pairs and check both bound forms against the deviation.
+               seed: int = 0, nonempty_only: bool = False) -> EmlReport:
+    """Sweep subset pairs and check both bound forms against the deviation,
+    folding every pair into the report's aggregates as it goes.
 
     ``sample=None`` enumerates all 4^n pairs (n capped); otherwise that
     many pairs are drawn from a PCG64 stream seeded with ``seed``.
+    ``eml_pair_values`` gives the values of one pair.
     """
     n = profile.n
-    if keep_rows and n > 8:
-        raise PreconditionError("per-pair rows are only kept for n <= 8")
-    acc = _SweepAccumulator(keep_rows)
+    acc = _SweepAccumulator()
     if sample is None:
         check_exhaustive_cap(n)
         _sweep_exhaustive(profile, nonempty_only, acc)
@@ -401,7 +388,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     acc.gap_min = float((bound_simple - bound)[size_u[..., 0] >= start].min())
     divisor = _divisor(bound)
     table = subset_sums(profile.transition.p)[:, start:]
-    bits = 0 if acc.keep_rows else _share_bits(n)
+    bits = _share_bits(n)
 
     def sweep(share: int, acc: _SweepAccumulator, row_sums: np.ndarray):
         """Fold the pairs of ``share`` into acc and put their row slack
@@ -412,20 +399,15 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                                         pi_w, mass)
             i = first % (1 << low)  # > 0 only for the block that starts at u = 1
             h, rows = int(pc[first - i]), slice(i, i + len(mass))
-            rows_bound, rows_simple = bound[h, rows], bound_simple[h, rows]
-            slack, j = acc.fold(lhs, lhs_stmt, rows_bound, rows_simple, divisor[h, rows])
+            slack, j = acc.fold(lhs, lhs_stmt, bound[h, rows], bound_simple[h, rows],
+                                divisor[h, rows])
             row_sums[first - start:last - start] = slack.sum(axis=1)
             # rows ascend in u and columns in w: the first minimum is the
             # block's smallest (slack, u, w)
             u, w = divmod(j, cols)
             acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
-            if acc.keep_rows:
-                u, w = np.divmod(np.arange(slack.size), cols)
-                acc.add_rows((first + u).tolist(), (start + w).tolist(), lhs, rows_bound,
-                             rows_simple, slack)
 
     acc.add_row_sums(_sweep_shares(sweep, 1 << bits, acc, pc.size - start))
-    acc.rows.sort()  # the blocks came out of u order
 
 
 def _share_bits(n: int) -> int:
@@ -465,7 +447,7 @@ def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator, rows: int) -> np.n
                 continue
             if pid == 0:
                 try:
-                    child = _SweepAccumulator(keep_rows=False)
+                    child = _SweepAccumulator()
                     sweep(share, child, row_sums)
                     slots[share, :k] = child.scalars()
                     slots[share, k] = 1.0
@@ -514,4 +496,4 @@ def _sweep_sampled(profile: SpectralProfile, count: int, seed: int,
         pairs = _draw_pairs(rng, profile.n, 1 if nonempty_only else 0,
                             min(block, count - done))
         u, w = pairs[:, 0], pairs[:, 1]
-        acc.add_block(lambda idx: (u[idx], w[idx]), *_block_values(profile, u, w))
+        acc.add_block(u, w, *_block_values(profile, u, w))

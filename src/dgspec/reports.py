@@ -8,18 +8,17 @@ declaration order, and ``_HEADERS`` gives each report class its
 stay native (their repr round-trips doubles exactly) except infinities,
 which become the strings "infinite" / "-infinite"; complex numbers become
 {"re": ..., "im": ...}; vertex tuples become lists; subset pairs become
-{"u": [...], "w": [...]}; nested reports become objects.  Decoding follows
-the fields' type hints, so ``report_from_json`` inverts the JSON form
-exactly.  CSV writes one header and one row with the same cell codec
-(vertex tuples space-separated, None empty).
+{"u": [...], "w": [...]}.  Decoding follows the fields' type hints, so
+``report_from_json`` inverts the JSON form exactly.  CSV writes one header
+and one row with the same cell codec (vertex tuples space-separated, None
+empty).  A report holds only what its command computes.
 
 The shapes the walk does not produce by itself are spelled out here: the
 "graph" / "spectral" groups of the analysis report (field metadata), the
-comparison's ``exact`` nested without a header, sweep rows as objects,
-generator params as an object and not in CSV, the analysis CSV's
-``eig{i}_re``, ``eig{i}_im`` and ``pi{i}`` columns at the end, and the
-``spectral_bound`` column of the bound-only CSV.  Text output (7
-significant digits) is laid out by hand.
+comparison's ``exact`` nested without a header, generator params as an
+object and not in CSV, the analysis CSV's ``eig{i}_re``, ``eig{i}_im`` and
+``pi{i}`` columns at the end, and the ``spectral_bound`` column of the
+bound-only CSV.  Text output (7 significant digits) is laid out by hand.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import PreconditionError
 from .graph import DirectedGraph
 from .markov import SpectralProfile
-from .mixing import EmlReport, SubsetPair, indices_from_mask, mask_from_indices
+from .mixing import EmlReport, SubsetPair
 from .toughness import BoundComparison, ToughnessResult
 
 FORMATS = ("text", "json", "csv")
@@ -62,13 +61,9 @@ class AnalysisReport:
     norm_c_inv: float = field(metadata=_SPECTRAL)
     kappa: float = field(metadata=_SPECTRAL)
     residual: float = field(metadata=_SPECTRAL)
-    eml: Optional[EmlReport] = None
-    toughness: Optional[BoundComparison] = None
 
 
-def analysis_report(g: DirectedGraph, profile: SpectralProfile,
-                    eml: Optional[EmlReport] = None,
-                    toughness: Optional[BoundComparison] = None) -> AnalysisReport:
+def analysis_report(g: DirectedGraph, profile: SpectralProfile) -> AnalysisReport:
     """The profile's eigenvalues are already in canonical order, and a
     profile exists only for strongly connected graphs of period 1."""
     return AnalysisReport(
@@ -85,8 +80,6 @@ def analysis_report(g: DirectedGraph, profile: SpectralProfile,
         norm_c_inv=profile.norm_c_inv,
         kappa=profile.kappa,
         residual=profile.decomposition.residual,
-        eml=eml,
-        toughness=toughness,
     )
 
 
@@ -131,9 +124,6 @@ _HEADERS = {
     GenerateReport: {"report": "generate"},
 }
 
-# keys of the JSON objects for EmlReport.rows entries, in tuple order
-_ROW_KEYS = ("u", "w", "lhs", "bound", "bound_simple", "slack")
-
 
 def _header(report) -> dict:
     try:
@@ -155,10 +145,6 @@ def _num(x: float):
 def _json_value(name: str, x):
     if x is None:
         return None
-    if name == "rows":
-        return [dict(zip(_ROW_KEYS, (list(indices_from_mask(u)),
-                                     list(indices_from_mask(w)), *rest)))
-                for u, w, *rest in x]
     if name == "params":
         return dict(x)
     if name == "exact":
@@ -171,8 +157,6 @@ def _json_value(name: str, x):
         return {"u": list(x.u_indices), "w": list(x.w_indices)}
     if isinstance(x, tuple):
         return [_json_value(name, v) for v in x]
-    if type(x) in _HEADERS:
-        return to_jsonable(x)
     return x
 
 
@@ -198,9 +182,6 @@ def _decode(name: str, hint, x):
         return None
     if get_origin(hint) is Union:  # Optional[...]
         hint = get_args(hint)[0]
-    if name == "rows":
-        return tuple((mask_from_indices(r["u"]), mask_from_indices(r["w"]),
-                      *(r[k] for k in _ROW_KEYS[2:])) for r in x)
     if name == "params":
         return tuple(x.items())
     if hint is float:
@@ -221,8 +202,7 @@ def _from_fields(cls, d: dict):
     kwargs = {}
     for f in fields(cls):
         src = d[f.metadata["group"]] if "group" in f.metadata else d
-        if f.name in src or f.default is MISSING:
-            kwargs[f.name] = _decode(f.name, hints[f.name], src[f.name])
+        kwargs[f.name] = _decode(f.name, hints[f.name], src[f.name])
     return cls(**kwargs)
 
 
@@ -259,12 +239,6 @@ def to_text(report, verbosity: int = 0) -> str:
         lines.append(f"norm_c     = {_f(report.norm_c)}   norm_c_inv = {_f(report.norm_c_inv)}")
         lines.append(f"kappa      = {_f(report.kappa)}")
         lines.append(f"residual   = {_f(report.residual)}")
-        if report.eml:
-            lines.append("")
-            lines.append(to_text(report.eml, verbosity).rstrip())
-        if report.toughness:
-            lines.append("")
-            lines.append(to_text(report.toughness, verbosity).rstrip())
     elif isinstance(report, EmlReport):
         lines.append(f"mixing sweep: n={report.n} policy={report.policy} "
                      f"pairs={report.pair_count} nonempty_only={report.nonempty_only}")
@@ -320,8 +294,8 @@ def to_text(report, verbosity: int = 0) -> str:
 # CSV (one header, one row; column orders in README)
 # ---------------------------------------------------------------------------
 
-# fields that hold lists or nested reports and have no CSV column
-_CSV_OMITTED = ("eigenvalues", "pi", "eml", "toughness", "rows", "params")
+# fields that hold lists and have no CSV column
+_CSV_OMITTED = ("eigenvalues", "pi", "params")
 
 
 def _csv_columns(report, prefix: str = ""):

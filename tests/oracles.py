@@ -393,12 +393,14 @@ def _row_blocks(table: np.ndarray, start: int):
 
 
 def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
-                               slack_tol: float = 1e-9,
-                               keep_rows: bool = False) -> EmlReport:
+                               slack_tol: float = 1e-9, with_rows: bool = False
+                               ) -> tuple[EmlReport, Optional[list]]:
     """``verify_eml(profile)``'s report, from blocks of whole rows in mask
     order: every pair's four values come from one ``eml_kernel`` call per
     block, the worst pair from a lexsort of the tied pairs' membership
-    rows, and the slack total from row sums added in mask order."""
+    rows, and the slack total from row sums added in mask order.  Next to
+    it, with ``with_rows``, the list of every pair's (u, w, lhs, bound,
+    bound_simple, slack) in (u, w) order, u and w bitmasks; else None."""
     n = profile.n
     start = 1 if nonempty_only else 0
     cols = (1 << n) - start
@@ -433,7 +435,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         simple_viol += int(np.count_nonzero(slack_simple < -slack_tol))
         ratio = np.divide(lhs, bound, out=np.zeros_like(lhs), where=bound > 0.0)
         tightness = max(tightness, float(ratio.max()))
-        if keep_rows:
+        if with_rows:
             idx = np.arange(flat.size)
             rows += zip((first + idx // cols).tolist(), (start + idx % cols).tolist(),
                         lhs.ravel().tolist(), bound.ravel().tolist(),
@@ -447,8 +449,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         bound_gap_min=gap_min, mean_slack=slack_sum / count,
         tightness_ratio=tightness, theorem_violations=thm_viol,
         simple_violations=simple_viol, worst_pair=SubsetPair(*worst[1:]),
-        passed=max_violation <= slack_tol,
-        rows=tuple(rows) if keep_rows else None)
+        passed=max_violation <= slack_tol), rows if with_rows else None
 
 
 def left_perron_oracle(p) -> np.ndarray:
@@ -517,8 +518,8 @@ def regular_degree(g: DirectedGraph) -> int:
     for t, h in g.edges:
         if (h, t) not in g.edges:
             raise PreconditionError("graph is not symmetric (an undirected doubling)")
-    degs = {g.out_degree(v) for v in range(g.n)}
-    degs |= {g.in_degree(v) for v in range(g.n)}
+    out_nb, in_nb = g.neighbour_masks()
+    degs = {mask.bit_count() for mask in out_nb + in_nb}
     if len(degs) != 1:
         raise PreconditionError("graph is not regular")
     return degs.pop()

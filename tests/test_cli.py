@@ -157,7 +157,7 @@ class TestEml:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_sample_beyond_64_vertices(self, capsys, tmp_path):
+    def test_sample_beyond_64_vertices(self, capsys, tmp_path, schema):
         out_file = tmp_path / "r72.txt"
         run(capsys, "generate", "random_strongly_connected", "72", "0.1",
             "--seed", "5", "-o", str(out_file))
@@ -165,8 +165,7 @@ class TestEml:
                              "--sample", "500", "--format", "json")
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        with resources.files("dgspec").joinpath("schema.json").open() as fh:
-            jsonschema.validate(payload, json.load(fh))
+        jsonschema.validate(payload, schema)
         assert (payload["n"], payload["pair_count"]) == (72, 500)
         worst = payload["worst_pair"]
         assert max(worst["u"] + worst["w"]) >= 64
@@ -412,6 +411,51 @@ def test_environment_is_ignored(capsys, chord_file, tmp_path, monkeypatch, comma
     assert run(capsys, *argv) == plain
     if written is not None:
         assert (tmp_path / "r.txt").read_bytes() == written
+
+
+@pytest.fixture(scope="module")
+def schema():
+    with resources.files("dgspec").joinpath("schema.json").open() as fh:
+        return json.load(fh)
+
+
+JSON_COMMANDS = {
+    "analyze": ("analyze", "{graph}"),
+    "eml_verify": ("eml", "verify", "{graph}"),
+    "eml_verify_nonempty": ("eml", "verify", "{graph}", "--nonempty-only"),
+    "eml_verify_sample": ("eml", "verify", "{graph}", "--sample", "50", "--seed", "4"),
+    "eml_bound": ("eml", "bound", "{graph}", "--u", "a", "--w", "b,c"),
+    "toughness_exact": ("toughness", "exact", "{graph}"),
+    "toughness_bound": ("toughness", "bound", "{graph}"),
+    "toughness_compare": ("toughness", "compare", "{graph}"),
+    "generate": ("generate", "chord_cycle", "6", "0:3", "-o", "{out}"),
+}
+
+
+def json_of(capsys, chord_file, tmp_path, name):
+    argv = [a.format(graph=chord_file, out=tmp_path / "r.txt")
+            for a in JSON_COMMANDS[name]]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("name", JSON_COMMANDS)
+def test_json_of_every_command_validates(capsys, chord_file, tmp_path, schema, name):
+    jsonschema.validate(json_of(capsys, chord_file, tmp_path, name), schema)
+
+
+@pytest.mark.parametrize("name,key", [("eml_verify", "rows"), ("eml_verify_sample", "rows"),
+                                      ("analyze", "eml"), ("analyze", "toughness")])
+def test_schema_rejects_keys_no_command_fills(capsys, chord_file, tmp_path, schema,
+                                              name, key):
+    payload = json_of(capsys, chord_file, tmp_path, name)
+    assert key not in payload
+    own = {"definitions": schema["definitions"],
+           "$ref": "#/definitions/" + payload["report"]}
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate({**payload, key: None}, own)
+    assert exc.value.validator == "additionalProperties"
 
 
 def test_help_ignores_the_environment(capsys, monkeypatch):

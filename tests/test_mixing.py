@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,15 +179,6 @@ class TestVerifySweep:
         report = verify_eml(prof, sample=2000, seed=3)
         assert report.max_violation <= 1e-9
 
-    def test_keep_rows(self):
-        report = verify_eml(profile_of(chord_cycle(3)), keep_rows=True)
-        assert report.rows is not None
-        assert len(report.rows) == 64
-        u_mask, w_mask, lhs, bound, bound_simple, slack = report.rows[-1]
-        assert (u_mask, w_mask) == (63 & 0b111, 0b111)
-        assert slack == pytest.approx(bound - lhs, abs=1e-15)
-        assert bound_simple >= bound - 1e-12
-
     def test_slack_tolerance_is_read_at_call_time(self, monkeypatch):
         # K3's roundoff slack (~-4e-16) passes the 1e-9 gate and fails a 1e-30 one
         prof = profile_of(complete_bidirected(3))
@@ -197,23 +189,23 @@ class TestVerifySweep:
         assert (report.slack_tol, report.passed) == (1e-30, False)
         assert report.theorem_violations + report.simple_violations > 0
 
-    def test_keep_rows_capped(self):
-        with pytest.raises(PreconditionError, match="rows"):
-            verify_eml(profile_of(petersen()), keep_rows=True)
-
     def test_worst_pair_is_deterministic_minimum(self):
-        report = verify_eml(profile_of(chord_cycle(3)), keep_rows=True)
-        slacks = [(r[5], r[0], r[1]) for r in report.rows]
-        best = min(slacks)
-        assert (report.worst_pair.u, report.worst_pair.w) == (best[1], best[2])
-        assert report.min_slack == best[0]
+        profile = profile_of(chord_cycle(3))
+        report = verify_eml(profile)
+        _, rows = reference_exhaustive_sweep(profile, with_rows=True)
+        best = min((r[5], r[0], r[1]) for r in rows)
+        assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
 
     def test_sampled_worst_pair_is_smallest_tie(self):
         # 25000 pairs span three blocks at n = 3, and many pairs tie at the
-        # minimum slack 0 (an empty U or W)
-        report = verify_eml(profile_of(chord_cycle(3)), sample=25000, seed=3,
-                            keep_rows=True)
-        best = min((r[5], r[0], r[1]) for r in report.rows)
+        # minimum slack 0 (an empty U or W); up to n = 64 one draw of the
+        # whole sample gives the pairs the blocks draw
+        profile = profile_of(chord_cycle(3))
+        report = verify_eml(profile, sample=25000, seed=3)
+        pairs = mixing._draw_pairs(seeded_rng(3), 3, 0, 25000)
+        u, w = pairs[:, 0], pairs[:, 1]
+        lhs, _, bound, _ = mixing._block_values(profile, u, w)
+        best = min(zip((bound - lhs).ravel().tolist(), mixing._masks(u), mixing._masks(w)))
         assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
 
     @pytest.mark.parametrize("smallest_at", [0, -1])
@@ -227,8 +219,8 @@ class TestVerifySweep:
         u[smallest_at], w[smallest_at] = 0, 0  # the smallest pair, planted
         k = np.lexsort(np.hstack([w, u]).T)[0]
         lhs, bound = np.full((count, 1), 0.25), np.full((count, 1), 0.75)
-        acc = mixing._SweepAccumulator(keep_rows=False)
-        acc.add_block(lambda idx: (u[idx], w[idx]), lhs, lhs, bound, bound)
+        acc = mixing._SweepAccumulator()
+        acc.add_block(u, w, lhs, lhs, bound, bound)
         assert acc.worst == (0.5, mask_from_indices(np.flatnonzero(u[k])),
                              mask_from_indices(np.flatnonzero(w[k])))
         assert acc.worst[1:] == (0, 0)
@@ -251,10 +243,10 @@ class TestVerifySweep:
         g = chord_cycle(4, [(0, 2)])
         perm = [2, 0, 3, 1]
         h = graph_from_edges(4, {(perm[t], perm[hd]) for t, hd in g.edges})
-        base = verify_eml(profile_of(g), keep_rows=True)
-        other = verify_eml(profile_of(h), keep_rows=True)
-        key = lambda rows: np.sort(np.array([(r[2], r[3]) for r in rows]), axis=0)
-        assert np.allclose(key(base.rows), key(other.rows), atol=1e-9)
+        u, w = all_pairs(4)
+        key = lambda g: np.sort(np.hstack(
+            mixing._block_values(profile_of(g), u, w)[::2]), axis=0)
+        assert np.allclose(key(g), key(h), atol=1e-9)
 
 
 class TestAlonChung:
@@ -363,20 +355,54 @@ def sweep_profiles(draw, min_n=2, max_n=10):
         assume(False)
 
 
+def swept_rows(profile, nonempty_only):
+    """``verify_eml``'s report on an unsplit exhaustive sweep, and the
+    (u, w, lhs, bound, bound_simple, slack) of every pair it folded, in
+    (u, w) order, taken from the blocks its accumulator folds."""
+    blocks, real_blocks = [], mixing._mass_blocks
+    real_fold = mixing._SweepAccumulator.fold
+
+    def mass_blocks(*args):
+        for first, sums in real_blocks(*args):
+            blocks.append([first])
+            yield first, sums
+
+    def fold(acc, lhs, lhs_stmt, bound, bound_simple, divisor):
+        slack, j = real_fold(acc, lhs, lhs_stmt, bound, bound_simple, divisor)
+        blocks[-1] += (lhs, bound, bound_simple, slack)
+        return slack, j
+
+    with mock.patch.object(mixing, "_mass_blocks", mass_blocks), \
+            mock.patch.object(mixing._SweepAccumulator, "fold", fold):
+        report = verify_eml(profile, nonempty_only=nonempty_only)
+    rows = []
+    for first, *values in sorted(blocks, key=lambda block: block[0]):
+        u, w = np.divmod(np.arange(values[0].size), values[0].shape[1])
+        rows += zip((first + u).tolist(), (int(nonempty_only) + w).tolist(),
+                    *(v.ravel().tolist() for v in values))
+    return report, rows
+
+
 class TestExhaustiveSweepReference:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(sweep_profiles(), st.booleans())
     def test_sweep_equals_the_row_by_row_reference(self, profile, nonempty_only):
         # rho scaled down turns many pairs into violations, so the counts,
-        # the minima and the worst pair come from violating blocks too
+        # the minima and the worst pair come from violating blocks too;
+        # up to n = 8 every pair's values are compared as well
         for prof in (profile, dataclasses.replace(profile, rho=0.05 * profile.rho)):
-            keep_rows = prof.n <= 8
-            mine = verify_eml(prof, nonempty_only=nonempty_only, keep_rows=keep_rows)
-            ref = reference_exhaustive_sweep(prof, nonempty_only=nonempty_only,
-                                             keep_rows=keep_rows)
+            with_rows = prof.n <= 8
+            if with_rows:
+                mine, rows = swept_rows(prof, nonempty_only)
+            else:
+                mine = verify_eml(prof, nonempty_only=nonempty_only)
+            ref, ref_rows = reference_exhaustive_sweep(prof, nonempty_only=nonempty_only,
+                                                       with_rows=with_rows)
             for field in dataclasses.fields(mine):
                 assert getattr(mine, field.name) == getattr(ref, field.name), field.name
+            if with_rows:
+                assert rows == ref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +581,7 @@ class TestKernelProperties:
            st.lists(st.integers(min_value=0), min_size=1, max_size=30))
     def test_kept_rows_match_single_pair_calls(self, case, picks):
         profile, _ = case
-        rows = verify_eml(profile, keep_rows=True).rows
+        _, rows = reference_exhaustive_sweep(profile, with_rows=True)
         for u, w, lhs, bound, simple, _slack in (rows[i % len(rows)] for i in picks):
             pair = SubsetPair(u, w)
             assert_pair_close(profile, pair.u_indices, pair.w_indices,
@@ -582,6 +608,12 @@ def evaluated_pairs(monkeypatch, profile, **kwargs):
     verify_eml(profile, **kwargs)
     return (np.concatenate([u for u, _ in seen]), np.concatenate([w for _, w in seen]),
             len(seen))
+
+
+def all_pairs(n):
+    """The 0/1 memberships (u, w) of all 4^n subset pairs, in (u, w) order."""
+    masks = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    return np.repeat(masks, 1 << n, axis=0), np.tile(masks, (1 << n, 1))
 
 
 def masks_of(members):

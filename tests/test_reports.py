@@ -33,11 +33,10 @@ from dgspec.reports import BoundOnlyReport, GenerateReport, PairBoundReport
 def chord_reports():
     g = chord_cycle(3)
     profile = spectral_profile(build_transition_matrix(g))
-    eml = verify_eml(profile, keep_rows=True)
     cmp = compare_bounds(exact_toughness(g), profile)
     return {
-        "analysis": analysis_report(g, profile, eml=eml, toughness=cmp),
-        "eml": eml,
+        "analysis": analysis_report(g, profile),
+        "eml": verify_eml(profile),
         "exact": exact_toughness(g),
         "compare": cmp,
         "bound": BoundOnlyReport(value=-0.25),
@@ -155,15 +154,13 @@ def graph_reports(draw):
     except DgspecError:  # periodic or defective
         assume(False)
     eml = verify_eml(profile, sample=None if n <= 4 else draw(st.integers(1, 40)),
-                     seed=seed, nonempty_only=draw(st.booleans()),
-                     keep_rows=draw(st.booleans()))
+                     seed=seed, nonempty_only=draw(st.booleans()))
     cmp = compare_bounds(exact_toughness(g), profile)
     u, w = (draw(st.integers(0, 2 ** n - 1)) for _ in range(2))
     pair = SubsetPair(u, w)
     lhs, _, bound, simple = eml_pair_values(profile, pair)
     return [
         analysis_report(g, profile),
-        analysis_report(g, profile, eml=eml, toughness=cmp),
         eml,
         cmp.exact,
         cmp,
