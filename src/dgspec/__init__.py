@@ -49,7 +49,6 @@ from .reports import (
     AnalysisReport,
     analysis_report,
     render,
-    report_from_json,
     to_json,
 )
 from .toughness import (

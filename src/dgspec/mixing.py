@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .graph import DirectedGraph, seeded_rng
+from .graph import seeded_rng
 from .markov import SpectralProfile
 
 EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations

@@ -1,17 +1,16 @@
 """Report serialization.
 
 Each report is a frozen dataclass, and its field declaration is the only
-field table of the machine-readable formats: ``to_jsonable``,
-``report_from_json`` and ``to_csv`` walk ``dataclasses.fields()`` in
-declaration order, and ``_HEADERS`` gives each report class its
-"report" / "mode" keys.  Every JSON value goes through one codec: floats
-stay native (their repr round-trips doubles exactly) except infinities,
-which become the strings "infinite" / "-infinite"; complex numbers become
-{"re": ..., "im": ...}; vertex tuples become lists; subset pairs become
-{"u": [...], "w": [...]}.  Decoding follows the fields' type hints, so
-``report_from_json`` inverts the JSON form exactly.  CSV writes one header
-and one row with the same cell codec (vertex tuples space-separated, None
-empty).  A report holds only what its command computes.
+field table of the machine-readable formats: ``to_jsonable`` and
+``to_csv`` walk ``dataclasses.fields()`` in declaration order, and
+``_HEADERS`` gives each report class its "report" / "mode" keys.  Every
+JSON value goes through one encoder: floats stay native (their repr
+round-trips doubles exactly) except infinities, which become the strings
+"infinite" / "-infinite"; complex numbers become {"re": ..., "im": ...};
+vertex tuples become lists; subset pairs become {"u": [...], "w": [...]}.
+``schema.json`` is the contract of that JSON; nothing here reads it back.
+CSV writes one header and one row with the same cell codec (vertex tuples
+space-separated, None empty).  A report holds only what its command computes.
 
 The shapes the walk does not produce by itself are spelled out here: the
 "graph" / "spectral" groups of the analysis report (field metadata), the
@@ -28,7 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from .errors import PreconditionError
 from .graph import DirectedGraph
@@ -175,44 +174,6 @@ def to_jsonable(report) -> dict:
 
 def to_json(report) -> str:
     return json.dumps(to_jsonable(report), indent=2, allow_nan=False) + "\n"
-
-
-def _decode(name: str, hint, x):
-    if x is None:
-        return None
-    if get_origin(hint) is Union:  # Optional[...]
-        hint = get_args(hint)[0]
-    if name == "params":
-        return tuple(x.items())
-    if hint is float:
-        return float({"infinite": math.inf, "-infinite": -math.inf}.get(x, x))
-    if hint is complex:
-        return complex(x["re"], x["im"])
-    if hint is SubsetPair:
-        return SubsetPair.from_indices(x["u"], x["w"])
-    if hint in _HEADERS:
-        return _from_fields(hint, x)
-    if get_origin(hint) is tuple:
-        return tuple(_decode(name, get_args(hint)[0], v) for v in x)
-    return x
-
-
-def _from_fields(cls, d: dict):
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        src = d[f.metadata["group"]] if "group" in f.metadata else d
-        kwargs[f.name] = _decode(f.name, hints[f.name], src[f.name])
-    return cls(**kwargs)
-
-
-def report_from_json(text: str):
-    """Inverse of ``to_json`` for every report shape."""
-    d = json.loads(text)
-    for cls, header in _HEADERS.items():
-        if all(d.get(key) == value for key, value in header.items()):
-            return _from_fields(cls, d)
-    raise PreconditionError(f"unrecognized report payload: {d.get('report')!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from dgspec import (
     DefectiveMatrixError,
+    NumericalError,
     PreconditionError,
     build_transition_matrix,
     chord_cycle,
@@ -23,7 +24,7 @@ from dgspec import (
     stationary_distribution,
     undirected_cycle,
 )
-from dgspec import linalg
+from dgspec import linalg, markov
 from dgspec.cli import main
 
 from oracles import JORDAN_ARCS, eml_symbol_check, left_perron_oracle
@@ -202,6 +203,26 @@ class TestSpectralProfile:
                                        for perm in itertools.permutations(range(4))]:
             with pytest.raises(DefectiveMatrixError):
                 profile_of(g)
+
+    def test_dominant_eigenvalue_off_one_rejected(self, monkeypatch):
+        solve = markov.eigenpairs
+
+        def shifted(p):
+            vals, basis = solve(p)
+            vals = vals.copy()
+            vals[np.argmin(np.abs(vals - 1.0))] = 1.0 + 1e-9
+            return vals, basis
+
+        monkeypatch.setattr(markov, "eigenpairs", shifted)
+        with pytest.raises(NumericalError, match="not 1 within 1e-10"):
+            profile_of(chord_cycle(3))
+
+    def test_unit_subdominant_modulus_rejected(self, monkeypatch):
+        # the bipartite 4-cycle passed off as aperiodic still has eigenvalue
+        # -1, which the rho gate must catch
+        monkeypatch.setattr(markov, "_period", lambda g, levels: 1)
+        with pytest.raises(NumericalError, match="is numerically 1"):
+            profile_of(undirected_cycle(4))
 
     def test_petersen_relabelings_are_accepted(self):
         rng = np.random.default_rng(1)

@@ -123,6 +123,12 @@ class TestPairValues:
         pair = SubsetPair.from_indices([0], [3])
         assert eml_bound_simple(prof, pair) == pytest.approx(prof.rho, abs=1e-8)
 
+    def test_mask_beyond_the_vertices_rejected(self):
+        prof = profile_of(chord_cycle(3))
+        for pair in (SubsetPair(1 << 3, 0), SubsetPair(0, 1 << 3)):
+            with pytest.raises(PreconditionError, match="out of range for n=3"):
+                mixing.eml_pair_values(prof, pair)
+
     def test_radicand_guard(self):
         prof = profile_of(chord_cycle(3))
         broken = dataclasses.replace(prof, norm_c_inv=0.01)
@@ -208,10 +214,15 @@ class TestVerifySweep:
         best = min(zip((bound - lhs).ravel().tolist(), mixing._masks(u), mixing._masks(w)))
         assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
 
-    @pytest.mark.parametrize("smallest_at", [0, -1])
-    def test_block_of_exact_ties_picks_the_lexsort_pair(self, smallest_at):
+    @pytest.mark.parametrize("smallest_at,split", [
+        pytest.param(0, None, id="0"),
+        pytest.param(-1, None, id="-1"),
+        pytest.param(0, 6000, id="0-split"),
+    ])
+    def test_block_of_exact_ties_picks_the_lexsort_pair(self, smallest_at, split):
         # every pair of a block of 12293 ties: the pick must be the one a
-        # lexsort over all the tied rows makes
+        # lexsort over all the tied rows makes; split in two blocks, the
+        # second must not displace the first block's smaller pair
         rng = np.random.default_rng(7)
         count, n = 12293, 12
         u = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
@@ -220,7 +231,8 @@ class TestVerifySweep:
         k = np.lexsort(np.hstack([w, u]).T)[0]
         lhs, bound = np.full((count, 1), 0.25), np.full((count, 1), 0.75)
         acc = mixing._SweepAccumulator()
-        acc.add_block(u, w, lhs, lhs, bound, bound)
+        for rows in (slice(None),) if split is None else (slice(split), slice(split, None)):
+            acc.add_block(u[rows], w[rows], lhs[rows], lhs[rows], bound[rows], bound[rows])
         assert acc.worst == (0.5, mask_from_indices(np.flatnonzero(u[k])),
                              mask_from_indices(np.flatnonzero(w[k])))
         assert acc.worst[1:] == (0, 0)
