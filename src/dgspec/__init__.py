@@ -35,7 +35,6 @@ from .linalg import (
 )
 from .markov import (
     SpectralProfile,
-    TransitionMatrix,
     build_transition_matrix,
     spectral_profile,
     stationary_distribution,

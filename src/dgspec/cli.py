@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .markov import build_transition_matrix, spectral_profile
+from .markov import spectral_profile
 from .mixing import SubsetPair, check_exhaustive_cap, eml_pair_values, verify_eml
 from .reports import (
     FORMATS,
@@ -138,17 +138,13 @@ def _parse_subset(arg: str, g: graphs.DirectedGraph) -> list[int]:
     return out
 
 
-def _profile(g):
-    return spectral_profile(build_transition_matrix(g))
-
-
 def _emit(report, args):
     sys.stdout.write(render(report, args.fmt, args.verbose))
 
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.path)
-    _emit(analysis_report(g, _profile(g)), args)
+    _emit(analysis_report(g, spectral_profile(g)), args)
     return EXIT_OK
 
 
@@ -157,7 +153,7 @@ def _cmd_eml_verify(args) -> int:
     if args.sample is None:
         # the cap needs only n: reject before the profile's O(n^3) work
         check_exhaustive_cap(g.n)
-    report = verify_eml(_profile(g), sample=args.sample, seed=args.seed,
+    report = verify_eml(spectral_profile(g), sample=args.sample, seed=args.seed,
                         nonempty_only=args.nonempty_only)
     _emit(report, args)
     return EXIT_OK if report.passed else EXIT_VIOLATION
@@ -165,7 +161,7 @@ def _cmd_eml_verify(args) -> int:
 
 def _cmd_eml_bound(args) -> int:
     g = _load_graph(args.path)
-    profile = _profile(g)
+    profile = spectral_profile(g)
     pair = SubsetPair.from_indices(_parse_subset(args.u, g),
                                    _parse_subset(args.w, g))
     lhs, _, bound, simple = eml_pair_values(profile, pair)
@@ -180,11 +176,11 @@ def _cmd_toughness(args) -> int:
     if args.mode == "exact":
         _emit(exact_toughness(g, allow_large=args.allow_large), args)
     elif args.mode == "bound":
-        _emit(BoundOnlyReport(toughness_spectral_bound(_profile(g))), args)
+        _emit(BoundOnlyReport(toughness_spectral_bound(spectral_profile(g))), args)
     else:
         # the checks, then the profile, then the 2^n enumeration: fail as early as can be
         check_enumeration(g, args.allow_large)
-        profile = _profile(g)
+        profile = spectral_profile(g)
         _emit(compare_bounds(exact_toughness(g, allow_large=args.allow_large), profile), args)
     return EXIT_OK
 

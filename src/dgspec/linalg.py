@@ -617,7 +617,7 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray,
             f"(kappa ~ {kappa:.2e}); the eigenbasis is too ill-conditioned to trust")
 
     residual = frobenius(am @ basis - basis * eigenvalues[None, :])
-    if residual > RESIDUAL_TOL * scale:
+    if not residual <= RESIDUAL_TOL * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * ||a||_F = {RESIDUAL_TOL * scale:.3e}")

@@ -195,7 +195,7 @@ def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
     weights = np.column_stack([np.ones(profile.n), profile.pi])
     size_u, pi_u = np.hsplit(u @ weights, 2)
     size_w, pi_w = np.hsplit(w @ weights, 2)
-    mass = ((u @ profile.transition.p) * w).sum(axis=1, keepdims=True)
+    mass = ((u @ profile.p) * w).sum(axis=1, keepdims=True)
     return eml_kernel(profile, size_u, size_w, pi_u, pi_w, mass)
 
 
@@ -319,7 +319,7 @@ class _SweepAccumulator:
 
     def report(self, n: int, policy: str, sample_count, seed,
                nonempty_only) -> EmlReport:
-        max_violation = max(-self.min_slack, -self.simple_min)
+        max_violation = max(0.0 - self.min_slack, 0.0 - self.simple_min)  # never -0.0
         return EmlReport(
             n=n,
             pair_count=self.pair_count,
@@ -387,7 +387,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
     acc.gap_min = float((bound_simple - bound)[size_u[..., 0] >= start].min())
     divisor = _divisor(bound)
-    table = subset_sums(profile.transition.p)[:, start:]
+    table = subset_sums(profile.p)[:, start:]
     bits = _share_bits(n)
 
     def sweep(share: int, acc: _SweepAccumulator, row_sums: np.ndarray):

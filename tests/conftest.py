@@ -2,7 +2,6 @@ import pytest
 
 from dgspec import (
     DgspecError,
-    build_transition_matrix,
     chord_cycle,
     complete_bidirected,
     period,
@@ -42,7 +41,7 @@ def seeded_random_corpus(count=20):
             g = random_strongly_connected(n, p, seed=seed)
             if period(g) != 1:
                 continue
-            profile = spectral_profile(build_transition_matrix(g))
+            profile = spectral_profile(g)
         except DgspecError:
             continue
         out.append((f"random(n={n},p={p},seed={seed})", g, profile))
@@ -56,7 +55,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def corpus_profiles(corpus):
-    return {name: spectral_profile(build_transition_matrix(g))
+    return {name: spectral_profile(g)
             for name, g in corpus.items()}
 
 

@@ -47,7 +47,6 @@ from dgspec import (
     SingularMatrixError,
     SpectralProfile,
     SubsetPair,
-    build_transition_matrix,
     graph_from_edges,
     invert,
     operator_norm,
@@ -348,7 +347,7 @@ def mask_sums(values) -> np.ndarray:
 def eml_pair_oracle(profile, u_idx, w_idx):
     """(lhs, bound, bound_simple) of one subset pair, straight from the
     definitions: the mass is a plain sum over ``P[np.ix_(U, W)]``."""
-    p, pi, n = profile.transition.p, profile.pi, profile.n
+    p, pi, n = profile.p, profile.pi, profile.n
     u_idx, w_idx = list(u_idx), list(w_idx)
     size_u, size_w = len(u_idx), len(w_idx)
     mass = float(p[np.ix_(u_idx, w_idx)].sum()) if u_idx and w_idx else 0.0
@@ -411,7 +410,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
     min_slack = simple_min = stmt_min = gap_min = np.inf
     worst = (np.inf, 0, 0)
     tightness, thm_viol, simple_viol, rows = 0.0, 0, 0, []
-    for first, last, mass in _row_blocks(subset_sums(profile.transition.p), start):
+    for first, last, mass in _row_blocks(subset_sums(profile.p), start):
         lhs, lhs_stmt, bound, bound_simple = eml_kernel(
             profile, pc[first:last, None], pc[None, start:],
             pi_mask[first:last, None], pi_mask[None, start:], mass)
@@ -528,7 +527,7 @@ def regular_degree(g: DirectedGraph) -> int:
 def second_adjacency_eigenvalue(g: DirectedGraph) -> float:
     """mu: largest adjacency-eigenvalue modulus below the degree (k * rho)."""
     k = regular_degree(g)
-    profile = spectral_profile(build_transition_matrix(g))
+    profile = spectral_profile(g)
     return k * profile.rho
 
 

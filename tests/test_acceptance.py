@@ -104,7 +104,7 @@ def test_criterion_2_classical_reduction():
         # per-pair coincidence: k * (asymmetric bound) vs classical bound,
         # compared squared: at U or W in {empty, V} both forms are rounding
         # noise, whose square root is ~1e-7, while its square is ~1e-30
-        profile = spectral_profile(build_transition_matrix(g))
+        profile = spectral_profile(g)
         assert abs(profile.norm_c - 1) <= 1e-12
         assert abs(profile.norm_c_inv - 1) <= 1e-12
         n = g.n
@@ -121,7 +121,7 @@ def test_criterion_2_classical_reduction():
 @criterion(3, "closed-form spectral values and kappa = 1 on symmetric inputs")
 def test_criterion_3_closed_forms(corpus, corpus_profiles):
     for n in range(3, 9):
-        prof = spectral_profile(build_transition_matrix(complete_bidirected(n)))
+        prof = spectral_profile(complete_bidirected(n))
         assert abs(prof.rho - 1.0 / (n - 1)) <= 1e-9
         assert prof.kappa - 1.0 <= 1e-8
     assert abs(corpus_profiles["chord_cycle(3)"].rho - math.sqrt(2) / 2) <= 1e-9
@@ -137,7 +137,7 @@ def test_criterion_4_stationary(corpus, corpus_profiles, random_corpus):
     profiles = dict(corpus_profiles)
     profiles.update({name: prof for name, _, prof in random_corpus})
     for name, prof in profiles.items():
-        p = prof.transition.p
+        p = prof.p
         assert float(np.max(np.abs(prof.pi @ p - prof.pi))) <= 1e-12, name
         assert abs(float(prof.pi.sum()) - 1.0) <= 1e-12, name
         assert eml_symbol_check(prof).pi_row_deviation <= 1e-8, name
@@ -150,7 +150,7 @@ def test_criterion_5_eigensolver(corpus_profiles, random_corpus):
     profiles = dict(corpus_profiles)
     profiles.update({name: prof for name, _, prof in random_corpus})
     for name, prof in profiles.items():
-        p = prof.transition.p
+        p = prof.p
         dec = prof.decomposition
         direct = frobenius(p.astype(complex) @ dec.basis
                            - dec.basis * dec.eigenvalues[None, :])
@@ -164,7 +164,7 @@ def test_criterion_5_eigensolver(corpus_profiles, random_corpus):
         assert abs(prod - det) <= 1e-8 * max(abs(det), abs(prod)) + 1e-14, name
 
     with pytest.raises(DefectiveMatrixError):
-        eigendecompose_nonsymmetric(build_transition_matrix(de_bruijn(2, 2)).p)
+        eigendecompose_nonsymmetric(build_transition_matrix(de_bruijn(2, 2)))
 
 
 @criterion(6, "exact toughness agrees with the independent oracle")
@@ -212,8 +212,7 @@ def test_criterion_8_empirical_sweep(random_corpus):
         entries = [("chord_cycle(3)", chord_cycle(3))]
         entries += [(name, g) for name, g, _ in random_corpus]
         for name, g in entries:
-            cmp = compare_bounds(exact_toughness(g),
-                                 spectral_profile(build_transition_matrix(g)))
+            cmp = compare_bounds(exact_toughness(g), spectral_profile(g))
             rows.append({"graph": name, **to_jsonable(cmp)})
         return rows
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -176,6 +177,18 @@ class TestEml:
         assert code == 0
         u, w = (",".join(map(str, worst[k])) or "-" for k in ("u", "w"))
         assert f"worst_pair       = U={{{u}}} W={{{w}}}" in out.splitlines()
+
+    def test_zero_max_violation_is_unsigned(self, capsys, tmp_path):
+        # the empty pair is the worst pair of chord_cycle(12): its slack is
+        # exactly 0, which must not print as -0
+        path = tmp_path / "chord12.txt"
+        run(capsys, "generate", "chord_cycle", "12", "-o", str(path))
+        outputs = {fmt: run(capsys, "eml", "verify", str(path), "--format", fmt)
+                   for fmt in ("json", "text", "csv")}
+        assert {code for code, _, _ in outputs.values()} == {0}
+        assert '  "max_violation": 0.0,' in outputs["json"][1].splitlines()
+        assert "max_violation    = 0 (tolerance 1e-09) -> PASS" in outputs["text"][1]
+        assert next(csv.DictReader(io.StringIO(outputs["csv"][1])))["max_violation"] == "0.0"
 
     def test_nonempty_only(self, capsys, chord_file):
         code, out, _ = run(capsys, "eml", "verify", chord_file,

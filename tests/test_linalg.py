@@ -179,7 +179,7 @@ class TestHessenbergKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reflectors_rebuild_the_matrix(self, seed):
         rng = np.random.default_rng(seed)
-        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed)).p
+        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed))
         for a in (rng.standard_normal((30, 30)), walk):
             h, reflectors = linalg._hessenberg(a)
             q = linalg._apply_reflectors(reflectors, np.eye(len(a), dtype=complex))
@@ -191,7 +191,7 @@ class TestHessenbergKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_schur_form_rebuilds_the_matrix(self, seed):
         rng = np.random.default_rng(seed)
-        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed)).p
+        walk = build_transition_matrix(random_strongly_connected(40, 0.15, seed=seed))
         for a in (rng.standard_normal((30, 30)), walk):
             _, z, t = linalg._real_schur(a, max_sweeps=100 * len(a))
             assert frobenius(z.T @ z - np.eye(len(a))) <= 1e-13 * len(a)
@@ -277,7 +277,7 @@ class TestFrancisQR:
     def test_complete_bidirected_window_deflates(self, n):
         # (J - I)/(n-1): below the top, H is -1/(n-1) I plus roundoff, which
         # deflates only through the normwise floor
-        p = build_transition_matrix(complete_bidirected(n)).p
+        p = build_transition_matrix(complete_bidirected(n))
         exact = [1.0] + [-1.0 / (n - 1)] * (n - 1)
         assert eig_multiset_error(self.qr_eigenvalues(p), exact) <= 1e-12
 
@@ -416,6 +416,13 @@ class TestCertifyEigenbasis:
         with pytest.raises(ConvergenceError):
             linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues + 1e-6, dec.basis)
 
+    def test_nan_eigenvalue_fails_the_residual(self):
+        dec = eigendecompose_nonsymmetric(CHORD_P)
+        vals = dec.eigenvalues.copy()
+        vals[1] = np.nan
+        with pytest.raises(ConvergenceError, match="residual nan"):
+            linalg.certify_eigenbasis(CHORD_P, vals, dec.basis)
+
 
 class TestEigendecompose:
     def test_diag(self):
@@ -430,7 +437,7 @@ class TestEigendecompose:
         assert np.allclose(dec.eigenvalues, CHORD_ROOTS, atol=1e-12)
 
     def test_de_bruijn_is_defective(self):
-        p = build_transition_matrix(de_bruijn(2, 2)).p
+        p = build_transition_matrix(de_bruijn(2, 2))
         assert np.linalg.matrix_rank(p) == 2  # rank oracle: eigenvalue 0 deficit
         with pytest.raises(DefectiveMatrixError):
             eigendecompose_nonsymmetric(p)
@@ -441,7 +448,7 @@ class TestEigendecompose:
         # tolerance of its own conjugate; numpy's cond(V) is 5e12 and 9e10
         g = parse_edge_list(write_edge_list(random_strongly_connected(n, p, seed=seed)))
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(build_transition_matrix(g).p)
+            eigendecompose_nonsymmetric(build_transition_matrix(g))
 
     def test_jordan_block_is_defective(self):
         j = np.diag(np.ones(3), 1) + 0.5 * np.eye(4)
@@ -455,13 +462,13 @@ class TestEigendecompose:
         for perm in itertools.permutations(range(4)):
             g = relabel(4, JORDAN_ARCS, perm)
             with pytest.raises(DefectiveMatrixError):
-                eigendecompose_nonsymmetric(build_transition_matrix(g).p)
+                eigendecompose_nonsymmetric(build_transition_matrix(g))
 
     def test_petersen_relabelings_are_accepted(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             g = relabel(10, petersen().edges, rng.permutation(10))
-            dec = eigendecompose_nonsymmetric(build_transition_matrix(g).p)
+            dec = eigendecompose_nonsymmetric(build_transition_matrix(g))
             assert dec.norm_c * dec.norm_c_inv <= 1.0 + 1e-8  # orthonormal basis
 
     @settings(max_examples=30, deadline=None)
@@ -627,7 +634,7 @@ class TestEigendecompose:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(cycle_plus_arcs(3, 40), chord_cycles(3, 40), de_bruijn_graphs(40)))
     def test_walk_matrices_match_numpy_oracle(self, g):
-        p = build_transition_matrix(g).p
+        p = build_transition_matrix(g)
         try:
             dec = eigendecompose_nonsymmetric(p)
         except ConvergenceError:

@@ -16,7 +16,6 @@ from dgspec import (
     NumericalError,
     PreconditionError,
     SubsetPair,
-    build_transition_matrix,
     chord_cycle,
     complete_bidirected,
     graph_from_edges,
@@ -39,10 +38,6 @@ from oracles import (
     eml_pair_oracle,
     reference_exhaustive_sweep,
 )
-
-
-def profile_of(g):
-    return spectral_profile(build_transition_matrix(g))
 
 
 def independent_bound(p, u_idx, w_idx):
@@ -81,56 +76,56 @@ class TestSubsetPair:
             SubsetPair(-1, 0)
 
     def test_out_of_range_rejected(self):
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         with pytest.raises(PreconditionError):
             eml_lhs(prof, SubsetPair(1 << 5, 0))
 
 
 class TestPairValues:
     def test_empty_pair_is_zero(self):
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         pair = SubsetPair(0, 0)
         assert eml_lhs(prof, pair) == 0.0
         assert eml_bound(prof, pair) == 0.0
         assert eml_bound_simple(prof, pair) == 0.0
 
     def test_chord_cycle_lhs(self):
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         assert eml_lhs(prof, SubsetPair.from_indices([0], [1, 2])) == pytest.approx(
             0.4, abs=1e-10)
 
     def test_complete3_self_pair_lhs(self):
-        prof = profile_of(complete_bidirected(3))
+        prof = spectral_profile(complete_bidirected(3))
         assert eml_lhs(prof, SubsetPair.from_indices([0], [0])) == pytest.approx(
             1.0 / 3.0, abs=1e-12)
 
     def test_full_pair_on_regular_graph_is_tight_zero(self):
-        prof = profile_of(undirected_cycle(5))
+        prof = spectral_profile(undirected_cycle(5))
         pair = SubsetPair.from_indices(range(5), range(5))
         assert eml_lhs(prof, pair) <= 1e-12
         assert eml_bound(prof, pair) <= 1e-6
 
     def test_bound_matches_independent_recomputation(self):
         g = chord_cycle(3)
-        prof = profile_of(g)
+        prof = spectral_profile(g)
         for u_idx, w_idx in [([0], [1, 2]), ([0, 1], [2]), ([1], [0, 1, 2])]:
             mine = eml_bound(prof, SubsetPair.from_indices(u_idx, w_idx))
-            ref = independent_bound(prof.transition.p, u_idx, w_idx)
+            ref = independent_bound(prof.p, u_idx, w_idx)
             assert mine == pytest.approx(ref, abs=1e-9)
 
     def test_simple_bound_singleton_symmetric(self):
-        prof = profile_of(undirected_cycle(5))
+        prof = spectral_profile(undirected_cycle(5))
         pair = SubsetPair.from_indices([0], [3])
         assert eml_bound_simple(prof, pair) == pytest.approx(prof.rho, abs=1e-8)
 
     def test_mask_beyond_the_vertices_rejected(self):
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         for pair in (SubsetPair(1 << 3, 0), SubsetPair(0, 1 << 3)):
             with pytest.raises(PreconditionError, match="out of range for n=3"):
                 mixing.eml_pair_values(prof, pair)
 
     def test_radicand_guard(self):
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         broken = dataclasses.replace(prof, norm_c_inv=0.01)
         with pytest.raises(NumericalError, match="radicand"):
             eml_bound(broken, SubsetPair.from_indices([0], [0, 1, 2]))
@@ -146,7 +141,7 @@ class TestVerifySweep:
         (undirected_cycle(5), 1024),
     ], ids=["complete_bidirected3", "chord_cycle3", "undirected_cycle5"])
     def test_exhaustive_counts_and_validity(self, g, pairs):
-        report = verify_eml(profile_of(g))
+        report = verify_eml(spectral_profile(g))
         assert report.pair_count == pairs
         assert report.policy == "exhaustive"
         assert report.max_violation <= 1e-9
@@ -157,21 +152,21 @@ class TestVerifySweep:
 
     def test_simple_bound_dominates_pairwise(self):
         for g in (chord_cycle(3), undirected_cycle(5)):
-            report = verify_eml(profile_of(g))
+            report = verify_eml(spectral_profile(g))
             assert report.bound_gap_min >= -1e-9
 
     def test_nonempty_only_count(self):
-        report = verify_eml(profile_of(chord_cycle(3)), nonempty_only=True)
+        report = verify_eml(spectral_profile(chord_cycle(3)), nonempty_only=True)
         assert report.pair_count == 49
         assert report.nonempty_only
 
     def test_cap_enforced(self):
-        prof = profile_of(chord_cycle(14, [(0, 2)]))
+        prof = spectral_profile(chord_cycle(14, [(0, 2)]))
         with pytest.raises(PreconditionError, match="capped"):
             verify_eml(prof)
 
     def test_sampling_is_deterministic(self):
-        prof = profile_of(chord_cycle(14, [(0, 2)]))
+        prof = spectral_profile(chord_cycle(14, [(0, 2)]))
         a = verify_eml(prof, sample=500, seed=7)
         b = verify_eml(prof, sample=500, seed=7)
         assert a == b
@@ -181,13 +176,13 @@ class TestVerifySweep:
         assert c.worst_pair != a.worst_pair
 
     def test_sampled_pairs_also_pass(self):
-        prof = profile_of(chord_cycle(14, [(0, 2)]))
+        prof = spectral_profile(chord_cycle(14, [(0, 2)]))
         report = verify_eml(prof, sample=2000, seed=3)
         assert report.max_violation <= 1e-9
 
     def test_slack_tolerance_is_read_at_call_time(self, monkeypatch):
         # K3's roundoff slack (~-4e-16) passes the 1e-9 gate and fails a 1e-30 one
-        prof = profile_of(complete_bidirected(3))
+        prof = spectral_profile(complete_bidirected(3))
         report = verify_eml(prof)
         assert (report.slack_tol, report.passed) == (1e-9, True)
         monkeypatch.setattr(mixing, "SLACK_TOL", 1e-30)
@@ -196,7 +191,7 @@ class TestVerifySweep:
         assert report.theorem_violations + report.simple_violations > 0
 
     def test_worst_pair_is_deterministic_minimum(self):
-        profile = profile_of(chord_cycle(3))
+        profile = spectral_profile(chord_cycle(3))
         report = verify_eml(profile)
         _, rows = reference_exhaustive_sweep(profile, with_rows=True)
         best = min((r[5], r[0], r[1]) for r in rows)
@@ -206,7 +201,7 @@ class TestVerifySweep:
         # 25000 pairs span three blocks at n = 3, and many pairs tie at the
         # minimum slack 0 (an empty U or W); up to n = 64 one draw of the
         # whole sample gives the pairs the blocks draw
-        profile = profile_of(chord_cycle(3))
+        profile = spectral_profile(chord_cycle(3))
         report = verify_eml(profile, sample=25000, seed=3)
         pairs = mixing._draw_pairs(seeded_rng(3), 3, 0, 25000)
         u, w = pairs[:, 0], pairs[:, 1]
@@ -239,8 +234,8 @@ class TestVerifySweep:
 
     def test_singleton_row_bookkeeping(self):
         g = chord_cycle(3)
-        prof = profile_of(g)
-        p = prof.transition.p
+        prof = spectral_profile(g)
+        p = prof.p
         for u_idx in ([0], [0, 2], [0, 1, 2]):
             total = 0.0
             for j in range(3):
@@ -257,7 +252,7 @@ class TestVerifySweep:
         h = graph_from_edges(4, {(perm[t], perm[hd]) for t, hd in g.edges})
         u, w = all_pairs(4)
         key = lambda g: np.sort(np.hstack(
-            mixing._block_values(profile_of(g), u, w)[::2]), axis=0)
+            mixing._block_values(spectral_profile(g), u, w)[::2]), axis=0)
         assert np.allclose(key(g), key(h), atol=1e-9)
 
 
@@ -302,7 +297,7 @@ class TestAlonChung:
     def test_scaled_walk_lhs_consistency(self):
         # k * (walk deviation) reproduces the adjacency deviation exactly
         g = undirected_cycle(5)
-        prof = profile_of(g)
+        prof = spectral_profile(g)
         for u_idx, w_idx in [([0], [1]), ([0, 2], [1, 3, 4]), ([1, 2, 3], [0])]:
             pair = SubsetPair.from_indices(u_idx, w_idx)
             lhs_adj, _ = alon_chung_bound(g, pair, mu=2 * prof.rho)
@@ -332,7 +327,7 @@ def graph_and_pairs(draw, sizes):
     p = draw(st.sampled_from([0.3, 0.5, 0.8]))
     seed = draw(st.integers(0, 2 ** 32))
     try:
-        profile = profile_of(random_strongly_connected(n, p, seed=seed))
+        profile = spectral_profile(random_strongly_connected(n, p, seed=seed))
     except DgspecError:  # no strongly connected sample, periodic or defective
         assume(False)
     subset = st.frozensets(st.integers(0, n - 1))
@@ -357,12 +352,12 @@ def sweep_profiles(draw, min_n=2, max_n=10):
     family = draw(st.sampled_from(["random", "complete", "cycle"]))
     try:
         if family == "complete":
-            return profile_of(complete_bidirected(n))
+            return spectral_profile(complete_bidirected(n))
         if family == "cycle":
-            return profile_of(undirected_cycle(n))
+            return spectral_profile(undirected_cycle(n))
         p = draw(st.sampled_from([0.3, 0.5, 0.8]))
         seed = draw(st.integers(0, 2 ** 32))
-        return profile_of(random_strongly_connected(n, p, seed=seed))
+        return spectral_profile(random_strongly_connected(n, p, seed=seed))
     except DgspecError:  # not strongly connected, periodic or defective
         assume(False)
 
@@ -444,7 +439,7 @@ def assert_no_child_left():
 
 
 def sweep_profile(n=10):
-    return profile_of(random_strongly_connected(n, 0.4, seed=5))
+    return spectral_profile(random_strongly_connected(n, 0.4, seed=5))
 
 
 class TestShardedSweep:
@@ -636,7 +631,7 @@ class TestSampledDraws:
     @pytest.mark.parametrize("n", [5, 24, 33, 64])
     @pytest.mark.parametrize("nonempty_only", [False, True])
     def test_blocks_draw_the_pairs_of_one_call(self, monkeypatch, n, nonempty_only):
-        profile = profile_of(random_strongly_connected(n, min(0.5, 6 / n), seed=4))
+        profile = spectral_profile(random_strongly_connected(n, min(0.5, 6 / n), seed=4))
         count = 2 * (BLOCK_FLOATS // n) + 7
         u, w, blocks = evaluated_pairs(monkeypatch, profile, sample=count, seed=9,
                                        nonempty_only=nonempty_only)
@@ -648,7 +643,7 @@ class TestSampledDraws:
         assert masks_of(w) == [int(x) for x in whole[:, 1]]
 
     def test_nonempty_only_beyond_64_vertices(self, monkeypatch):
-        profile = profile_of(random_strongly_connected(70, 0.1, seed=2))
+        profile = spectral_profile(random_strongly_connected(70, 0.1, seed=2))
         u, w, _ = evaluated_pairs(monkeypatch, profile, sample=3000, seed=1,
                                   nonempty_only=True)
         assert u.shape == w.shape == (3000, 70)

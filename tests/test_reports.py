@@ -13,7 +13,6 @@ from dgspec import (
     DgspecError,
     PreconditionError,
     analysis_report,
-    build_transition_matrix,
     chord_cycle,
     compare_bounds,
     complete_bidirected,
@@ -34,7 +33,7 @@ from dgspec.toughness import BoundComparison, ToughnessResult
 @pytest.fixture(scope="module")
 def chord_reports():
     g = chord_cycle(3)
-    profile = spectral_profile(build_transition_matrix(g))
+    profile = spectral_profile(g)
     cmp = compare_bounds(exact_toughness(g), profile)
     return {
         "analysis": analysis_report(g, profile),
@@ -205,7 +204,7 @@ def graph_reports(draw):
     if draw(st.booleans()):
         g = graph_from_edges(n, set(g.edges) | {(v, v) for v in range(n)})
     try:
-        profile = spectral_profile(build_transition_matrix(g))
+        profile = spectral_profile(g)
     except DgspecError:  # periodic or defective
         assume(False)
     eml = verify_eml(profile, sample=None if n <= 4 else draw(st.integers(1, 40)),

@@ -12,7 +12,6 @@ from dgspec import (
     INFINITE,
     PreconditionError,
     ToughnessResult,
-    build_transition_matrix,
     chord_cycle,
     compare_bounds,
     complete_bidirected,
@@ -34,10 +33,6 @@ from oracles import (
     toughness_by_combinations,
     toughness_by_gosper,
 )
-
-
-def profile_of(g):
-    return spectral_profile(build_transition_matrix(g))
 
 
 def complete_with_loops(n):
@@ -187,16 +182,16 @@ class TestSpectralBound:
     def test_cycle5_value(self):
         mu = 2 * math.cos(math.pi / 5)
         expected = (4 / (2 * mu + mu * mu) - 1) / 3
-        assert toughness_spectral_bound(profile_of(undirected_cycle(5))) == \
+        assert toughness_spectral_bound(spectral_profile(undirected_cycle(5))) == \
             pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(-0.1055728, abs=5e-8)
 
     def test_petersen_value(self):
-        assert toughness_spectral_bound(profile_of(petersen())) == pytest.approx(
+        assert toughness_spectral_bound(spectral_profile(petersen())) == pytest.approx(
             -1.0 / 30.0, abs=1e-9)
 
     def test_complete4_value(self):
-        assert toughness_spectral_bound(profile_of(complete_bidirected(4))) == \
+        assert toughness_spectral_bound(spectral_profile(complete_bidirected(4))) == \
             pytest.approx(5.0 / 12.0, abs=1e-9)
 
     def test_alon_reduction_on_regular_corpus(self, corpus, corpus_profiles):
@@ -211,7 +206,7 @@ class TestSpectralBound:
 
     def test_chord_cycle_cross_check(self):
         # independent recomputation of the formula from profile inputs
-        prof = profile_of(chord_cycle(3))
+        prof = spectral_profile(chord_cycle(3))
         lead = prof.pi_min / (prof.pi_max * prof.rho * prof.kappa)
         damp = 1 / (1 + prof.rho * prof.norm_c ** 2 * prof.pi_min
                     / (prof.kappa * prof.pi_max))
@@ -219,7 +214,7 @@ class TestSpectralBound:
             (lead - damp - 1) / 3, abs=1e-12)
 
     def test_zero_rho_gives_infinite_marker(self):
-        prof = profile_of(complete_with_loops(4))
+        prof = spectral_profile(complete_with_loops(4))
         assert prof.rho == pytest.approx(0.0, abs=1e-12)
         assert toughness_spectral_bound(prof) == INFINITE
 
@@ -233,7 +228,7 @@ class TestSpectralBound:
 
 
 def compare(g):
-    return compare_bounds(exact_toughness(g), spectral_profile(build_transition_matrix(g)))
+    return compare_bounds(exact_toughness(g), spectral_profile(g))
 
 
 class TestCompareBounds:
