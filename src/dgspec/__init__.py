@@ -28,8 +28,6 @@ from .graph import (
     write_edge_list,
 )
 from .linalg import (
-    EigenDecomposition,
-    eigendecompose_nonsymmetric,
     invert,
     operator_norm,
 )

@@ -20,15 +20,14 @@ Z takes them back to A's coordinates, each eigenvalue cluster is
 orthonormalized with a rank test, and each eigenvalue below the real axis
 takes the conjugated column of its exact conjugate (``eigenpairs``).
 ``certify_eigenbasis`` is the one place a basis is inverted and checked
-(condition cutoffs, coalescing eigenvalues, C C^-1 = I, residual), once:
-the solver's own basis in ``eigendecompose_nonsymmetric``, or instead the
-spectral profile's, whose all-ones column is pinned before it is checked.
+(condition cutoffs, coalescing eigenvalues, C C^-1 = I, residual): the
+spectral profile certifies once, on the solver's basis with its all-ones
+column pinned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,27 +183,6 @@ def operator_norm(a) -> float:
 # ---------------------------------------------------------------------------
 # Nonsymmetric eigendecomposition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues with a unit-column eigenbasis and its explicit inverse.
-
-    ``residual`` is ||A C - C diag(lambda)||_F, guaranteed at most
-    ``RESIDUAL_TOL`` * ||A||_F; ``norm_c`` and ``norm_c_inv`` are the
-    operator norms of the basis and of its inverse.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    basis_inverse: np.ndarray
-    residual: float
-    norm_c: float
-    norm_c_inv: float
-
-    def __post_init__(self):
-        for arr in (self.eigenvalues, self.basis, self.basis_inverse):
-            arr.flags.writeable = False
-
 
 def _hessenberg(a: np.ndarray):
     """Householder reduction A = Q H Q^T of the real ``a``; returns H and
@@ -519,6 +497,8 @@ def eigenpairs(a):
     if np.any(am.imag != 0.0):
         raise PreconditionError("eigendecomposition expects real entries")
     scale = frobenius(am)
+    if scale == 0.0:
+        raise PreconditionError("eigendecomposition expects a nonzero matrix")
     eig, z, t = _real_schur(am.real, max_sweeps=100 * am.shape[0])
     c = _schur_eigenvectors(z, t, eig)
     # complex pairs are exactly conjugate already; near-real values go onto
@@ -543,19 +523,6 @@ def eigenpairs(a):
     return vals, _fix_phase(c)
 
 
-def eigendecompose_nonsymmetric(a) -> EigenDecomposition:
-    """The ``eigenpairs`` of a real square matrix, certified once by
-    ``certify_eigenbasis``; the zero matrix gets the identity basis.
-    Non-diagonalizable input raises ``DefectiveMatrixError``."""
-    am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape[1] == n and frobenius(am) == 0.0:
-        eye = np.eye(n, dtype=complex)
-        return EigenDecomposition(np.zeros(n, dtype=complex), eye, eye.copy(),
-                                  0.0, 1.0, 1.0)
-    return certify_eigenbasis(am, *eigenpairs(am))
-
-
 def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:
     """Largest eps * ||A||_F * (s_i + s_j) / |lambda_i - lambda_j| over the
     eigenvalue pairs farther apart than ``CLUSTER_TOL`` * ||A||_F, where
@@ -572,14 +539,15 @@ def _coalescence(vals: np.ndarray, c_inv: np.ndarray, scale: float) -> float:
     return float(np.max(_EPS * scale * (s[:, None] + s[None, :])[apart] / gap[apart]))
 
 
-def certify_eigenbasis(a, eigenvalues: np.ndarray,
-                       basis: np.ndarray) -> EigenDecomposition:
-    """Invert a candidate unit-column eigenbasis of the nonzero matrix ``a``
+def certify_eigenbasis(a, eigenvalues: np.ndarray, basis: np.ndarray):
+    """Invert a candidate unit-column eigenbasis C of the nonzero matrix ``a``
     and certify it: the basis must be well conditioned (sigma_min and kappa
     cutoffs), no two eigenvalues farther apart than ``CLUSTER_TOL`` *
     ||a||_F may be within roundoff of coalescing (``_coalescence``), its
     inverse must pass ||C C^-1 - I||_F <= 1e-9 * n, and the residual
     ||A C - C diag(lambda)||_F must be at most ``RESIDUAL_TOL`` * ||a||_F.
+    Returns (C^-1, residual, ||C||, ||C^-1||), the norms being operator
+    norms.
 
     A singular, rank-deficient or coalescing basis raises
     ``DefectiveMatrixError``, a failed identity check ``NumericalError``
@@ -621,4 +589,4 @@ def certify_eigenbasis(a, eigenvalues: np.ndarray,
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * ||a||_F = {RESIDUAL_TOL * scale:.3e}")
-    return EigenDecomposition(eigenvalues, basis, c_inv, residual, norm_c, norm_c_inv)
+    return c_inv, residual, norm_c, norm_c_inv

@@ -2,10 +2,10 @@
 
 The transition matrix P of a digraph puts probability 1/outdegree(v) on
 every edge leaving v.  ``spectral_profile(g)`` builds P from the graph and
-packages everything the mixing and toughness bounds consume: P itself, the
-eigendecomposition with the canonical all-ones first eigenvector, the
-subdominant spectral radius rho, the stationary distribution pi, and the
-basis norms ||C||, ||C^-1||, kappa.
+packages everything the mixing and toughness bounds consume: P itself, its
+certified eigenbasis C with the canonical all-ones first column and the
+inverse C^-1, the subdominant spectral radius rho, the stationary
+distribution pi, and the basis norms ||C||, ||C^-1||, kappa.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, PreconditionError
 from .graph import DirectedGraph, _period, _strong_levels
-from .linalg import EigenDecomposition, certify_eigenbasis, eigenpairs
+from .linalg import certify_eigenbasis, eigenpairs
 
 
 def build_transition_matrix(g: DirectedGraph) -> np.ndarray:
@@ -71,14 +71,19 @@ def stationary_distribution(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
 class SpectralProfile:
     """All spectral inputs of the mixing and toughness bounds.
 
-    ``p`` is the read-only walk matrix.  The decomposition's first column
-    is exactly (1/sqrt(n)) * ones, its eigenvalue exactly 1; ``rho`` is the
-    maximum modulus over the other eigenvalues.  ``perron_gap`` records how
-    far the solver's dominant eigenvalue was from 1 before it was snapped.
+    ``p`` is the walk matrix.  ``basis`` C has unit columns, the first
+    exactly (1/sqrt(n)) * ones with eigenvalue exactly 1; ``basis_inverse``
+    is C^-1, ``residual`` is ||P C - C diag(eigenvalues)||_F, and
+    ``norm_c`` and ``norm_c_inv`` are the operator norms of C and C^-1.
+    ``rho`` is the maximum modulus over the other eigenvalues.  Every
+    array is read-only.
     """
 
     p: np.ndarray
-    decomposition: EigenDecomposition
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    basis_inverse: np.ndarray
+    residual: float
     rho: float
     pi: np.ndarray
     pi_min: float
@@ -86,7 +91,6 @@ class SpectralProfile:
     norm_c: float
     norm_c_inv: float
     kappa: float
-    perron_gap: float
 
     @property
     def n(self) -> int:
@@ -110,19 +114,20 @@ def spectral_profile(g: DirectedGraph) -> SpectralProfile:
     vals, basis = eigenpairs(p)
     n = g.n
     lead = int(np.argmin(np.abs(vals - 1.0)))
-    perron_gap = float(abs(vals[lead] - 1.0))
-    if perron_gap > 1e-10:
+    if abs(vals[lead] - 1.0) > 1e-10:
         raise NumericalError(
             f"dominant eigenvalue is {vals[lead]:.12g}, not 1 within 1e-10")
 
     order = [lead] + [i for i in range(n) if i != lead]
     vals = vals[order]
-    # the column gather comes out F-ordered; a C-ordered copy makes the BLAS
-    # products round as they do in ``eigendecompose_nonsymmetric``
+    # the column gather comes out F-ordered; a C-ordered copy pins the
+    # memory layout, and so the rounding, of the BLAS products on the basis
     basis = basis[:, order].copy()
     vals[0] = 1.0
     basis[:, 0] = 1.0 / np.sqrt(n)
-    adjusted = certify_eigenbasis(p, vals, basis)
+    c_inv, residual, norm_c, norm_c_inv = certify_eigenbasis(p, vals, basis)
+    for arr in (vals, basis, c_inv):
+        arr.flags.writeable = False
 
     rho = float(np.max(np.abs(vals[1:]))) if n > 1 else 0.0
     if rho >= 1.0 - 1e-12:
@@ -130,16 +135,17 @@ def spectral_profile(g: DirectedGraph) -> SpectralProfile:
             f"subdominant spectral radius {rho:.15g} is numerically 1: "
             "the walk is not aperiodic to working precision")
 
-    kappa = max(adjusted.norm_c * adjusted.norm_c_inv, 1.0)
     return SpectralProfile(
         p=p,
-        decomposition=adjusted,
+        eigenvalues=vals,
+        basis=basis,
+        basis_inverse=c_inv,
+        residual=residual,
         rho=rho,
         pi=pi,
         pi_min=float(pi.min()),
         pi_max=float(pi.max()),
-        norm_c=adjusted.norm_c,
-        norm_c_inv=adjusted.norm_c_inv,
-        kappa=kappa,
-        perron_gap=perron_gap,
+        norm_c=norm_c,
+        norm_c_inv=norm_c_inv,
+        kappa=max(norm_c * norm_c_inv, 1.0),
     )

@@ -310,12 +310,10 @@ class _SweepAccumulator:
         self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
         flat = slack.ravel()
         if flat[j] <= self.worst[0]:
-            # the worst pair is the smallest (slack, u, w); lexsort's last
-            # key, the top vertex of U, is its primary one
+            # the worst pair is the smallest (slack, u, w)
             ties = np.flatnonzero(flat == flat[j])
-            u, w = u[ties], w[ties]
-            k = np.lexsort(np.hstack([w, u]).T)[:1]
-            self.worst = min(self.worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
+            pair = min(zip(_masks(u[ties]), _masks(w[ties])))
+            self.worst = min(self.worst, (float(flat[j]), *pair))
 
     def report(self, n: int, policy: str, sample_count, seed,
                nonempty_only) -> EmlReport:

@@ -70,7 +70,7 @@ def analysis_report(g: DirectedGraph, profile: SpectralProfile) -> AnalysisRepor
         edge_count=g.edge_count,
         strongly_connected=True,
         period=1,
-        eigenvalues=tuple(complex(z) for z in profile.decomposition.eigenvalues),
+        eigenvalues=tuple(complex(z) for z in profile.eigenvalues),
         rho=profile.rho,
         pi=tuple(float(x) for x in profile.pi),
         pi_min=profile.pi_min,
@@ -78,7 +78,7 @@ def analysis_report(g: DirectedGraph, profile: SpectralProfile) -> AnalysisRepor
         norm_c=profile.norm_c,
         norm_c_inv=profile.norm_c_inv,
         kappa=profile.kappa,
-        residual=profile.decomposition.residual,
+        residual=profile.residual,
     )
 
 

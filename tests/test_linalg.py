@@ -17,7 +17,6 @@ from dgspec import (
     build_transition_matrix,
     complete_bidirected,
     de_bruijn,
-    eigendecompose_nonsymmetric,
     graph_from_edges,
     invert,
     operator_norm,
@@ -29,9 +28,10 @@ from dgspec import (
 from dgspec import linalg
 from dgspec.linalg import frobenius
 
-from oracles import (JORDAN_ARCS, cluster_indices_by_union_find, condition_number,
-                     deflation_start_scalar, determinant, eig_multiset_error,
-                     francis_sweep_scalar, lu_solve, svd_condition_number)
+from oracles import (JORDAN_ARCS, certified_eigenpairs, cluster_indices_by_union_find,
+                     condition_number, deflation_start_scalar, determinant,
+                     eig_multiset_error, francis_sweep_scalar, lu_solve,
+                     svd_condition_number)
 from strategies import chord_cycles, cycle_plus_arcs, de_bruijn_graphs
 
 # Frozen derived values for the canonical 3-vertex chord cycle:
@@ -94,7 +94,7 @@ class TestInvert:
                            atol=1e-15)
 
     def test_chord_basis_multiply_back(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         prod = dec.basis @ invert(dec.basis)
         assert frobenius(prod - np.eye(3)) <= 1e-9
 
@@ -166,7 +166,7 @@ class TestConditionNumber:
             assert condition_number(rng.standard_normal((4, 4))) >= 1.0
 
     def test_chord_basis_vs_svd_oracle(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         assert condition_number(dec.basis) == pytest.approx(
             svd_condition_number(dec.basis), rel=1e-8)
 
@@ -233,7 +233,7 @@ class TestHessenbergKernels:
         with pytest.raises(DefectiveMatrixError):
             linalg._schur_eigenvectors(np.eye(30), j, np.full(30, 0.5 + 0j))
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(j)
+            certified_eigenpairs(j)
 
 
 @st.composite
@@ -397,27 +397,28 @@ class TestCertifyEigenbasis:
     def test_recertifying_the_solver_output_is_bit_identical(self):
         rng = np.random.default_rng(73)
         for a in (CHORD_P, rng.standard_normal((9, 9))):
-            dec = eigendecompose_nonsymmetric(a)
-            again = linalg.certify_eigenbasis(a, dec.eigenvalues, dec.basis)
-            assert np.array_equal(again.basis_inverse, dec.basis_inverse)
-            assert again.residual == dec.residual
-            assert again.norm_c == dec.norm_c
-            assert again.norm_c_inv == dec.norm_c_inv
+            dec = certified_eigenpairs(a)
+            c_inv, residual, norm_c, norm_c_inv = linalg.certify_eigenbasis(
+                a, dec.eigenvalues, dec.basis)
+            assert np.array_equal(c_inv, dec.basis_inverse)
+            assert residual == dec.residual
+            assert norm_c == dec.norm_c
+            assert norm_c_inv == dec.norm_c_inv
 
     def test_repeated_column_is_defective(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         basis = dec.basis.copy()
         basis[:, 2] = basis[:, 1]
         with pytest.raises(DefectiveMatrixError):
             linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues, basis)
 
     def test_shifted_eigenvalues_fail_the_residual(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         with pytest.raises(ConvergenceError):
             linalg.certify_eigenbasis(CHORD_P, dec.eigenvalues + 1e-6, dec.basis)
 
     def test_nan_eigenvalue_fails_the_residual(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         vals = dec.eigenvalues.copy()
         vals[1] = np.nan
         with pytest.raises(ConvergenceError, match="residual nan"):
@@ -426,12 +427,12 @@ class TestCertifyEigenbasis:
 
 class TestEigendecompose:
     def test_diag(self):
-        dec = eigendecompose_nonsymmetric(np.diag([3.0, 1.0]))
+        dec = certified_eigenpairs(np.diag([3.0, 1.0]))
         assert np.allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-14)
         assert np.allclose(np.abs(dec.basis), np.eye(2), atol=1e-12)
 
     def test_chord_cycle_roots(self):
-        dec = eigendecompose_nonsymmetric(CHORD_P)
+        dec = certified_eigenpairs(CHORD_P)
         assert eig_multiset_error(dec.eigenvalues, CHORD_ROOTS) <= 1e-12
         # sorted order matches the documented convention exactly
         assert np.allclose(dec.eigenvalues, CHORD_ROOTS, atol=1e-12)
@@ -440,7 +441,7 @@ class TestEigendecompose:
         p = build_transition_matrix(de_bruijn(2, 2))
         assert np.linalg.matrix_rank(p) == 2  # rank oracle: eigenvalue 0 deficit
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(p)
+            certified_eigenpairs(p)
 
     @pytest.mark.parametrize("n, p, seed", [(15, 0.2, 82), (20, 0.15, 319)])
     def test_cluster_near_real_axis_is_defective(self, n, p, seed):
@@ -448,12 +449,12 @@ class TestEigendecompose:
         # tolerance of its own conjugate; numpy's cond(V) is 5e12 and 9e10
         g = parse_edge_list(write_edge_list(random_strongly_connected(n, p, seed=seed)))
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(build_transition_matrix(g))
+            certified_eigenpairs(build_transition_matrix(g))
 
     def test_jordan_block_is_defective(self):
         j = np.diag(np.ones(3), 1) + 0.5 * np.eye(4)
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(j)
+            certified_eigenpairs(j)
 
     def test_jordan_graph_is_defective_under_every_relabeling(self):
         # roundoff splits the double eigenvalue -1/2 by ~sqrt(eps): inside
@@ -462,13 +463,13 @@ class TestEigendecompose:
         for perm in itertools.permutations(range(4)):
             g = relabel(4, JORDAN_ARCS, perm)
             with pytest.raises(DefectiveMatrixError):
-                eigendecompose_nonsymmetric(build_transition_matrix(g))
+                certified_eigenpairs(build_transition_matrix(g))
 
     def test_petersen_relabelings_are_accepted(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             g = relabel(10, petersen().edges, rng.permutation(10))
-            dec = eigendecompose_nonsymmetric(build_transition_matrix(g))
+            dec = certified_eigenpairs(build_transition_matrix(g))
             assert dec.norm_c * dec.norm_c_inv <= 1.0 + 1e-8  # orthonormal basis
 
     @settings(max_examples=30, deadline=None)
@@ -478,22 +479,20 @@ class TestEigendecompose:
         j = np.diag(np.r_[0.5, 0.5, rest])
         j[0, 1] = 1.0
         with pytest.raises(DefectiveMatrixError):
-            eigendecompose_nonsymmetric(similar_to(j, seed))
+            certified_eigenpairs(similar_to(j, seed))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1))
     def test_eigenvalues_1e6_apart_are_accepted(self, n, seed):
         vals = np.r_[0.5, 0.5 + 1e-6, np.random.default_rng(seed).uniform(-1.0, 0.0, n - 2)]
-        dec = eigendecompose_nonsymmetric(similar_to(np.diag(vals), seed))
+        dec = certified_eigenpairs(similar_to(np.diag(vals), seed))
         assert eig_multiset_error(dec.eigenvalues, vals) <= 1e-12
 
-    def test_zero_matrix_gets_the_identity_basis(self):
-        dec = eigendecompose_nonsymmetric(np.zeros((3, 3)))
-        assert np.array_equal(dec.eigenvalues, np.zeros(3))
-        assert np.array_equal(dec.basis, np.eye(3))
-        assert np.array_equal(dec.basis_inverse, np.eye(3))
-        assert dec.residual == 0.0
-        assert dec.norm_c == 1.0 and dec.norm_c_inv == 1.0
+    def test_zero_matrix_is_a_precondition_error(self):
+        # every vector is an eigenvector, and back-substitution on T = 0
+        # would overflow: the solver refuses the input instead
+        with pytest.raises(PreconditionError, match="nonzero matrix"):
+            linalg.eigenpairs(np.zeros((3, 3)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conjugate_clusters_pair_by_exact_value(self, seed):
@@ -515,7 +514,7 @@ class TestEigendecompose:
         a, upper = planted(0.0)
         for _ in range(3):
             a, upper = planted(1e-8 * frobenius(a))
-        dec = eigendecompose_nonsymmetric(a)
+        dec = certified_eigenpairs(a)
         vals = dec.eigenvalues
         assert eig_multiset_error(vals, upper + [z.conjugate() for z in upper]
                                   + [0.9, -0.8, 0.5]) <= 1e-12
@@ -529,7 +528,7 @@ class TestEigendecompose:
         b = np.array([[0.3, 0.4], [-0.4, 0.3]])
         a = np.zeros((5, 5))
         a[:2, :2], a[2:4, 2:4], a[4, 4] = b, b, 0.9
-        dec = eigendecompose_nonsymmetric(a)
+        dec = certified_eigenpairs(a)
         vals, basis = dec.eigenvalues, dec.basis
         assert list(vals) == [0.9, 0.3 + 0.4j, 0.3 + 0.4j, 0.3 - 0.4j, 0.3 - 0.4j]
         assert np.array_equal(basis[:, 3:], np.conj(basis[:, 1:3]))
@@ -537,19 +536,19 @@ class TestEigendecompose:
 
     def test_rejects_complex_input(self):
         with pytest.raises(PreconditionError):
-            eigendecompose_nonsymmetric(np.array([[1j, 0], [0, 1]]))
+            certified_eigenpairs(np.array([[1j, 0], [0, 1]]))
 
     def test_unit_columns(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((8, 8))
-        dec = eigendecompose_nonsymmetric(a)
+        dec = certified_eigenpairs(a)
         norms = np.sqrt(np.sum(np.abs(dec.basis) ** 2, axis=0))
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
     def test_phase_convention(self):
         rng = np.random.default_rng(43)
         a = rng.standard_normal((6, 6))
-        dec = eigendecompose_nonsymmetric(a)
+        dec = certified_eigenpairs(a)
         for j in range(6):
             k = int(np.argmax(np.abs(dec.basis[:, j])))
             pivot = dec.basis[k, j]
@@ -560,7 +559,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(47)
         for _ in range(10):
             a = rng.standard_normal((7, 7))
-            dec = eigendecompose_nonsymmetric(a)
+            dec = certified_eigenpairs(a)
             vals = dec.eigenvalues
             i = 0
             while i < len(vals):
@@ -577,14 +576,14 @@ class TestEigendecompose:
         rng = np.random.default_rng(53)
         for _ in range(10):
             a = rng.standard_normal((6, 6))
-            vals = eigendecompose_nonsymmetric(a).eigenvalues
+            vals = certified_eigenpairs(a).eigenvalues
             assert eig_multiset_error(vals, np.conj(vals)) <= 1e-10
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
             a = rng.standard_normal((6, 6))
-            vals = eigendecompose_nonsymmetric(a).eigenvalues
+            vals = certified_eigenpairs(a).eigenvalues
             assert abs(vals.sum() - np.trace(a)) <= 1e-9 * frobenius(a)
             det = determinant(a)
             assert abs(np.prod(vals) - det) <= 1e-8 * abs(det)
@@ -593,7 +592,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(61)
         for _ in range(10):
             a = rng.standard_normal((9, 9))
-            dec = eigendecompose_nonsymmetric(a)
+            dec = certified_eigenpairs(a)
             direct = frobenius(a @ dec.basis - dec.basis * dec.eigenvalues[None, :])
             assert direct <= dec.residual + 1e-15
             assert dec.residual <= linalg.RESIDUAL_TOL * frobenius(a)
@@ -603,21 +602,21 @@ class TestEigendecompose:
         for _ in range(5):
             m = rng.standard_normal((6, 6))
             a = m + m.T
-            dec = eigendecompose_nonsymmetric(a)
+            dec = certified_eigenpairs(a)
             assert condition_number(dec.basis) - 1.0 <= 1e-8
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(71)
         for n in (2, 3, 5, 8, 12):
             a = rng.standard_normal((n, n))
-            vals = eigendecompose_nonsymmetric(a).eigenvalues
+            vals = certified_eigenpairs(a).eigenvalues
             assert eig_multiset_error(vals, np.linalg.eigvals(a)) <= 1e-9 * max(
                 1.0, frobenius(a))
 
     def test_repeated_eigenvalue_orthonormalized(self):
         # rank-one symmetric update: eigenvalue 1 has multiplicity 3
         a = np.eye(4) + np.outer([1.0, 1, 1, 1], [1.0, 1, 1, 1])
-        dec = eigendecompose_nonsymmetric(a)
+        dec = certified_eigenpairs(a)
         gram = dec.basis.conj().T @ dec.basis
         assert frobenius(gram - np.eye(4)) <= 1e-10
 
@@ -627,7 +626,7 @@ class TestEigendecompose:
         for n in range(3, 41):
             p = np.zeros((n, n))
             p[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-            vals = eigendecompose_nonsymmetric(p).eigenvalues
+            vals = certified_eigenpairs(p).eigenvalues
             roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
             assert eig_multiset_error(vals, roots) <= 1e-12, n
 
@@ -636,7 +635,7 @@ class TestEigendecompose:
     def test_walk_matrices_match_numpy_oracle(self, g):
         p = build_transition_matrix(g)
         try:
-            dec = eigendecompose_nonsymmetric(p)
+            dec = certified_eigenpairs(p)
         except ConvergenceError:
             raise  # a stalled QR or a missed residual is a solver failure, not a verdict on p
         except NumericalError:  # defective, or a basis too ill-conditioned to invert

@@ -139,7 +139,7 @@ class TestStationaryDistribution:
 class TestSpectralProfile:
     def test_complete_bidirected_3(self):
         prof = spectral_profile(complete_bidirected(3))
-        assert np.allclose(sorted(prof.decomposition.eigenvalues.real),
+        assert np.allclose(sorted(prof.eigenvalues.real),
                            [-0.5, -0.5, 1.0], atol=1e-12)
         assert prof.rho == pytest.approx(0.5, abs=1e-12)
         assert prof.kappa == pytest.approx(1.0, abs=1e-8)
@@ -152,12 +152,18 @@ class TestSpectralProfile:
         assert spectral_profile(undirected_cycle(5)).rho == pytest.approx(
             math.cos(math.pi / 5), abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["p", "pi", "eigenvalues", "basis", "basis_inverse"])
+    def test_arrays_are_read_only(self, name):
+        arr = getattr(spectral_profile(chord_cycle(3)), name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
     def test_leading_column_is_exact(self):
         for g in (chord_cycle(3), petersen()):
             prof = spectral_profile(g)
             n = g.n
-            assert prof.decomposition.eigenvalues[0] == 1.0 + 0.0j
-            assert np.array_equal(prof.decomposition.basis[:, 0],
+            assert prof.eigenvalues[0] == 1.0 + 0.0j
+            assert np.array_equal(prof.basis[:, 0],
                                   np.full(n, 1.0 / np.sqrt(n), dtype=complex))
 
     def test_rho_strictly_below_one(self, corpus_profiles):
@@ -172,8 +178,8 @@ class TestSpectralProfile:
 
     def test_norms_are_those_of_the_pinned_basis(self, corpus_profiles):
         for prof in corpus_profiles.values():
-            assert prof.norm_c == operator_norm(prof.decomposition.basis)
-            assert prof.norm_c_inv == operator_norm(prof.decomposition.basis_inverse)
+            assert prof.norm_c == operator_norm(prof.basis)
+            assert prof.norm_c_inv == operator_norm(prof.basis_inverse)
 
     def test_regular_graph_spectrum_is_scaled_adjacency(self):
         # circulant closed form: cycle adjacency eigenvalues 2cos(2 pi k / n)
@@ -181,9 +187,9 @@ class TestSpectralProfile:
             prof = spectral_profile(undirected_cycle(n))
             expected = sorted(2 * math.cos(2 * math.pi * k / n) / 2
                               for k in range(n))
-            got = sorted(prof.decomposition.eigenvalues.real)
+            got = sorted(prof.eigenvalues.real)
             assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-8
-            assert np.max(np.abs(prof.decomposition.eigenvalues.imag)) <= 1e-10
+            assert np.max(np.abs(prof.eigenvalues.imag)) <= 1e-10
 
     def test_rho_invariant_under_relabeling(self):
         rng = np.random.default_rng(101)
@@ -260,7 +266,8 @@ class TestSpectralProfile:
     def test_certifies_one_basis(self, monkeypatch):
         # one inversion and one norm pair, on the pinned basis; the solver's
         # own basis is never certified on the way
-        calls = dict.fromkeys(("invert", "operator_norm", "eigendecompose_nonsymmetric"), 0)
+        calls = dict.fromkeys(
+            ("eigenpairs", "certify_eigenbasis", "invert", "operator_norm"), 0)
         modules = [mod for name, mod in sys.modules.items()
                    if name == "dgspec" or name.startswith("dgspec.")]
         for name in calls:
@@ -274,10 +281,11 @@ class TestSpectralProfile:
                 for attr in [a for a, obj in vars(mod).items() if obj is fn]:
                     monkeypatch.setattr(mod, attr, counted)
         spectral_profile(chord_cycle(6, [(0, 2), (1, 4)]))
-        assert calls == {"invert": 1, "operator_norm": 2, "eigendecompose_nonsymmetric": 0}
+        assert calls == {"eigenpairs": 1, "certify_eigenbasis": 1,
+                         "invert": 1, "operator_norm": 2}
 
     def test_gth_matches_dual_eigenvector(self, corpus_profiles):
         # two independent routes to pi: GTH elimination vs first row of C^-1
         for prof in corpus_profiles.values():
-            row = prof.decomposition.basis_inverse[0] / np.sqrt(prof.n)
+            row = prof.basis_inverse[0] / np.sqrt(prof.n)
             assert np.max(np.abs(row - prof.pi)) <= 1e-8
