@@ -24,14 +24,10 @@ import argparse
 import sys
 
 from . import graph as graphs
-from .errors import (
-    DgspecError,
-    EdgeListParseError,
-    NumericalError,
-    PreconditionError,
-)
+from .errors import EdgeListParseError, NumericalError, PreconditionError
 from .markov import spectral_profile
-from .mixing import SubsetPair, check_exhaustive_cap, eml_pair_values, verify_eml
+from .mixing import (EmlReport, SubsetPair, check_exhaustive_cap, eml_pair_values,
+                     verify_eml)
 from .reports import (
     FORMATS,
     BoundOnlyReport,
@@ -72,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", parents=[flags],
                           help="full spectral report for an edge-list file")
     p_an.add_argument("path")
+    p_an.set_defaults(run=_cmd_analyze)
 
     p_eml = sub.add_parser("eml", help="mixing-inequality commands")
     eml_sub = p_eml.add_subparsers(dest="eml_command", required=True)
@@ -82,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check N sampled pairs instead of all 4^n")
     p_ver.add_argument("--nonempty-only", action="store_true",
                        help="restrict the sweep to nonempty subsets")
+    p_ver.set_defaults(run=_cmd_eml_verify)
     p_bnd = eml_sub.add_parser("bound", parents=[flags],
                                help="evaluate the bounds for one subset pair")
     p_bnd.add_argument("path")
@@ -89,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated vertex indices or labels")
     p_bnd.add_argument("--w", required=True,
                        help="comma-separated vertex indices or labels")
+    p_bnd.set_defaults(run=_cmd_eml_bound)
 
     p_tf = sub.add_parser("toughness", parents=[flags],
                           help="exact toughness, its spectral bound, or both")
@@ -96,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tf.add_argument("path")
     p_tf.add_argument("--allow-large", action="store_true",
                       help="override the enumeration cap (exponential cost)")
+    p_tf.set_defaults(run=_cmd_toughness)
 
     p_gen = sub.add_parser("generate", parents=[flags],
                            help="write a generated graph as an edge-list file")
@@ -103,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("params", nargs="*",
                        help="family parameters (see README)")
     p_gen.add_argument("-o", "--out", required=True, help="output path")
+    p_gen.set_defaults(run=_cmd_generate)
     return top
 
 
@@ -117,16 +118,18 @@ def _load_graph(path: str) -> graphs.DirectedGraph:
     return graphs.parse_edge_list(text)
 
 
-def _parse_subset(arg: str, g: graphs.DirectedGraph) -> list[int]:
+def _parse_subset(arg: str, g: graphs.DirectedGraph) -> tuple[int, ...]:
+    """The sorted vertex indices of comma-separated tokens.  A token that
+    is a label of ``g`` names that vertex, else it must be an index."""
     by_label = ({lab: i for i, lab in enumerate(g.labels)}
                 if g.labels is not None else {})
-    out = []
+    out = set()
     for token in arg.split(","):
         token = token.strip()
         if not token:
             continue
         if token in by_label:
-            out.append(by_label[token])
+            out.add(by_label[token])
             continue
         try:
             idx = int(token)
@@ -134,55 +137,44 @@ def _parse_subset(arg: str, g: graphs.DirectedGraph) -> list[int]:
             raise PreconditionError(f"unknown vertex {token!r}") from None
         if not 0 <= idx < g.n:
             raise PreconditionError(f"vertex index {idx} out of range for n={g.n}")
-        out.append(idx)
-    return out
+        out.add(idx)
+    return tuple(sorted(out))
 
 
-def _emit(report, args):
-    sys.stdout.write(render(report, args.fmt, args.verbose))
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     g = _load_graph(args.path)
-    _emit(analysis_report(g, spectral_profile(g)), args)
-    return EXIT_OK
+    return analysis_report(g, spectral_profile(g))
 
 
-def _cmd_eml_verify(args) -> int:
+def _cmd_eml_verify(args):
     g = _load_graph(args.path)
     if args.sample is None:
         # the cap needs only n: reject before the profile's O(n^3) work
         check_exhaustive_cap(g.n)
-    report = verify_eml(spectral_profile(g), sample=args.sample, seed=args.seed,
-                        nonempty_only=args.nonempty_only)
-    _emit(report, args)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return verify_eml(spectral_profile(g), sample=args.sample, seed=args.seed,
+                      nonempty_only=args.nonempty_only)
 
 
-def _cmd_eml_bound(args) -> int:
+def _cmd_eml_bound(args):
     g = _load_graph(args.path)
     profile = spectral_profile(g)
-    pair = SubsetPair.from_indices(_parse_subset(args.u, g),
-                                   _parse_subset(args.w, g))
+    pair = SubsetPair(_parse_subset(args.u, g), _parse_subset(args.w, g))
     lhs, _, bound, simple = eml_pair_values(profile, pair)
-    _emit(PairBoundReport(u=pair.u_indices, w=pair.w_indices, lhs=lhs,
-                          bound=bound, bound_simple=simple,
-                          slack=bound - lhs, slack_simple=simple - lhs), args)
-    return EXIT_OK
+    return PairBoundReport(u=pair.u, w=pair.w, lhs=lhs, bound=bound,
+                           bound_simple=simple, slack=bound - lhs,
+                           slack_simple=simple - lhs)
 
 
-def _cmd_toughness(args) -> int:
+def _cmd_toughness(args):
     g = _load_graph(args.path)
     if args.mode == "exact":
-        _emit(exact_toughness(g, allow_large=args.allow_large), args)
-    elif args.mode == "bound":
-        _emit(BoundOnlyReport(toughness_spectral_bound(spectral_profile(g))), args)
-    else:
-        # the checks, then the profile, then the 2^n enumeration: fail as early as can be
-        check_enumeration(g, args.allow_large)
-        profile = spectral_profile(g)
-        _emit(compare_bounds(exact_toughness(g, allow_large=args.allow_large), profile), args)
-    return EXIT_OK
+        return exact_toughness(g, allow_large=args.allow_large)
+    if args.mode == "bound":
+        return BoundOnlyReport(toughness_spectral_bound(spectral_profile(g)))
+    # the checks, then the profile, then the 2^n enumeration: fail as early as can be
+    check_enumeration(g, args.allow_large)
+    profile = spectral_profile(g)
+    return compare_bounds(exact_toughness(g, allow_large=args.allow_large), profile)
 
 
 def _parse_generate_params(family: str, raw: list[str], seed: int) -> dict:
@@ -217,7 +209,7 @@ def _parse_generate_params(family: str, raw: list[str], seed: int) -> dict:
     return params
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     params = _parse_generate_params(args.family, args.params, args.seed)
     g = graphs.generate(args.family, **params)
     try:
@@ -225,24 +217,17 @@ def _cmd_generate(args) -> int:
             fh.write(graphs.write_edge_list(g))
     except OSError as exc:
         raise PreconditionError(f"cannot write {args.out}: {exc.strerror}") from exc
-    shown = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
-    _emit(GenerateReport(family=args.family, params=tuple(shown.items()),
-                         path=args.out, n=g.n, edge_count=g.edge_count), args)
-    return EXIT_OK
+    return GenerateReport(family=args.family, params=tuple(params.items()),
+                          path=args.out, n=g.n, edge_count=g.edge_count)
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "eml":
-            if args.eml_command == "verify":
-                return _cmd_eml_verify(args)
-            return _cmd_eml_bound(args)
-        if args.command == "toughness":
-            return _cmd_toughness(args)
-        return _cmd_generate(args)
+        report = args.run(args)
+        sys.stdout.write(render(report, args.fmt, args.verbose))
+        failed = isinstance(report, EmlReport) and not report.passed
+        return EXIT_VIOLATION if failed else EXIT_OK
     except EdgeListParseError as exc:
         print(f"dgspec: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -251,9 +236,6 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except NumericalError as exc:
         print(f"dgspec: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DgspecError as exc:
-        print(f"dgspec: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

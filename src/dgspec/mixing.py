@@ -2,7 +2,9 @@
 its condition-number simplification, each verifiable exhaustively over all
 4^n subset pairs or by seeded sampling.
 
-Subsets are bitmasks over [0, n): bit i set means vertex i is in the set.
+A subset pair is a ``SubsetPair`` of vertex-index tuples.  Inside the two
+sweeps a subset is a bitmask over [0, n), bit i set when vertex i is in
+it; the report decodes the worst pair's masks to indices once.
 
 The exhaustive sweep does per pair only what depends on the pair: the mass
 s(U, W), the two deviations and their folds.  Both bounds depend on U only
@@ -23,7 +25,7 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,52 +48,10 @@ MIN_SHARE_PAIRS = 1 << 23
 
 @dataclass(frozen=True)
 class SubsetPair:
-    """An ordered pair of vertex subsets, each a bitmask over [0, n)."""
+    """An ordered pair of vertex subsets, each a tuple of vertex indices."""
 
-    u: int
-    w: int
-
-    def __post_init__(self):
-        if self.u < 0 or self.w < 0:
-            raise PreconditionError("subset bitmasks must be nonnegative")
-
-    @classmethod
-    def from_indices(cls, u: Iterable[int], w: Iterable[int]) -> "SubsetPair":
-        return cls(mask_from_indices(u), mask_from_indices(w))
-
-    @property
-    def u_indices(self) -> tuple[int, ...]:
-        return indices_from_mask(self.u)
-
-    @property
-    def w_indices(self) -> tuple[int, ...]:
-        return indices_from_mask(self.w)
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        if i < 0:
-            raise PreconditionError("vertex indices must be nonnegative")
-        mask |= 1 << i
-    return mask
-
-
-def indices_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _check_pair(profile_n: int, pair: SubsetPair):
-    top = 1 << profile_n
-    if pair.u >= top or pair.w >= top:
-        raise PreconditionError(f"subset bitmask out of range for n={profile_n}")
+    u: tuple[int, ...]
+    w: tuple[int, ...]
 
 
 def subset_sums(values: np.ndarray) -> np.ndarray:
@@ -190,6 +150,11 @@ def _masks(members: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
     """``eml_kernel`` over 0/1 membership rows (m, n) of U and W."""
     weights = np.column_stack([np.ones(profile.n), profile.pi])
@@ -201,10 +166,11 @@ def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
 
 def eml_pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
     """``eml_kernel``'s four values for one subset pair, from one evaluation."""
-    _check_pair(profile.n, pair)
+    if not all(0 <= v < profile.n for v in pair.u + pair.w):
+        raise PreconditionError(f"vertex index out of range for n={profile.n}")
     vertices = np.arange(profile.n)
-    values = _block_values(profile, np.isin(vertices, pair.u_indices)[None],
-                           np.isin(vertices, pair.w_indices)[None])
+    values = _block_values(profile, np.isin(vertices, pair.u)[None],
+                           np.isin(vertices, pair.w)[None])
     return [v.item() for v in values]
 
 
@@ -335,7 +301,7 @@ class _SweepAccumulator:
             tightness_ratio=self.tightness,
             theorem_violations=self.thm_viol,
             simple_violations=self.simple_viol,
-            worst_pair=SubsetPair(*self.worst[1:]),
+            worst_pair=SubsetPair(*map(_indices, self.worst[1:])),
             passed=max_violation <= self.slack_tol,
         )
 

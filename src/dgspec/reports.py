@@ -7,17 +7,18 @@ field table of the machine-readable formats: ``to_jsonable`` and
 JSON value goes through one encoder: floats stay native (their repr
 round-trips doubles exactly) except infinities, which become the strings
 "infinite" / "-infinite"; complex numbers become {"re": ..., "im": ...};
-vertex tuples become lists; subset pairs become {"u": [...], "w": [...]}.
+vertex tuples become lists; a nested dataclass (the comparison's
+``exact``, a subset pair) becomes the object of its fields, without header.
 ``schema.json`` is the contract of that JSON; nothing here reads it back.
 CSV writes one header and one row with the same cell codec (vertex tuples
 space-separated, None empty).  A report holds only what its command computes.
 
 The shapes the walk does not produce by itself are spelled out here: the
-"graph" / "spectral" groups of the analysis report (field metadata), the
-comparison's ``exact`` nested without a header, generator params as an
-object and not in CSV, the analysis CSV's ``eig{i}_re``, ``eig{i}_im`` and
-``pi{i}`` columns at the end, and the ``spectral_bound`` column of the
-bound-only CSV.  Text output (7 significant digits) is laid out by hand.
+"graph" / "spectral" groups of the analysis report (field metadata),
+generator params as an object and not in CSV, the analysis CSV's
+``eig{i}_re``, ``eig{i}_im`` and ``pi{i}`` columns at the end, and the
+``spectral_bound`` column of the bound-only CSV.  Text output (7
+significant digits) is laid out by hand.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 from .errors import PreconditionError
@@ -146,14 +147,12 @@ def _json_value(name: str, x):
         return None
     if name == "params":
         return dict(x)
-    if name == "exact":
+    if is_dataclass(x):
         return _json_fields(x)
     if isinstance(x, float):
         return _num(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, SubsetPair):
-        return {"u": list(x.u_indices), "w": list(x.w_indices)}
     if isinstance(x, tuple):
         return [_json_value(name, v) for v in x]
     return x
@@ -212,8 +211,8 @@ def to_text(report, verbosity: int = 0) -> str:
         lines.append(f"tightness_ratio  = {_f(report.tightness_ratio)}")
         lines.append(f"violations       = {report.theorem_violations} full, "
                      f"{report.simple_violations} simple")
-        u = ",".join(str(i) for i in report.worst_pair.u_indices) or "-"
-        w = ",".join(str(i) for i in report.worst_pair.w_indices) or "-"
+        u = ",".join(str(i) for i in report.worst_pair.u) or "-"
+        w = ",".join(str(i) for i in report.worst_pair.w) or "-"
         lines.append(f"worst_pair       = U={{{u}}} W={{{w}}}")
         if verbosity >= 1:
             lines.append(f"stmt_min_slack   = {_f(report.stmt_min_slack)} "
@@ -270,7 +269,7 @@ def _csv_columns(report, prefix: str = ""):
             yield from _csv_columns(x, name + "_")
         elif isinstance(x, SubsetPair):
             stem = name.removesuffix("pair")
-            yield from ((stem + "u", x.u_indices), (stem + "w", x.w_indices))
+            yield from ((stem + "u", x.u), (stem + "w", x.w))
         else:
             yield name, x
 

@@ -61,7 +61,6 @@ from dgspec.linalg import (_lu_factor, _lu_solve_factored, _require_square, as_m
 from dgspec.mixing import (
     BLOCK_FLOATS,
     EXHAUSTIVE_CAP,
-    _check_pair,
     _mass_blocks,
     _masks,
     eml_kernel,
@@ -374,6 +373,16 @@ def eml_pair_oracle(profile, u_idx, w_idx):
     return lhs, float(bound), float(simple)
 
 
+def indices_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a bitmask, ascending, one bit test at a time."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def masks_of(members) -> list[int]:
+    """The bitmasks of 0/1 membership rows, one bit shift at a time."""
+    return [sum(1 << int(i) for i in np.flatnonzero(row)) for row in members]
+
+
 def eml_lhs(profile, pair: SubsetPair) -> float:
     """|sum of p_ij over (i in U, j in W)  -  |U| * pi(W)|."""
     return eml_pair_values(profile, pair)[0]
@@ -461,7 +470,8 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         simple_min_slack=simple_min, stmt_min_slack=stmt_min,
         bound_gap_min=gap_min, mean_slack=slack_sum / count,
         tightness_ratio=tightness, theorem_violations=thm_viol,
-        simple_violations=simple_viol, worst_pair=SubsetPair(*worst[1:]),
+        simple_violations=simple_viol,
+        worst_pair=SubsetPair(indices_of(worst[1]), indices_of(worst[2])),
         passed=max_violation <= slack_tol), rows if with_rows else None
 
 
@@ -604,11 +614,12 @@ def alon_chung_bound(g: DirectedGraph, pair: SubsetPair,
     """
     k = regular_degree(g)
     n = g.n
-    _check_pair(n, pair)
+    if not set(pair.u + pair.w) <= set(range(n)):
+        raise PreconditionError(f"vertex index out of range for n={n}")
     if mu is None:
         mu = second_adjacency_eigenvalue(g)
-    ui = set(pair.u_indices)
-    wi = set(pair.w_indices)
+    ui = set(pair.u)
+    wi = set(pair.w)
     e_uw = sum(1 for t, h in g.edges if t in ui and h in wi)
     size_u, size_w = len(ui), len(wi)
     lhs = abs(e_uw - k * size_u * size_w / n)

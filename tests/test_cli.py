@@ -219,6 +219,22 @@ class TestEml:
                            "--u", "0", "--w", "1,2", "--format", "json")
         assert json.loads(out)["lhs"] == pytest.approx(0.4, abs=1e-10)
 
+    def test_numeric_labels_resolve_before_indices(self, capsys, tmp_path):
+        # token "1" appears first, so it is vertex 0 and token "0" is vertex 1;
+        # every output prints the indices
+        p = tmp_path / "relabeled.txt"
+        p.write_text("1 0\n0 1\n0 0\n")
+        code, out, _ = run(capsys, "eml", "bound", str(p), "--u", "0", "--w", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "U = {1}  W = {0}"
+
+    def test_bound_sorts_and_deduplicates(self, capsys, chord_file):
+        code, out, _ = run(capsys, "eml", "bound", chord_file, "--u", "2,a,0",
+                           "--w", "c,1,b", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["u"], payload["w"]) == ([0, 2], [1, 2])
+
     def test_bound_evaluates_the_pair_once(self, capsys, chord_file, monkeypatch):
         calls = []
         kernel = mixing.eml_kernel

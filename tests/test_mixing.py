@@ -27,7 +27,7 @@ from dgspec import (
 )
 from dgspec import mixing
 from dgspec.graph import seeded_rng
-from dgspec.mixing import BLOCK_FLOATS, mask_from_indices
+from dgspec.mixing import BLOCK_FLOATS
 
 from oracles import (
     alon_chung_bound,
@@ -36,6 +36,8 @@ from oracles import (
     eml_bound_simple,
     eml_lhs,
     eml_pair_oracle,
+    indices_of,
+    masks_of,
     reference_exhaustive_sweep,
 )
 
@@ -65,43 +67,48 @@ def independent_bound(p, u_idx, w_idx):
 
 class TestSubsetPair:
     def test_round_trip(self):
-        pair = SubsetPair.from_indices([0, 2, 3], [1, 4])
-        assert pair.u == 0b1101
-        assert pair.w == 0b10010
-        assert pair.u_indices == (0, 2, 3)
-        assert pair.w_indices == (1, 4)
+        # the sweep's masks decode to the indices eml_pair_values evaluates
+        assert mixing._indices(0b1101) == (0, 2, 3)
+        assert mixing._indices(0b10010) == (1, 4)
+        assert mixing._indices(0) == ()
+        prof = spectral_profile(chord_cycle(5, [(0, 2), (3, 1)]))
+        report = verify_eml(prof, nonempty_only=True)
+        lhs, _, bound, _ = mixing.eml_pair_values(prof, report.worst_pair)
+        assert bound - lhs == pytest.approx(report.min_slack, abs=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(PreconditionError):
-            SubsetPair(-1, 0)
+        prof = spectral_profile(chord_cycle(3))
+        for pair in (SubsetPair((-1,), ()), SubsetPair((0,), (1, -3))):
+            with pytest.raises(PreconditionError, match="out of range for n=3"):
+                eml_lhs(prof, pair)
 
     def test_out_of_range_rejected(self):
         prof = spectral_profile(chord_cycle(3))
         with pytest.raises(PreconditionError):
-            eml_lhs(prof, SubsetPair(1 << 5, 0))
+            eml_lhs(prof, SubsetPair((5,), ()))
 
 
 class TestPairValues:
     def test_empty_pair_is_zero(self):
         prof = spectral_profile(chord_cycle(3))
-        pair = SubsetPair(0, 0)
+        pair = SubsetPair((), ())
         assert eml_lhs(prof, pair) == 0.0
         assert eml_bound(prof, pair) == 0.0
         assert eml_bound_simple(prof, pair) == 0.0
 
     def test_chord_cycle_lhs(self):
         prof = spectral_profile(chord_cycle(3))
-        assert eml_lhs(prof, SubsetPair.from_indices([0], [1, 2])) == pytest.approx(
+        assert eml_lhs(prof, SubsetPair((0,), (1, 2))) == pytest.approx(
             0.4, abs=1e-10)
 
     def test_complete3_self_pair_lhs(self):
         prof = spectral_profile(complete_bidirected(3))
-        assert eml_lhs(prof, SubsetPair.from_indices([0], [0])) == pytest.approx(
+        assert eml_lhs(prof, SubsetPair((0,), (0,))) == pytest.approx(
             1.0 / 3.0, abs=1e-12)
 
     def test_full_pair_on_regular_graph_is_tight_zero(self):
         prof = spectral_profile(undirected_cycle(5))
-        pair = SubsetPair.from_indices(range(5), range(5))
+        pair = SubsetPair(tuple(range(5)), tuple(range(5)))
         assert eml_lhs(prof, pair) <= 1e-12
         assert eml_bound(prof, pair) <= 1e-6
 
@@ -109,18 +116,18 @@ class TestPairValues:
         g = chord_cycle(3)
         prof = spectral_profile(g)
         for u_idx, w_idx in [([0], [1, 2]), ([0, 1], [2]), ([1], [0, 1, 2])]:
-            mine = eml_bound(prof, SubsetPair.from_indices(u_idx, w_idx))
+            mine = eml_bound(prof, SubsetPair(tuple(u_idx), tuple(w_idx)))
             ref = independent_bound(prof.p, u_idx, w_idx)
             assert mine == pytest.approx(ref, abs=1e-9)
 
     def test_simple_bound_singleton_symmetric(self):
         prof = spectral_profile(undirected_cycle(5))
-        pair = SubsetPair.from_indices([0], [3])
+        pair = SubsetPair((0,), (3,))
         assert eml_bound_simple(prof, pair) == pytest.approx(prof.rho, abs=1e-8)
 
-    def test_mask_beyond_the_vertices_rejected(self):
+    def test_index_beyond_the_vertices_rejected(self):
         prof = spectral_profile(chord_cycle(3))
-        for pair in (SubsetPair(1 << 3, 0), SubsetPair(0, 1 << 3)):
+        for pair in (SubsetPair((3,), ()), SubsetPair((), (0, 3))):
             with pytest.raises(PreconditionError, match="out of range for n=3"):
                 mixing.eml_pair_values(prof, pair)
 
@@ -128,7 +135,7 @@ class TestPairValues:
         prof = spectral_profile(chord_cycle(3))
         broken = dataclasses.replace(prof, norm_c_inv=0.01)
         with pytest.raises(NumericalError, match="radicand"):
-            eml_bound(broken, SubsetPair.from_indices([0], [0, 1, 2]))
+            eml_bound(broken, SubsetPair((0,), (0, 1, 2)))
         for sample in (None, 50):  # the exhaustive sweep checks its bound table
             with pytest.raises(NumericalError, match="radicand"):
                 verify_eml(broken, sample=sample)
@@ -194,8 +201,9 @@ class TestVerifySweep:
         profile = spectral_profile(chord_cycle(3))
         report = verify_eml(profile)
         _, rows = reference_exhaustive_sweep(profile, with_rows=True)
-        best = min((r[5], r[0], r[1]) for r in rows)
-        assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
+        slack, u, w = min((r[5], r[0], r[1]) for r in rows)
+        assert (report.min_slack, report.worst_pair) == (slack, SubsetPair(
+            indices_of(u), indices_of(w)))
 
     def test_sampled_worst_pair_is_smallest_tie(self):
         # 25000 pairs span three blocks at n = 3, and many pairs tie at the
@@ -206,8 +214,9 @@ class TestVerifySweep:
         pairs = mixing._draw_pairs(seeded_rng(3), 3, 0, 25000)
         u, w = pairs[:, 0], pairs[:, 1]
         lhs, _, bound, _ = mixing._block_values(profile, u, w)
-        best = min(zip((bound - lhs).ravel().tolist(), mixing._masks(u), mixing._masks(w)))
-        assert (report.min_slack, report.worst_pair.u, report.worst_pair.w) == best
+        slack, u, w = min(zip((bound - lhs).ravel().tolist(), masks_of(u), masks_of(w)))
+        assert (report.min_slack, report.worst_pair) == (slack, SubsetPair(
+            indices_of(u), indices_of(w)))
 
     @pytest.mark.parametrize("smallest_at,split", [
         pytest.param(0, None, id="0"),
@@ -228,8 +237,7 @@ class TestVerifySweep:
         acc = mixing._SweepAccumulator()
         for rows in (slice(None),) if split is None else (slice(split), slice(split, None)):
             acc.add_block(u[rows], w[rows], lhs[rows], lhs[rows], bound[rows], bound[rows])
-        assert acc.worst == (0.5, mask_from_indices(np.flatnonzero(u[k])),
-                             mask_from_indices(np.flatnonzero(w[k])))
+        assert acc.worst == (0.5, *masks_of(u[[k]]), *masks_of(w[[k]]))
         assert acc.worst[1:] == (0, 0)
 
     def test_singleton_row_bookkeeping(self):
@@ -240,7 +248,7 @@ class TestVerifySweep:
             total = 0.0
             for j in range(3):
                 s = float(p[np.ix_(u_idx, [j])].sum())
-                lhs = eml_lhs(prof, SubsetPair.from_indices(u_idx, [j]))
+                lhs = eml_lhs(prof, SubsetPair(tuple(u_idx), (j,)))
                 center = len(u_idx) * prof.pi[j]
                 assert min(abs(s - (center + lhs)), abs(s - (center - lhs))) <= 1e-12
                 total += s
@@ -259,12 +267,12 @@ class TestVerifySweep:
 class TestAlonChung:
     def test_full_pair_exact(self):
         g = undirected_cycle(5)
-        lhs, _ = alon_chung_bound(g, SubsetPair.from_indices(range(5), range(5)))
+        lhs, _ = alon_chung_bound(g, SubsetPair(tuple(range(5)), tuple(range(5))))
         assert lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_c5_singletons(self):
         g = undirected_cycle(5)
-        lhs, rhs = alon_chung_bound(g, SubsetPair.from_indices([0], [1]))
+        lhs, rhs = alon_chung_bound(g, SubsetPair((0,), (1,)))
         assert lhs == pytest.approx(0.6, abs=1e-12)
         assert rhs == pytest.approx(2 * math.cos(math.pi / 5) * 0.8, abs=1e-9)
 
@@ -286,20 +294,20 @@ class TestAlonChung:
 
     def test_directed_graph_rejected(self):
         with pytest.raises(PreconditionError, match="symmetric"):
-            alon_chung_bound(chord_cycle(3), SubsetPair(1, 2))
+            alon_chung_bound(chord_cycle(3), SubsetPair((0,), (1,)))
 
     def test_irregular_graph_rejected(self):
         g = graph_from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0),
                                  (0, 0)])
         with pytest.raises(PreconditionError, match="regular"):
-            alon_chung_bound(g, SubsetPair(1, 2))
+            alon_chung_bound(g, SubsetPair((0,), (1,)))
 
     def test_scaled_walk_lhs_consistency(self):
         # k * (walk deviation) reproduces the adjacency deviation exactly
         g = undirected_cycle(5)
         prof = spectral_profile(g)
         for u_idx, w_idx in [([0], [1]), ([0, 2], [1, 3, 4]), ([1, 2, 3], [0])]:
-            pair = SubsetPair.from_indices(u_idx, w_idx)
+            pair = SubsetPair(tuple(u_idx), tuple(w_idx))
             lhs_adj, _ = alon_chung_bound(g, pair, mu=2 * prof.rho)
             assert 2 * eml_lhs(prof, pair) == pytest.approx(lhs_adj, abs=1e-10)
 
@@ -590,11 +598,11 @@ class TestKernelProperties:
         profile, _ = case
         _, rows = reference_exhaustive_sweep(profile, with_rows=True)
         for u, w, lhs, bound, simple, _slack in (rows[i % len(rows)] for i in picks):
-            pair = SubsetPair(u, w)
-            assert_pair_close(profile, pair.u_indices, pair.w_indices,
+            pair = SubsetPair(indices_of(u), indices_of(w))
+            assert_pair_close(profile, pair.u, pair.w,
                               eml_lhs(profile, pair), eml_bound(profile, pair),
                               eml_bound_simple(profile, pair))
-            assert_pair_close(profile, pair.u_indices, pair.w_indices, lhs, bound, simple)
+            assert_pair_close(profile, pair.u, pair.w, lhs, bound, simple)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +629,6 @@ def all_pairs(n):
     """The 0/1 memberships (u, w) of all 4^n subset pairs, in (u, w) order."""
     masks = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     return np.repeat(masks, 1 << n, axis=0), np.tile(masks, (1 << n, 1))
-
-
-def masks_of(members):
-    return [mask_from_indices(np.flatnonzero(row).tolist()) for row in members]
 
 
 class TestSampledDraws:
