@@ -159,7 +159,7 @@ def _cmd_eml_bound(args):
     g = _load_graph(args.path)
     profile = spectral_profile(g)
     pair = SubsetPair(_parse_subset(args.u, g), _parse_subset(args.w, g))
-    lhs, _, bound, simple = eml_pair_values(profile, pair)
+    lhs, bound, simple = eml_pair_values(profile, pair)
     return PairBoundReport(u=pair.u, w=pair.w, lhs=lhs, bound=bound,
                            bound_simple=simple, slack=bound - lhs,
                            slack_simple=simple - lhs)

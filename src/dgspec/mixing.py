@@ -7,7 +7,7 @@ sweeps a subset is a bitmask over [0, n), bit i set when vertex i is in
 it; the report decodes the worst pair's masks to indices once.
 
 The exhaustive sweep does per pair only what depends on the pair: the mass
-s(U, W), the two deviations and their folds.  Both bounds depend on U only
+s(U, W), its deviation and the folds.  Both bounds depend on U only
 through |U|, so they are evaluated once per sweep, as tables over (|U|, W).
 Masses come in blocks of consecutive masks U, each block an earlier block
 plus one row of the subset-sum table, and the worst pair of a block is its
@@ -16,7 +16,7 @@ masks U split into one share per CPU the process may run on: every share
 but the first is swept in a forked child, which writes its results into a
 mapping it shares with the parent, and the merge of the shares gives the
 serial sweep's report bit for bit.  An n = 13 sweep (6.7e7 pairs) takes
-about 0.73 s in one process and 0.38 s on 2 CPUs of an Intel Xeon.
+about 0.41 s in one process and 0.23 s on 2 CPUs of an Intel Xeon.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ SLACK_TOL = 1e-9
 BLOCK_FLOATS = 1 << 15
 # An exhaustive sweep forks a child per CPU beyond the first while every
 # share keeps at least this many pairs: n = 12 and 13 split, n <= 11 runs
-# in one process, since a fork there costs more than it saves (on 2 Xeon
-# cores, n = 11 took 46 ms serial and 51 ms split, n = 12 190 and 106 ms).
+# in one process.  On 2 Xeon cores (min of 15 processes) n = 11 took 32 ms
+# serial and 26 ms split, n = 12 111 and 68 ms; a smaller share would
+# split n = 11 too, but also fork 4 times the children at n = 12 and 13
+# where more CPUs are free.
 MIN_SHARE_PAIRS = 1 << 23
 
 
@@ -102,12 +104,11 @@ def _mass_blocks(table: np.ndarray, start: int, share: int = 0, bits: int = 0):
             stack.append((high | 1 << b, sums + table[low + b]))
 
 
-def _deviations(size_u, pi_u, pi_w, mass):
-    """``(|s - |U| pi(W)|, |s - |U| pi(U)|)`` from broadcastable |U|, pi(U),
-    pi(W) and the mass s = sum of p_ij over i in U, j in W."""
+def _deviation(size_u, pi_w, mass):
+    """|s - |U| pi(W)| from broadcastable |U|, pi(W) and the mass
+    s = sum of p_ij over i in U, j in W."""
     lhs = mass - size_u * pi_w
-    lhs_stmt = mass - size_u * pi_u
-    return np.abs(lhs, out=lhs), np.abs(lhs_stmt, out=lhs_stmt)
+    return np.abs(lhs, out=lhs)
 
 
 def _bounds(profile: SpectralProfile, size_u, size_w, pi_w):
@@ -136,12 +137,11 @@ def _divisor(bound):
     return np.where(bound > 0.0, bound, np.inf)
 
 
-def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_u, pi_w, mass):
-    """The ``_deviations`` and ``_bounds`` of a block of subset pairs, in
-    that order, from broadcastable |U|, |W|, pi(U), pi(W) and the mass
+def eml_kernel(profile: SpectralProfile, size_u, size_w, pi_w, mass):
+    """The ``_deviation`` and ``_bounds`` of a block of subset pairs, in
+    that order, from broadcastable |U|, |W|, pi(W) and the mass
     s = sum of p_ij over i in U, j in W."""
-    bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
-    return (*_deviations(size_u, pi_u, pi_w, mass), bound, bound_simple)
+    return (_deviation(size_u, pi_w, mass), *_bounds(profile, size_u, size_w, pi_w))
 
 
 def _masks(members: np.ndarray) -> list[int]:
@@ -157,15 +157,14 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 def _block_values(profile: SpectralProfile, u: np.ndarray, w: np.ndarray):
     """``eml_kernel`` over 0/1 membership rows (m, n) of U and W."""
-    weights = np.column_stack([np.ones(profile.n), profile.pi])
-    size_u, pi_u = np.hsplit(u @ weights, 2)
-    size_w, pi_w = np.hsplit(w @ weights, 2)
+    size_u = u.sum(axis=1, keepdims=True, dtype=float)
+    size_w, pi_w = np.hsplit(w @ np.column_stack([np.ones(profile.n), profile.pi]), 2)
     mass = ((u @ profile.p) * w).sum(axis=1, keepdims=True)
-    return eml_kernel(profile, size_u, size_w, pi_u, pi_w, mass)
+    return eml_kernel(profile, size_u, size_w, pi_w, mass)
 
 
 def eml_pair_values(profile: SpectralProfile, pair: SubsetPair) -> list[float]:
-    """``eml_kernel``'s four values for one subset pair, from one evaluation."""
+    """``eml_kernel``'s three values for one subset pair, from one evaluation."""
     if not all(0 <= v < profile.n for v in pair.u + pair.w):
         raise PreconditionError(f"vertex index out of range for n={profile.n}")
     vertices = np.arange(profile.n)
@@ -182,8 +181,6 @@ class EmlReport:
     ``max_violation`` is the most negative slack observed across both the
     full and the simplified bound, sign-flipped (a run passes when it
     stays at or below ``slack_tol``, the ``SLACK_TOL`` the sweep ran with).
-    ``stmt_min_slack`` tracks the alternative deviation |sum - |U| pi(U)|
-    against the full bound; it is reported for visibility, never asserted.
     """
 
     n: int
@@ -196,7 +193,6 @@ class EmlReport:
     max_violation: float
     min_slack: float
     simple_min_slack: float
-    stmt_min_slack: float
     bound_gap_min: float
     mean_slack: float
     tightness_ratio: float
@@ -214,14 +210,13 @@ class _SweepAccumulator:
         self.min_slack = np.inf
         self.worst = (np.inf, 0, 0)
         self.simple_min = np.inf
-        self.stmt_min = np.inf
         self.gap_min = np.inf
         self.tightness = 0.0
         self.thm_viol = 0
         self.simple_viol = 0
 
-    def fold(self, lhs: np.ndarray, lhs_stmt: np.ndarray, bound: np.ndarray,
-             bound_simple: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, int]:
+    def fold(self, lhs: np.ndarray, bound: np.ndarray, bound_simple: np.ndarray,
+             divisor: np.ndarray) -> tuple[np.ndarray, int]:
         """Fold a block of pairs with values of shape (rows, cols) into the
         minima, violation counts and tightness; return the block's slacks
         and the flat index of their first minimum.  ``divisor`` is
@@ -233,7 +228,6 @@ class _SweepAccumulator:
         low, simple_low = float(slack.flat[j]), float(slack_simple.min())
         self.min_slack = min(self.min_slack, low)
         self.simple_min = min(self.simple_min, simple_low)
-        self.stmt_min = min(self.stmt_min, float((bound - lhs_stmt).min()))
         # a block whose minimum clears the tolerance has no violation to count
         if low < -self.slack_tol:
             self.thm_viol += int(np.count_nonzero(slack < -self.slack_tol))
@@ -246,19 +240,18 @@ class _SweepAccumulator:
         """What an exhaustive share folds in, as ``merge`` takes it back:
         every value is a float64 exactly, since counts stay below 2^53."""
         return [self.pair_count, self.thm_viol, self.simple_viol, self.min_slack,
-                self.simple_min, self.stmt_min, self.tightness, *self.worst]
+                self.simple_min, self.tightness, *self.worst]
 
     def merge(self, scalars: list):
         """Fold in another accumulator's ``scalars()``.  Counts add, minima
         and the worst (slack, u, w) take the min, tightness the max, so
         the result does not depend on how the pairs were split."""
-        count, thm, simple, low, simple_low, stmt_low, tight, slack, u, w = scalars
+        count, thm, simple, low, simple_low, tight, slack, u, w = scalars
         self.pair_count += int(count)
         self.thm_viol += int(thm)
         self.simple_viol += int(simple)
         self.min_slack = min(self.min_slack, low)
         self.simple_min = min(self.simple_min, simple_low)
-        self.stmt_min = min(self.stmt_min, stmt_low)
         self.tightness = max(self.tightness, tight)
         self.worst = min(self.worst, (slack, int(u), int(w)))
 
@@ -268,10 +261,10 @@ class _SweepAccumulator:
         self.slack_sum = float(np.cumsum(np.concatenate(([self.slack_sum], sums)))[-1])
 
     def add_block(self, u: np.ndarray, w: np.ndarray, lhs: np.ndarray,
-                  lhs_stmt: np.ndarray, bound: np.ndarray, bound_simple: np.ndarray):
+                  bound: np.ndarray, bound_simple: np.ndarray):
         """Fold in a block of pairs in draw order, one pair per row, whose
         U and W are the 0/1 membership rows ``u`` and ``w``."""
-        slack, j = self.fold(lhs, lhs_stmt, bound, bound_simple, _divisor(bound))
+        slack, j = self.fold(lhs, bound, bound_simple, _divisor(bound))
         self.add_row_sums(slack.sum(axis=1))
         self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
         flat = slack.ravel()
@@ -295,9 +288,8 @@ class _SweepAccumulator:
             max_violation=max_violation,
             min_slack=self.min_slack,
             simple_min_slack=self.simple_min,
-            stmt_min_slack=self.stmt_min,
             bound_gap_min=self.gap_min,
-            mean_slack=self.slack_sum / self.pair_count if self.pair_count else 0.0,
+            mean_slack=self.slack_sum / self.pair_count,
             tightness_ratio=self.tightness,
             theorem_violations=self.thm_viol,
             simple_violations=self.simple_viol,
@@ -341,8 +333,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     n = profile.n
     start = 1 if nonempty_only else 0
     pc = subset_sums(np.ones(n))
-    pi_mask = subset_sums(profile.pi)
-    size_w, pi_w = pc[None, start:], pi_mask[None, start:]
+    size_w, pi_w = pc[None, start:], subset_sums(profile.pi)[None, start:]
     cols = size_w.size
     # the bounds depend on U only through |U|, and row i of block H has
     # |U| = |H| + |i|: tables indexed by (|H|, i) serve every block
@@ -359,12 +350,10 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
         sums in place in row_sums."""
         for first, mass in _mass_blocks(table, start, share, bits):
             last = first + len(mass)
-            lhs, lhs_stmt = _deviations(pc[first:last, None], pi_mask[first:last, None],
-                                        pi_w, mass)
+            lhs = _deviation(pc[first:last, None], pi_w, mass)
             i = first % (1 << low)  # > 0 only for the block that starts at u = 1
             h, rows = int(pc[first - i]), slice(i, i + len(mass))
-            slack, j = acc.fold(lhs, lhs_stmt, bound[h, rows], bound_simple[h, rows],
-                                divisor[h, rows])
+            slack, j = acc.fold(lhs, bound[h, rows], bound_simple[h, rows], divisor[h, rows])
             row_sums[first - start:last - start] = slack.sum(axis=1)
             # rows ascend in u and columns in w: the first minimum is the
             # block's smallest (slack, u, w)

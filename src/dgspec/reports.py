@@ -215,8 +215,6 @@ def to_text(report, verbosity: int = 0) -> str:
         w = ",".join(str(i) for i in report.worst_pair.w) or "-"
         lines.append(f"worst_pair       = U={{{u}}} W={{{w}}}")
         if verbosity >= 1:
-            lines.append(f"stmt_min_slack   = {_f(report.stmt_min_slack)} "
-                         "(|sum - |U| pi(U)| variant, reported only)")
             lines.append(f"bound_gap_min    = {_f(report.bound_gap_min)} "
                          "(simple bound minus full bound)")
     elif isinstance(report, ToughnessResult):

@@ -390,12 +390,12 @@ def eml_lhs(profile, pair: SubsetPair) -> float:
 
 def eml_bound(profile, pair: SubsetPair) -> float:
     """rho * sqrt((||C||^2 |U| - |U|^2/n) (||C^-1||^2 |W| - pi(W)^2 n))."""
-    return eml_pair_values(profile, pair)[2]
+    return eml_pair_values(profile, pair)[1]
 
 
 def eml_bound_simple(profile, pair: SubsetPair) -> float:
     """rho * sqrt(|U| |W|) * kappa(C)."""
-    return eml_pair_values(profile, pair)[3]
+    return eml_pair_values(profile, pair)[2]
 
 
 def _row_blocks(table: np.ndarray, start: int):
@@ -418,7 +418,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
                                slack_tol: float = 1e-9, with_rows: bool = False
                                ) -> tuple[EmlReport, Optional[list]]:
     """``verify_eml(profile)``'s report, from blocks of whole rows in mask
-    order: every pair's four values come from one ``eml_kernel`` call per
+    order: every pair's three values come from one ``eml_kernel`` call per
     block, the worst pair from a lexsort of the tied pairs' membership
     rows, and the slack total from row sums added in mask order.  Next to
     it, with ``with_rows``, the list of every pair's (u, w, lhs, bound,
@@ -430,13 +430,12 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
     pc = subset_sums(np.ones(n))
     pi_mask = subset_sums(profile.pi)
     count, slack_sum = 0, 0.0
-    min_slack = simple_min = stmt_min = gap_min = np.inf
+    min_slack = simple_min = gap_min = np.inf
     worst = (np.inf, 0, 0)
     tightness, thm_viol, simple_viol, rows = 0.0, 0, 0, []
     for first, last, mass in _row_blocks(subset_sums(profile.p), start):
-        lhs, lhs_stmt, bound, bound_simple = eml_kernel(
-            profile, pc[first:last, None], pc[None, start:],
-            pi_mask[first:last, None], pi_mask[None, start:], mass)
+        lhs, bound, bound_simple = eml_kernel(
+            profile, pc[first:last, None], pc[None, start:], pi_mask[None, start:], mass)
         slack = bound - lhs
         slack_simple = bound_simple - lhs
         count += slack.size
@@ -451,7 +450,6 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
             worst = min(worst, (float(flat[j]), *_masks(u[k]), *_masks(w[k])))
         min_slack = min(min_slack, float(flat[j]))
         simple_min = min(simple_min, float(slack_simple.min()))
-        stmt_min = min(stmt_min, float((bound - lhs_stmt).min()))
         gap_min = min(gap_min, float((bound_simple - bound).min()))
         thm_viol += int(np.count_nonzero(slack < -slack_tol))
         simple_viol += int(np.count_nonzero(slack_simple < -slack_tol))
@@ -467,8 +465,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         n=n, pair_count=count, policy="exhaustive", sample_count=None, seed=None,
         nonempty_only=nonempty_only, slack_tol=slack_tol,
         max_violation=max_violation, min_slack=min_slack,
-        simple_min_slack=simple_min, stmt_min_slack=stmt_min,
-        bound_gap_min=gap_min, mean_slack=slack_sum / count,
+        simple_min_slack=simple_min, bound_gap_min=gap_min, mean_slack=slack_sum / count,
         tightness_ratio=tightness, theorem_violations=thm_viol,
         simple_violations=simple_viol,
         worst_pair=SubsetPair(indices_of(worst[1]), indices_of(worst[2])),

@@ -73,7 +73,7 @@ class TestSubsetPair:
         assert mixing._indices(0) == ()
         prof = spectral_profile(chord_cycle(5, [(0, 2), (3, 1)]))
         report = verify_eml(prof, nonempty_only=True)
-        lhs, _, bound, _ = mixing.eml_pair_values(prof, report.worst_pair)
+        lhs, bound, _ = mixing.eml_pair_values(prof, report.worst_pair)
         assert bound - lhs == pytest.approx(report.min_slack, abs=1e-12)
 
     def test_negative_rejected(self):
@@ -124,6 +124,18 @@ class TestPairValues:
         prof = spectral_profile(undirected_cycle(5))
         pair = SubsetPair((0,), (3,))
         assert eml_bound_simple(prof, pair) == pytest.approx(prof.rho, abs=1e-8)
+
+    def test_petersen_pi_u_form_fails_where_the_pi_w_form_holds(self):
+        # |s - |U| pi(U)| is not the lemma: U = V, W = {0} puts it at 9
+        # against a full bound of 0, while |s - |U| pi(W)| stays within it
+        prof = spectral_profile(petersen())
+        pair = SubsetPair(tuple(range(10)), (0,))
+        lhs, bound, _ = mixing.eml_pair_values(prof, pair)
+        mass = prof.p[np.ix_(pair.u, pair.w)].sum()
+        pi_u_deviation = abs(mass - len(pair.u) * prof.pi[list(pair.u)].sum())
+        assert pi_u_deviation == pytest.approx(9.0, abs=1e-12)
+        assert pi_u_deviation > bound + 8
+        assert lhs <= bound + mixing.SLACK_TOL
 
     def test_index_beyond_the_vertices_rejected(self):
         prof = spectral_profile(chord_cycle(3))
@@ -213,7 +225,7 @@ class TestVerifySweep:
         report = verify_eml(profile, sample=25000, seed=3)
         pairs = mixing._draw_pairs(seeded_rng(3), 3, 0, 25000)
         u, w = pairs[:, 0], pairs[:, 1]
-        lhs, _, bound, _ = mixing._block_values(profile, u, w)
+        lhs, bound, _ = mixing._block_values(profile, u, w)
         slack, u, w = min(zip((bound - lhs).ravel().tolist(), masks_of(u), masks_of(w)))
         assert (report.min_slack, report.worst_pair) == (slack, SubsetPair(
             indices_of(u), indices_of(w)))
@@ -236,7 +248,7 @@ class TestVerifySweep:
         lhs, bound = np.full((count, 1), 0.25), np.full((count, 1), 0.75)
         acc = mixing._SweepAccumulator()
         for rows in (slice(None),) if split is None else (slice(split), slice(split, None)):
-            acc.add_block(u[rows], w[rows], lhs[rows], lhs[rows], bound[rows], bound[rows])
+            acc.add_block(u[rows], w[rows], lhs[rows], bound[rows], bound[rows])
         assert acc.worst == (0.5, *masks_of(u[[k]]), *masks_of(w[[k]]))
         assert acc.worst[1:] == (0, 0)
 
@@ -260,7 +272,7 @@ class TestVerifySweep:
         h = graph_from_edges(4, {(perm[t], perm[hd]) for t, hd in g.edges})
         u, w = all_pairs(4)
         key = lambda g: np.sort(np.hstack(
-            mixing._block_values(spectral_profile(g), u, w)[::2]), axis=0)
+            mixing._block_values(spectral_profile(g), u, w)[:2]), axis=0)
         assert np.allclose(key(g), key(h), atol=1e-9)
 
 
@@ -347,7 +359,7 @@ def check_block_against_oracle(profile, pairs):
     vertices = np.arange(profile.n)
     u = np.array([np.isin(vertices, a) for a, _ in pairs])
     w = np.array([np.isin(vertices, b) for _, b in pairs])
-    lhs, _, bound, simple = mixing._block_values(profile, u, w)
+    lhs, bound, simple = mixing._block_values(profile, u, w)
     for k, (u_idx, w_idx) in enumerate(pairs):
         assert_pair_close(profile, u_idx, w_idx, lhs[k, 0], bound[k, 0], simple[k, 0])
 
@@ -382,8 +394,8 @@ def swept_rows(profile, nonempty_only):
             blocks.append([first])
             yield first, sums
 
-    def fold(acc, lhs, lhs_stmt, bound, bound_simple, divisor):
-        slack, j = real_fold(acc, lhs, lhs_stmt, bound, bound_simple, divisor)
+    def fold(acc, lhs, bound, bound_simple, divisor):
+        slack, j = real_fold(acc, lhs, bound, bound_simple, divisor)
         blocks[-1] += (lhs, bound, bound_simple, slack)
         return slack, j
 
