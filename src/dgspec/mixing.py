@@ -16,7 +16,7 @@ masks U split into one share per CPU the process may run on: every share
 but the first is swept in a forked child, which writes its results into a
 mapping it shares with the parent, and the merge of the shares gives the
 serial sweep's report bit for bit.  An n = 13 sweep (6.7e7 pairs) takes
-about 0.41 s in one process and 0.23 s on 2 CPUs of an Intel Xeon.
+about 0.35 s in one process and 0.20 s on 2 CPUs of an Intel Xeon.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from .graph import seeded_rng
 from .markov import SpectralProfile
 
 EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
-# A sweep passes when no slack is below -SLACK_TOL (roundoff reaches ~1e-15).
+# A sweep passes when no slack is below -SLACK_TOL (roundoff reaches -3.6e-15).
 SLACK_TOL = 1e-9
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
 # An exhaustive sweep forks a child per CPU beyond the first while every
 # share keeps at least this many pairs: n = 12 and 13 split, n <= 11 runs
-# in one process.  On 2 Xeon cores (min of 15 processes) n = 11 took 32 ms
-# serial and 26 ms split, n = 12 111 and 68 ms; a smaller share would
+# in one process.  On 2 Xeon cores (min of 15 processes) n = 11 took 26 ms
+# serial and 20 ms split, n = 12 102 and 49 ms; a smaller share would
 # split n = 11 too, but also fork 4 times the children at n = 12 and 13
 # where more CPUs are free.
 MIN_SHARE_PAIRS = 1 << 23
@@ -89,7 +89,7 @@ def _mass_blocks(table: np.ndarray, start: int, share: int = 0, bits: int = 0):
     """
     n, cols = table.shape
     low = _block_bits(n, cols)
-    # C order: the sweep's slack.sum(axis=1) rounds by memory layout
+    # C order, which the sweep's elementwise passes run faster on
     sums = np.ascontiguousarray(subset_sums(table[:low].T).T)
     for b in range(bits):
         if share >> b & 1:
@@ -194,7 +194,6 @@ class EmlReport:
     min_slack: float
     simple_min_slack: float
     bound_gap_min: float
-    mean_slack: float
     tightness_ratio: float
     theorem_violations: int
     simple_violations: int
@@ -206,7 +205,6 @@ class _SweepAccumulator:
     def __init__(self):
         self.slack_tol = SLACK_TOL
         self.pair_count = 0
-        self.slack_sum = 0.0
         self.min_slack = np.inf
         self.worst = (np.inf, 0, 0)
         self.simple_min = np.inf
@@ -255,17 +253,11 @@ class _SweepAccumulator:
         self.tightness = max(self.tightness, tight)
         self.worst = min(self.worst, (slack, int(u), int(w)))
 
-    def add_row_sums(self, sums: np.ndarray):
-        """Add per-row slack sums to the total, one after another in row
-        order, so the total does not depend on how rows fell into blocks."""
-        self.slack_sum = float(np.cumsum(np.concatenate(([self.slack_sum], sums)))[-1])
-
     def add_block(self, u: np.ndarray, w: np.ndarray, lhs: np.ndarray,
                   bound: np.ndarray, bound_simple: np.ndarray):
         """Fold in a block of pairs in draw order, one pair per row, whose
         U and W are the 0/1 membership rows ``u`` and ``w``."""
         slack, j = self.fold(lhs, bound, bound_simple, _divisor(bound))
-        self.add_row_sums(slack.sum(axis=1))
         self.gap_min = min(self.gap_min, float((bound_simple - bound).min()))
         flat = slack.ravel()
         if flat[j] <= self.worst[0]:
@@ -289,7 +281,6 @@ class _SweepAccumulator:
             min_slack=self.min_slack,
             simple_min_slack=self.simple_min,
             bound_gap_min=self.gap_min,
-            mean_slack=self.slack_sum / self.pair_count,
             tightness_ratio=self.tightness,
             theorem_violations=self.thm_viol,
             simple_violations=self.simple_viol,
@@ -345,22 +336,19 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     table = subset_sums(profile.p)[:, start:]
     bits = _share_bits(n)
 
-    def sweep(share: int, acc: _SweepAccumulator, row_sums: np.ndarray):
-        """Fold the pairs of ``share`` into acc and put their row slack
-        sums in place in row_sums."""
+    def sweep(share: int, acc: _SweepAccumulator):
+        """Fold the pairs of ``share`` into acc."""
         for first, mass in _mass_blocks(table, start, share, bits):
-            last = first + len(mass)
-            lhs = _deviation(pc[first:last, None], pi_w, mass)
+            lhs = _deviation(pc[first:first + len(mass), None], pi_w, mass)
             i = first % (1 << low)  # > 0 only for the block that starts at u = 1
             h, rows = int(pc[first - i]), slice(i, i + len(mass))
             slack, j = acc.fold(lhs, bound[h, rows], bound_simple[h, rows], divisor[h, rows])
-            row_sums[first - start:last - start] = slack.sum(axis=1)
             # rows ascend in u and columns in w: the first minimum is the
             # block's smallest (slack, u, w)
             u, w = divmod(j, cols)
             acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
 
-    acc.add_row_sums(_sweep_shares(sweep, 1 << bits, acc, pc.size - start))
+    _sweep_shares(sweep, 1 << bits, acc)
 
 
 def _share_bits(n: int) -> int:
@@ -377,20 +365,18 @@ def _share_bits(n: int) -> int:
     return max(0, min(cpus.bit_length() - 1, 2 * n + 1 - MIN_SHARE_PAIRS.bit_length()))
 
 
-def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator, rows: int) -> np.ndarray:
-    """``sweep(share, acc, row_sums)`` for every share in range(shares), as
-    one serial sweep would fold them, into ``rows`` row sums, returned.
-    Share 0 runs here and every other one in a forked child.  The row sums
-    and one slot per share lie in one anonymous shared mapping: a child
-    writes its rows of the sums in place, then its accumulator's
-    ``scalars()`` into its slot, and last the slot's done mark.  Once every
-    child is reaped, the marked slots are merged and every unmarked share
-    (its fork failed, or its child raised, left early or was killed) runs
-    here, over any rows its child wrote.  No child outlives the call: on an
-    exception here the children left are killed and reaped."""
+def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator):
+    """``sweep(share, acc)`` for every share in range(shares), folded into
+    acc as one serial sweep would fold them.  Share 0 runs here and every
+    other one in a forked child.  One slot per share lies in an anonymous
+    shared mapping: a child writes its accumulator's ``scalars()`` into its
+    slot, then the slot's done mark.  Once every child is reaped, the
+    marked slots are merged and every unmarked share (its fork failed, or
+    its child raised, left early or was killed) runs here.  No child
+    outlives the call: on an exception here the children left are killed
+    and reaped."""
     k = len(acc.scalars())
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (rows + shares * (k + 1))))
-    row_sums, slots = shared[:rows], shared[rows:].reshape(shares, k + 1)
+    slots = np.frombuffer(mmap.mmap(-1, 8 * shares * (k + 1))).reshape(shares, k + 1)
     children = []
     try:
         for share in range(1, shares):
@@ -401,13 +387,13 @@ def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator, rows: int) -> np.n
             if pid == 0:
                 try:
                     child = _SweepAccumulator()
-                    sweep(share, child, row_sums)
+                    sweep(share, child)
                     slots[share, :k] = child.scalars()
                     slots[share, k] = 1.0
                 finally:
                     os._exit(0)
             children.append(pid)
-        sweep(0, acc, row_sums)
+        sweep(0, acc)
         while children:
             os.waitpid(children[-1], 0)
             children.pop()
@@ -415,12 +401,11 @@ def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator, rows: int) -> np.n
             if slots[share, k]:
                 acc.merge(slots[share, :k].tolist())
             else:
-                sweep(share, acc, row_sums)
+                sweep(share, acc)
     finally:
         for pid in children:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    return row_sums
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:

@@ -207,7 +207,6 @@ def to_text(report, verbosity: int = 0) -> str:
                      f"-> {'PASS' if report.passed else 'FAIL'}")
         lines.append(f"min_slack        = {_f(report.min_slack)} (full bound)")
         lines.append(f"simple_min_slack = {_f(report.simple_min_slack)}")
-        lines.append(f"mean_slack       = {_f(report.mean_slack)}")
         lines.append(f"tightness_ratio  = {_f(report.tightness_ratio)}")
         lines.append(f"violations       = {report.theorem_violations} full, "
                      f"{report.simple_violations} simple")

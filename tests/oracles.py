@@ -419,17 +419,17 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
                                ) -> tuple[EmlReport, Optional[list]]:
     """``verify_eml(profile)``'s report, from blocks of whole rows in mask
     order: every pair's three values come from one ``eml_kernel`` call per
-    block, the worst pair from a lexsort of the tied pairs' membership
-    rows, and the slack total from row sums added in mask order.  Next to
-    it, with ``with_rows``, the list of every pair's (u, w, lhs, bound,
-    bound_simple, slack) in (u, w) order, u and w bitmasks; else None."""
+    block, and the worst pair from a lexsort of the tied pairs' membership
+    rows.  Next to it, with ``with_rows``, the list of every pair's (u, w,
+    lhs, bound, bound_simple, slack) in (u, w) order, u and w bitmasks;
+    else None."""
     n = profile.n
     start = 1 if nonempty_only else 0
     cols = (1 << n) - start
     bits = np.arange(n)
     pc = subset_sums(np.ones(n))
     pi_mask = subset_sums(profile.pi)
-    count, slack_sum = 0, 0.0
+    count = 0
     min_slack = simple_min = gap_min = np.inf
     worst = (np.inf, 0, 0)
     tightness, thm_viol, simple_viol, rows = 0.0, 0, 0, []
@@ -439,7 +439,6 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         slack = bound - lhs
         slack_simple = bound_simple - lhs
         count += slack.size
-        slack_sum = float(np.cumsum(np.concatenate(([slack_sum], slack.sum(axis=1))))[-1])
         flat = slack.ravel()
         j = int(np.argmin(flat))
         if flat[j] <= worst[0]:
@@ -465,7 +464,7 @@ def reference_exhaustive_sweep(profile, nonempty_only: bool = False,
         n=n, pair_count=count, policy="exhaustive", sample_count=None, seed=None,
         nonempty_only=nonempty_only, slack_tol=slack_tol,
         max_violation=max_violation, min_slack=min_slack,
-        simple_min_slack=simple_min, bound_gap_min=gap_min, mean_slack=slack_sum / count,
+        simple_min_slack=simple_min, bound_gap_min=gap_min,
         tightness_ratio=tightness, theorem_violations=thm_viol,
         simple_violations=simple_viol,
         worst_pair=SubsetPair(indices_of(worst[1]), indices_of(worst[2])),

@@ -480,6 +480,8 @@ def test_json_of_every_command_validates(capsys, chord_file, tmp_path, schema, n
 @pytest.mark.parametrize("name,key", [("eml_verify", "rows"), ("eml_verify_sample", "rows"),
                                       ("eml_verify", "stmt_min_slack"),
                                       ("eml_verify_sample", "stmt_min_slack"),
+                                      ("eml_verify", "mean_slack"),
+                                      ("eml_verify_sample", "mean_slack"),
                                       ("analyze", "eml"), ("analyze", "toughness")])
 def test_schema_rejects_keys_no_command_fills(capsys, chord_file, tmp_path, schema,
                                               name, key):

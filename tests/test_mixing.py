@@ -536,9 +536,9 @@ class TestShardedSweep:
                                          "fails_before_mark"])
     def test_shard_failed_child_is_swept_here(self, monkeypatch, failure):
         # a child that raises, leaves early, is killed mid-sweep or fails
-        # after its row sums but before its done mark leaves its slot
-        # unmarked; the last two have written skewed row sums, which the
-        # sweep here must overwrite for the report to match
+        # before its done mark leaves its slot unmarked; the last two fold
+        # skewed masses into the child's own accumulator, so the report
+        # matches only if an unmarked slot is never merged
         profile = sweep_profile()
         serial = verify_eml(profile)
         parent, swept_here = os.getpid(), []
