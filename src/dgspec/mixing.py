@@ -6,24 +6,23 @@ A subset pair is a ``SubsetPair`` of vertex-index tuples.  Inside the two
 sweeps a subset is a bitmask over [0, n), bit i set when vertex i is in
 it; the report decodes the worst pair's masks to indices once.
 
-The exhaustive sweep does per pair only what depends on the pair: the mass
-s(U, W), its deviation and the folds.  Both bounds depend on U only
-through |U|, so they are evaluated once per sweep, as tables over (|U|, W).
-Masses come in blocks of consecutive masks U, each block an earlier block
-plus one row of the subset-sum table, and the worst pair of a block is its
-first minimum, since rows ascend in U and columns in W.  From n = 12 the
-masks U split into one share per CPU the process may run on: every share
-but the first is swept in a forked child, which writes its results into a
-mapping it shares with the parent, and the merge of the shares gives the
-serial sweep's report bit for bit.  An n = 13 sweep (6.7e7 pairs) takes
-about 0.35 s in one process and 0.20 s on 2 CPUs of an Intel Xeon.
+The exhaustive sweep is a search that evaluates only the pairs its report
+can depend on.  Both bounds depend on U only through |U|, so they are
+evaluated once, as a table over (|U|, W).  For a fixed U the deviation of
+(U, W) is |sum of r_j over j in W| with r = 1_U^T P - |U| pi, so one sort
+of r gives the largest deviation over every |W| = b, and with the table's
+extremes over |W| = b a bound on the slack of the whole row (U, b).  Rows
+whose bounds show they can hold neither the minimum slack, a violation nor
+the largest tightness are skipped; every pair of the other rows is
+evaluated with the arithmetic of a full sweep over all 4^n pairs, so the
+report is that sweep's bit for bit.  On a 2-core Intel Xeon an n = 13
+search takes about 0.03 s on an undirected cycle and 0.17 s on K13, whose
+U = W pairs are all exactly tight; a profile that violates most pairs is
+evaluated almost whole, in 0.5-0.6 s.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,19 +32,12 @@ from .errors import NumericalError, PreconditionError
 from .graph import seeded_rng
 from .markov import SpectralProfile
 
-EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 pair evaluations
+EXHAUSTIVE_CAP = 13  # 4^13 ~ 6.7e7 subset pairs
 # A sweep passes when no slack is below -SLACK_TOL (roundoff reaches -3.6e-15).
 SLACK_TOL = 1e-9
 # Sweeps evaluate pairs in blocks whose temporaries hold at most this many
 # floats (256 KB), so they stay in cache and memory is flat in the pair count.
 BLOCK_FLOATS = 1 << 15
-# An exhaustive sweep forks a child per CPU beyond the first while every
-# share keeps at least this many pairs: n = 12 and 13 split, n <= 11 runs
-# in one process.  On 2 Xeon cores (min of 15 processes) n = 11 took 26 ms
-# serial and 20 ms split, n = 12 102 and 49 ms; a smaller share would
-# split n = 11 too, but also fork 4 times the children at n = 12 and 13
-# where more CPUs are free.
-MIN_SHARE_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -64,44 +56,51 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_bits(n: int, cols: int) -> int:
-    """log2 of the rows in an exhaustive-sweep block of ``cols`` columns:
-    as many rows as fit in a quarter of ``BLOCK_FLOATS``, at least one and
-    at most all 2^n.  A quarter keeps each temporary at 64 KB, under
-    glibc's initial 128 KB mmap threshold, so blocks reuse heap memory
-    instead of mapping and faulting in every temporary afresh."""
-    return min(n, max(0, (BLOCK_FLOATS // 4 // cols).bit_length() - 1))
+def _margin(n: int) -> float:
+    """How far a computed pair deviation and a row pass's ``dev`` may,
+    together, stray from the exact deviation of the stored p and pi: each
+    exhaustive row is pruned or kept with this margin.
 
-
-def _mass_blocks(table: np.ndarray, start: int, share: int = 0, bits: int = 0):
-    """Blocks ``(first, sums)`` that cover once every mask u in [start, 2^n)
-    of share ``share`` out of 2^``bits``: sums[i] adds up the rows of
-    ``table`` (n x cols) over the bits of u = first + i, lowest bit first.
-
-    Block H holds the 2^low masks u with u >> low = H (from the first
-    one >= start), where low = ``_block_bits(n, cols)``, and belongs to
-    share H mod 2^bits.  Block H is block H - 2^top(H) plus one table row,
-    so each costs one add and every share adds in the order of the whole
-    sweep: the blocks of a share are the tree below block ``share``, whose
-    higher bits are added after its own.  The blocks come depth first,
-    with at most n of them waiting on the stack.  Later blocks are built
-    from a yielded one, so callers must not write into it.
+    With u = eps/2 and gamma_m = m u / (1 - m u), recursive summation of m
+    terms errs by at most gamma_(m-1) times the sum of their magnitudes.
+    p is nonnegative and its rows and pi sum to 1.  A pair: each entry of
+    the subset-sum table (at most n entries of p) errs by gamma_n, the
+    mass (at most n entries, each at most 1) by 2n gamma_n, |U| pi(W) by
+    n gamma_n and the subtraction by n u, 4n gamma_n in all.  A row: each
+    r_j sums at most n products in any order, so the r_j together err by
+    n gamma_(n+3); their magnitudes sum to at most 2n, so summing b <= n
+    of them adds 2n gamma_n.  So every pair's deviation is at most
+    ``dev + margin`` and that of (U, W*) at least ``dev - margin`` when
+    margin >= 7n gamma_(n+3), to first order 3.5 n (n + 3) eps.  The
+    margin, 8 (n + 1)^2 eps, is at least twice that.
     """
-    n, cols = table.shape
-    low = _block_bits(n, cols)
-    # C order, which the sweep's elementwise passes run faster on
-    sums = np.ascontiguousarray(subset_sums(table[:low].T).T)
-    for b in range(bits):
-        if share >> b & 1:
-            sums = sums + table[low + b]
-    stack = [(share, sums)]
-    while stack:
-        high, sums = stack.pop()
-        skip = max(0, start - (high << low))  # the masks below start
-        if skip < len(sums):
-            yield (high << low) + skip, sums[skip:]
-        for b in range(max(high.bit_length(), bits), n - low):
-            stack.append((high | 1 << b, sums + table[low + b]))
+    return 8.0 * (n + 1) ** 2 * np.finfo(float).eps
+
+
+def _row_deviations(profile: SpectralProfile, start: int):
+    """Blocks ``(us, dev, wstar)`` over the masks U in [start, 2^n), each
+    U's row of ``dev`` and ``wstar`` indexed by b - start for b in
+    [start, n]: dev is the largest |sum of r_j over j in W| over |W| = b,
+    r = 1_U^T P - |U| pi, and wstar the mask of the W that attains it (the
+    b largest or the b smallest r_j).  Within ``_margin(n)``, dev bounds
+    the deviation of every pair (U, W) with |W| = b and is attained at
+    (U, wstar); its rounding moves only which rows a search evaluates."""
+    n = profile.n
+    rows = max(1, BLOCK_FLOATS // 4 // (n + 1))
+    bits = np.arange(n)
+    for first in range(start, 1 << n, rows):
+        us = np.arange(first, min(first + rows, 1 << n))
+        members = (us[:, None] >> bits & 1).astype(float)
+        r = members @ profile.p - members.sum(axis=1, keepdims=True) * profile.pi
+        order = np.argsort(r, axis=1)
+        ascending, masks = np.take_along_axis(r, order, axis=1), 1 << order
+        # sums and masks of the b smallest and of the b largest r_j, b = 0..n
+        low, high, low_mask, high_mask = (
+            np.cumsum(np.pad(x, ((0, 0), (1, 0))), axis=1)
+            for x in (ascending, ascending[:, ::-1], masks, masks[:, ::-1]))
+        dev = np.maximum(high, -low)
+        wstar = np.where(high >= -low, high_mask, low_mask)
+        yield us, dev[:, start:], wstar[:, start:]
 
 
 def _deviation(size_u, pi_w, mass):
@@ -234,25 +233,6 @@ class _SweepAccumulator:
         self.tightness = max(self.tightness, float((lhs / divisor).max()))
         return slack, j
 
-    def scalars(self) -> list:
-        """What an exhaustive share folds in, as ``merge`` takes it back:
-        every value is a float64 exactly, since counts stay below 2^53."""
-        return [self.pair_count, self.thm_viol, self.simple_viol, self.min_slack,
-                self.simple_min, self.tightness, *self.worst]
-
-    def merge(self, scalars: list):
-        """Fold in another accumulator's ``scalars()``.  Counts add, minima
-        and the worst (slack, u, w) take the min, tightness the max, so
-        the result does not depend on how the pairs were split."""
-        count, thm, simple, low, simple_low, tight, slack, u, w = scalars
-        self.pair_count += int(count)
-        self.thm_viol += int(thm)
-        self.simple_viol += int(simple)
-        self.min_slack = min(self.min_slack, low)
-        self.simple_min = min(self.simple_min, simple_low)
-        self.tightness = max(self.tightness, tight)
-        self.worst = min(self.worst, (slack, int(u), int(w)))
-
     def add_block(self, u: np.ndarray, w: np.ndarray, lhs: np.ndarray,
                   bound: np.ndarray, bound_simple: np.ndarray):
         """Fold in a block of pairs in draw order, one pair per row, whose
@@ -301,8 +281,9 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
     """Sweep subset pairs and check both bound forms against the deviation,
     folding every pair into the report's aggregates as it goes.
 
-    ``sample=None`` enumerates all 4^n pairs (n capped); otherwise that
-    many pairs are drawn from a PCG64 stream seeded with ``seed``.
+    ``sample=None`` covers all 4^n pairs (n capped), evaluating every pair
+    the report can depend on; otherwise that many pairs are drawn from a
+    PCG64 stream seeded with ``seed``.
     ``eml_pair_values`` gives the values of one pair.
     """
     n = profile.n
@@ -321,91 +302,97 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
 
 def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                       acc: _SweepAccumulator):
+    """Fold into acc what a sweep over every pair (U, W) of masks in
+    [start, 2^n) would fold, from every pair of the rows (U, |W|) that can
+    hold the minimum slack or a tie with it, the minimum simplified slack,
+    a violation of either bound or the largest tightness."""
     n = profile.n
     start = 1 if nonempty_only else 0
     pc = subset_sums(np.ones(n))
-    size_w, pi_w = pc[None, start:], subset_sums(profile.pi)[None, start:]
-    cols = size_w.size
-    # the bounds depend on U only through |U|, and row i of block H has
-    # |U| = |H| + |i|: tables indexed by (|H|, i) serve every block
-    low = _block_bits(n, cols)
-    size_u = np.arange(n - low + 1.0)[:, None, None] + pc[:1 << low, None]
-    bound, bound_simple = _bounds(profile, size_u, size_w, pi_w)
-    acc.gap_min = float((bound_simple - bound)[size_u[..., 0] >= start].min())
-    divisor = _divisor(bound)
-    table = subset_sums(profile.p)[:, start:]
-    bits = _share_bits(n)
+    pi_w = subset_sums(profile.pi)[start:]
+    bound, simple = _bounds(profile, np.arange(n + 1.0)[:, None], pc[start:], pi_w)
+    # per (|U|, b - start): the smallest, the largest and the smallest
+    # positive bound, and the simplified bound, over the W with |W| = b
+    by_size = [np.flatnonzero(pc[start:] == b) for b in range(start, n + 1)]
+    bmin = np.column_stack([bound[:, c].min(axis=1) for c in by_size])
+    bmax = np.column_stack([bound[:, c].max(axis=1) for c in by_size])
+    bpos = np.column_stack([_divisor(bound[:, c]).min(axis=1) for c in by_size])
+    simple = np.column_stack([simple[:, c[0]] for c in by_size])
+    # float subtraction is monotone: the smallest simple - bound of all pairs
+    acc.gap_min = float((simple - bmax)[start:].min())
+    margin = _margin(n)
+    # incumbents: values that the slack, the simplified slack and the
+    # tightness of some pair (U, W*) are known to reach
+    slack_inc = simple_inc = np.inf
+    tight_inc = 0.0
+    for us, dev, wstar in _row_deviations(profile, start):
+        k, below = pc[us].astype(int), dev - margin
+        at_wstar = bound[k[:, None], wstar - start]
+        slack_inc = min(slack_inc, float((at_wstar - below).min()))
+        simple_inc = min(simple_inc, float((simple[k] - below).min()))
+        tight_inc = max(tight_inc, float((below / _divisor(at_wstar)).max()))
+    del bound  # the blocks evaluate their own bound rows
+    # candidates: the rows whose bounds on slack and tightness reach them
+    cand = np.zeros(((1 << n) - start, n + 1 - start), dtype=bool)
+    for us, dev, _ in _row_deviations(profile, start):
+        k, above = pc[us].astype(int), dev + margin
+        slack_low, simple_low = bmin[k] - above, simple[k] - above
+        cand[us - start] = ((slack_low <= slack_inc) | (simple_low <= simple_inc)
+                            | (np.minimum(slack_low, simple_low) < -acc.slack_tol)
+                            | (above / bpos[k] >= tight_inc))
+    sizes = None
+    for k, b, us, ws, mass in _candidate_masses(profile, start, cand):
+        if sizes != (k, b):
+            sizes, pi_row = (k, b), pi_w[ws - start]
+            row, simple_row = _bounds(profile, float(k), float(b), pi_row)
+            divisor = _divisor(row)
+        lhs = _deviation(float(k), pi_row, mass)
+        slack, j = acc.fold(lhs, row, simple_row, divisor)
+        # rows ascend in U and columns in W: the first minimum is the
+        # block's smallest (slack, u, w)
+        u, w = divmod(j, len(ws))
+        acc.worst = min(acc.worst, (float(slack.flat[j]), int(us[u]), int(ws[w])))
+    acc.pair_count = ((1 << n) - start) ** 2
 
-    def sweep(share: int, acc: _SweepAccumulator):
-        """Fold the pairs of ``share`` into acc."""
-        for first, mass in _mass_blocks(table, start, share, bits):
-            lhs = _deviation(pc[first:first + len(mass), None], pi_w, mass)
-            i = first % (1 << low)  # > 0 only for the block that starts at u = 1
-            h, rows = int(pc[first - i]), slice(i, i + len(mass))
-            slack, j = acc.fold(lhs, bound[h, rows], bound_simple[h, rows], divisor[h, rows])
-            # rows ascend in u and columns in w: the first minimum is the
-            # block's smallest (slack, u, w)
-            u, w = divmod(j, cols)
-            acc.worst = min(acc.worst, (float(slack.flat[j]), first + u, start + w))
 
-    _sweep_shares(sweep, 1 << bits, acc)
-
-
-def _share_bits(n: int) -> int:
-    """log2 of the shares an exhaustive sweep of n vertices splits into: one
-    per CPU this process may run on, rounded down to a power of 2, as long
-    as each share keeps ``MIN_SHARE_PAIRS`` pairs, some thousand blocks.
-    0, one share and no fork, where ``os.fork`` or the affinity set is
-    missing, or where another Python thread runs (a forked child could
-    wait forever on a lock that thread held)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
-            or threading.active_count() > 1:
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    return max(0, min(cpus.bit_length() - 1, 2 * n + 1 - MIN_SHARE_PAIRS.bit_length()))
-
-
-def _sweep_shares(sweep, shares: int, acc: _SweepAccumulator):
-    """``sweep(share, acc)`` for every share in range(shares), folded into
-    acc as one serial sweep would fold them.  Share 0 runs here and every
-    other one in a forked child.  One slot per share lies in an anonymous
-    shared mapping: a child writes its accumulator's ``scalars()`` into its
-    slot, then the slot's done mark.  Once every child is reaped, the
-    marked slots are merged and every unmarked share (its fork failed, or
-    its child raised, left early or was killed) runs here.  No child
-    outlives the call: on an exception here the children left are killed
-    and reaped."""
-    k = len(acc.scalars())
-    slots = np.frombuffer(mmap.mmap(-1, 8 * shares * (k + 1))).reshape(shares, k + 1)
-    children = []
-    try:
-        for share in range(1, shares):
-            try:
-                pid = os.fork()
-            except OSError:
-                continue
-            if pid == 0:
-                try:
-                    child = _SweepAccumulator()
-                    sweep(share, child)
-                    slots[share, :k] = child.scalars()
-                    slots[share, k] = 1.0
-                finally:
-                    os._exit(0)
-            children.append(pid)
-        sweep(0, acc)
-        while children:
-            os.waitpid(children[-1], 0)
-            children.pop()
-        for share in range(1, shares):
-            if slots[share, k]:
-                acc.merge(slots[share, :k].tolist())
-            else:
-                sweep(share, acc)
-    finally:
-        for pid in children:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
+def _candidate_masses(profile: SpectralProfile, start: int, cand: np.ndarray):
+    """Blocks ``(k, b, us, ws, mass)`` that cover once every pair (U, W)
+    whose row is marked, cand[U - start, |W| - start]: us are masks U with
+    |U| = k and ws all masks W in [start, 2^n) with |W| = b, both
+    ascending, and mass[r, c] is the mass of U = us[r] and W = ws[c]
+    summed as a full sweep sums it: t_i = sum of p_ij over j in W ascending
+    from 0.0, then the sum of t_i over i in U ascending from 0.0.  A block
+    starts from the subset sum of U's low bits and adds t_i for each
+    higher bit i; rows are grouped by |U| and the count of U's higher bits,
+    so every row of a block adds the same number of terms."""
+    n = profile.n
+    pc = subset_sums(np.ones(n))
+    for b in range(start, n + 1):
+        us = start + np.flatnonzero(cand[:, b - start])
+        if not us.size:
+            continue
+        ws = start + np.flatnonzero(pc[start:] == b)
+        steps = max(1, BLOCK_FLOATS // len(ws))
+        # t[i, c] = t_i of W = ws[c]
+        t = np.zeros((n, len(ws)))
+        for j in np.nonzero(ws[:, None] >> np.arange(n) & 1)[1].reshape(len(ws), b).T:
+            t += profile.p[:, j]
+        # the table of low-bit sums holds at most 2 BLOCK_FLOATS floats: more
+        # low bits leave fewer rows of t to add to each pair
+        low = min(n, max(1, 2 * BLOCK_FLOATS // len(ws)).bit_length() - 1)
+        lows = np.ascontiguousarray(subset_sums(t[:low].T).T)
+        key = pc[us] * (n + 1) + pc[us >> low]
+        for value in np.unique(key):
+            k, highs = divmod(int(value), n + 1)
+            group = us[key == value]
+            bits = np.nonzero(group[:, None] >> np.arange(low, n) & 1)[1]
+            bits = low + bits.reshape(len(group), highs)
+            for i in range(0, len(group), steps):
+                chunk = group[i:i + steps]
+                mass = lows[chunk & (1 << low) - 1]
+                for bit in bits[i:i + steps].T:
+                    mass += t[bit]
+                yield k, b, chunk, ws, mass
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, low: int, count: int) -> np.ndarray:

@@ -28,8 +28,8 @@ batched path at n = 15-18.
 symmetric k-regular graphs (``regular_degree``,
 ``second_adjacency_eigenvalue``, ``alon_chung_bound``,
 ``alon_chung_sweep`` and ``alon_toughness_bound``) are helpers no runtime
-path calls; they build on dgspec's graph constructor, spectral profile and
-mixing-sweep blocks.  ``JORDAN_ARCS`` is a frozen input whose walk matrix
+path calls; they build on dgspec's graph constructor and spectral profile,
+and ``alon_chung_sweep`` on the row blocks of ``reference_exhaustive_sweep``.  ``JORDAN_ARCS`` is a frozen input whose walk matrix
 is defective, checked with sympy.
 """
 
@@ -61,7 +61,6 @@ from dgspec.linalg import (_lu_factor, _lu_solve_factored, _require_square, as_m
 from dgspec.mixing import (
     BLOCK_FLOATS,
     EXHAUSTIVE_CAP,
-    _mass_blocks,
     _masks,
     eml_kernel,
     eml_pair_values,
@@ -576,8 +575,8 @@ def alon_chung_sweep(g: DirectedGraph) -> AlonChungReport:
     rhs_w = np.sqrt(np.maximum(pc * (1.0 - pc / n), 0.0))
     min_slack = np.inf
     violations = 0
-    for first, e_rows in _mass_blocks(subset_sums(g.adjacency_matrix()), 0):
-        cu = pc[first:first + len(e_rows), None]
+    for first, last, e_rows in _row_blocks(subset_sums(g.adjacency_matrix()), 0):
+        cu = pc[first:last, None]
         lhs = np.abs(e_rows - k * cu * pc / n)
         rhs = mu * np.sqrt(np.maximum(cu * (1.0 - cu / n), 0.0)) * rhs_w
         slack = rhs - lhs

@@ -1,9 +1,5 @@
 import dataclasses
 import math
-import os
-import signal
-import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -383,210 +379,117 @@ def sweep_profiles(draw, min_n=2, max_n=10):
 
 
 def swept_rows(profile, nonempty_only):
-    """``verify_eml``'s report on an unsplit exhaustive sweep, and the
-    (u, w, lhs, bound, bound_simple, slack) of every pair it folded, in
-    (u, w) order, taken from the blocks its accumulator folds."""
-    blocks, real_blocks = [], mixing._mass_blocks
+    """``verify_eml``'s exhaustive report, and the (u, w, lhs, bound,
+    bound_simple, slack) of every pair its accumulator folds, u and w
+    bitmasks, taken from the blocks the search enumerates."""
+    blocks, real_masses = [], mixing._candidate_masses
     real_fold = mixing._SweepAccumulator.fold
 
-    def mass_blocks(*args):
-        for first, sums in real_blocks(*args):
-            blocks.append([first])
-            yield first, sums
+    def candidate_masses(*args):
+        for k, b, us, ws, mass in real_masses(*args):
+            blocks.append([us, ws])
+            yield k, b, us, ws, mass
 
     def fold(acc, lhs, bound, bound_simple, divisor):
         slack, j = real_fold(acc, lhs, bound, bound_simple, divisor)
-        blocks[-1] += (lhs, bound, bound_simple, slack)
+        values = (lhs, bound, bound_simple, slack)
+        blocks[-1] += [np.broadcast_to(v, lhs.shape) for v in values]
         return slack, j
 
-    with mock.patch.object(mixing, "_mass_blocks", mass_blocks), \
+    with mock.patch.object(mixing, "_candidate_masses", candidate_masses), \
             mock.patch.object(mixing._SweepAccumulator, "fold", fold):
         report = verify_eml(profile, nonempty_only=nonempty_only)
     rows = []
-    for first, *values in sorted(blocks, key=lambda block: block[0]):
-        u, w = np.divmod(np.arange(values[0].size), values[0].shape[1])
-        rows += zip((first + u).tolist(), (int(nonempty_only) + w).tolist(),
+    for us, ws, *values in blocks:
+        u, w = np.meshgrid(us, ws, indexing="ij")
+        rows += zip(u.ravel().tolist(), w.ravel().tolist(),
                     *(v.ravel().tolist() for v in values))
     return report, rows
+
+
+def check_search_against_reference(profile, nonempty_only, block_floats=BLOCK_FLOATS):
+    """The search's report equals the row-by-row reference field by field,
+    with rho as given and scaled down, which turns some pairs (0.5) or
+    most pairs (0.05) into violations, so the counts, the minima and the
+    worst pair come from violating rows too.  Up to n = 8 every pair the
+    search folds is folded once, with the reference's values bit for bit,
+    and the search's blocks hold ``block_floats`` floats: a small size
+    splits the rows into many blocks, and the masses into few low bits of
+    U and many higher ones, as n = 12 and 13 split them."""
+    for scale in (1.0, 0.5, 0.05):
+        prof = dataclasses.replace(profile, rho=scale * profile.rho)
+        with_rows = prof.n <= 8
+        if with_rows:
+            with mock.patch.object(mixing, "BLOCK_FLOATS", block_floats):
+                mine, rows = swept_rows(prof, nonempty_only)
+        else:
+            mine = verify_eml(prof, nonempty_only=nonempty_only)
+        ref, ref_rows = reference_exhaustive_sweep(prof, nonempty_only=nonempty_only,
+                                                   with_rows=with_rows)
+        for field in dataclasses.fields(mine):
+            assert getattr(mine, field.name) == getattr(ref, field.name), (scale, field.name)
+        if with_rows:
+            ref_by_pair = {(u, w): (u, w, *values) for u, w, *values in ref_rows}
+            assert len({row[:2] for row in rows}) == len(rows)
+            for row in rows:
+                assert row == ref_by_pair[row[:2]], scale
 
 
 class TestExhaustiveSweepReference:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(sweep_profiles(), st.booleans())
-    def test_sweep_equals_the_row_by_row_reference(self, profile, nonempty_only):
-        # rho scaled down turns many pairs into violations, so the counts,
-        # the minima and the worst pair come from violating blocks too;
-        # up to n = 8 every pair's values are compared as well
-        for prof in (profile, dataclasses.replace(profile, rho=0.05 * profile.rho)):
-            with_rows = prof.n <= 8
-            if with_rows:
-                mine, rows = swept_rows(prof, nonempty_only)
-            else:
-                mine = verify_eml(prof, nonempty_only=nonempty_only)
-            ref, ref_rows = reference_exhaustive_sweep(prof, nonempty_only=nonempty_only,
-                                                       with_rows=with_rows)
-            for field in dataclasses.fields(mine):
-                assert getattr(mine, field.name) == getattr(ref, field.name), field.name
-            if with_rows:
-                assert rows == ref_rows
+    @given(sweep_profiles(), st.booleans(), st.sampled_from([BLOCK_FLOATS, 64]))
+    def test_sweep_equals_the_row_by_row_reference(self, profile, nonempty_only,
+                                                   block_floats):
+        check_search_against_reference(profile, nonempty_only, block_floats)
 
-
-# ---------------------------------------------------------------------------
-# The exhaustive sweep split across forked children
-# ---------------------------------------------------------------------------
-
-def count_forks(mp):
-    """Patch ``os.fork`` to count its calls into the list returned."""
-    forks = []
-    real_fork = os.fork
-    mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    return forks
-
-
-def sweep_in_shares(profile, shares, mp, **kwargs):
-    """``verify_eml`` on ``shares`` CPUs with no minimum share size, and the
-    number of forks it tried."""
-    forks = count_forks(mp)
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)))
-    mp.setattr(mixing, "MIN_SHARE_PAIRS", 1)
-    return verify_eml(profile, **kwargs), len(forks)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def sweep_profile(n=10):
-    return spectral_profile(random_strongly_connected(n, 0.4, seed=5))
-
-
-class TestShardedSweep:
-    @settings(max_examples=10, deadline=None,
+    @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(sweep_profiles(10, 12), st.booleans())
-    def test_shard_split_equals_the_serial_sweep(self, profile, nonempty_only):
-        # rho scaled down makes violations, counts and worst pairs in every share
-        for prof in (profile, dataclasses.replace(profile, rho=0.05 * profile.rho)):
-            with pytest.MonkeyPatch.context() as mp:
-                serial, forks = sweep_in_shares(prof, 1, mp, nonempty_only=nonempty_only)
-            assert forks == 0
-            for shares in (2, 4, 8):
-                with pytest.MonkeyPatch.context() as mp:
-                    split, forks = sweep_in_shares(prof, shares, mp,
-                                                   nonempty_only=nonempty_only)
-                assert forks == shares - 1
-                for field in dataclasses.fields(serial):
-                    assert getattr(split, field.name) == getattr(serial, field.name), \
-                        (shares, field.name)
-                assert_no_child_left()
+    @given(sweep_profiles(11, 12), st.booleans())
+    def test_sweep_equals_the_reference_at_11_and_12_vertices(self, profile, nonempty_only):
+        check_search_against_reference(profile, nonempty_only)
 
-    @pytest.mark.parametrize("n,cols", [(8, 255), (10, 1024), (12, 4095)])
-    @pytest.mark.parametrize("bits", [1, 2, 3])
-    def test_shard_blocks_add_up_as_the_serial_blocks(self, n, cols, bits):
-        # random rows round differently in every order of addition, so equal
-        # bits mean each share adds the table rows in the serial order
-        table = np.random.default_rng(n + bits).random((n, cols))
-        start = cols % 2
-        serial = {first: sums for first, sums in mixing._mass_blocks(table, start)}
-        shares = [(first, sums) for share in range(1 << bits)
-                  for first, sums in mixing._mass_blocks(table, start, share, bits)]
-        assert sorted(first for first, _ in shares) == sorted(serial)
-        for first, sums in shares:
-            assert np.array_equal(sums, serial[first]), first
 
-    @pytest.mark.parametrize("n", [11, 12])
-    def test_shard_count_follows_the_cpus(self, monkeypatch, n):
-        # n = 11 runs in one process; n = 12 splits in two where 2 CPUs are free
-        forks = count_forks(monkeypatch)
-        verify_eml(sweep_profile(n))
-        cpus = len(os.sched_getaffinity(0))
-        assert len(forks) == (1 if n == 12 and cpus >= 2 else 0)
-        assert_no_child_left()
+class TestRowSearch:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(sweep_profiles(2, 8), st.booleans())
+    def test_row_search_dev_bounds_every_pair_and_wstar_attains_it(self, profile,
+                                                                   nonempty_only):
+        # the pruning premise, by brute force over the reference's pairs:
+        # within the margin, dev[U, b] is at least the deviation of every
+        # pair (U, W) with |W| = b, and the pair (U, W*) reaches it
+        n, start = profile.n, int(nonempty_only)
+        margin = mixing._margin(n)
+        _, rows = reference_exhaustive_sweep(profile, nonempty_only=nonempty_only,
+                                             with_rows=True)
+        size = (1 << n) - start
+        lhs = np.array([row[2] for row in rows]).reshape(size, size)
+        sizes = np.array([bin(w).count("1") for w in range(start, 1 << n)])
+        for us, dev, wstar in mixing._row_deviations(profile, start):
+            rows_lhs = lhs[us - start]
+            largest = np.column_stack([rows_lhs[:, sizes == b].max(axis=1)
+                                       for b in range(start, n + 1)])
+            assert np.all(largest <= dev + margin)
+            assert np.all(sizes[wstar - start] == np.arange(start, n + 1))
+            at_wstar = np.take_along_axis(rows_lhs, wstar - start, axis=1)
+            assert np.all(np.abs(at_wstar - dev) <= margin)
 
-    def test_shard_sweep_is_serial_beside_another_thread(self, monkeypatch):
-        profile = sweep_profile()
-        stop = threading.Event()
-        worker = threading.Thread(target=stop.wait)
-        worker.start()
-        try:
-            report, forks = sweep_in_shares(profile, 4, monkeypatch)
-        finally:
-            stop.set()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert forks == 0
-        assert report == verify_eml(profile)
+    @pytest.mark.parametrize("g", [random_strongly_connected(10, 0.4, seed=5),
+                                   undirected_cycle(11)], ids=["random10", "cycle11"])
+    def test_row_search_skips_most_pairs(self, g):
+        # the bounds prune: under 1 % of the 4^n pairs are evaluated
+        folded = []
+        real_fold = mixing._SweepAccumulator.fold
 
-    def test_shard_fork_failure_sweeps_here(self, monkeypatch):
-        profile = sweep_profile()
-        serial = verify_eml(profile)
+        def fold(acc, lhs, *args):
+            folded.append(lhs.size)
+            return real_fold(acc, lhs, *args)
 
-        def failing_fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        report, forks = sweep_in_shares(profile, 4, monkeypatch)
-        assert forks == 3
-        assert report == serial
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("failure", ["raises", "writes_nothing", "killed",
-                                         "fails_before_mark"])
-    def test_shard_failed_child_is_swept_here(self, monkeypatch, failure):
-        # a child that raises, leaves early, is killed mid-sweep or fails
-        # before its done mark leaves its slot unmarked; the last two fold
-        # skewed masses into the child's own accumulator, so the report
-        # matches only if an unmarked slot is never merged
-        profile = sweep_profile()
-        serial = verify_eml(profile)
-        parent, swept_here = os.getpid(), []
-        real, real_scalars = mixing._mass_blocks, mixing._SweepAccumulator.scalars
-
-        def blocks(table, start, share, bits):
-            if os.getpid() == parent:
-                swept_here.append(share)
-                yield from real(table, start, share, bits)
-                return
-            if failure == "raises":
-                raise RuntimeError("child failure")
-            if failure == "writes_nothing":
-                os._exit(0)
-            for first, sums in real(table, start, share, bits):
-                yield first, sums + 1.0
-                if failure == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-
-        def scalars(acc):
-            if os.getpid() != parent:
-                raise RuntimeError("child failure before its done mark")
-            return real_scalars(acc)
-
-        monkeypatch.setattr(mixing, "_mass_blocks", blocks)
-        if failure == "fails_before_mark":
-            monkeypatch.setattr(mixing._SweepAccumulator, "scalars", scalars)
-        report, forks = sweep_in_shares(profile, 4, monkeypatch)
-        assert forks == 3
-        assert sorted(swept_here) == [0, 1, 2, 3]
-        assert report == serial
-        assert_no_child_left()
-
-    def test_shard_children_die_with_the_parent(self, monkeypatch):
-        # children that would sweep for a minute are killed and reaped at once
-        parent = os.getpid()
-
-        def blocks(table, start, share, bits):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(mixing, "_mass_blocks", blocks)
-        began = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            sweep_in_shares(sweep_profile(), 4, monkeypatch)
-        assert time.monotonic() - began < 30
-        assert_no_child_left()
+        with mock.patch.object(mixing._SweepAccumulator, "fold", fold):
+            report = verify_eml(spectral_profile(g))
+        assert report.pair_count == 4 ** g.n
+        assert 0 < sum(folded) < 0.01 * 4 ** g.n
 
 
 class TestKernelProperties:

@@ -18,12 +18,12 @@ that both runs share, so paths in the output agree.
 
 The corpus covers every command in text, json, csv and text with ``-v``:
 exhaustive, ``--nonempty-only`` and ``--sample`` sweeps (n = 12 and 13
-included, which split across CPUs), ``eml bound`` on indices, labels and
-numeric labels that differ from the indices, all three toughness modes,
-``generate`` for every family (with chords, seeds and bad parameters),
-usage errors and ``--help``; and the failures: a periodic directed C8
-(exit 3), ``de_bruijn(2, 3)`` (exit 4), a sink, a malformed and a missing
-file.
+included, where the exhaustive search does the most work), ``eml bound``
+on indices, labels and numeric labels that differ from the indices, all
+three toughness modes, ``generate`` for every family (with chords, seeds
+and bad parameters), usage errors and ``--help``; and the failures: a
+periodic directed C8 (exit 3), ``de_bruijn(2, 3)`` (exit 4), a sink, a
+malformed and a missing file.
 
 Exit status: 0 when every run agrees, 1 when some run differs, 2 when the
 corpus could not run.
