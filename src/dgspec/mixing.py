@@ -11,14 +11,18 @@ can depend on.  Both bounds depend on U only through |U|, so they are
 evaluated once, as a table over (|U|, W).  For a fixed U the deviation of
 (U, W) is |sum of r_j over j in W| with r = 1_U^T P - |U| pi, so one sort
 of r gives the largest deviation over every |W| = b, and with the table's
-extremes over |W| = b a bound on the slack of the whole row (U, b).  Rows
-whose bounds show they can hold neither the minimum slack, a violation nor
-the largest tightness are skipped; every pair of the other rows is
-evaluated with the arithmetic of a full sweep over all 4^n pairs, so the
-report is that sweep's bit for bit.  On a 2-core Intel Xeon an n = 13
-search takes about 0.03 s on an undirected cycle and 0.17 s on K13, whose
-U = W pairs are all exactly tight; a profile that violates most pairs is
-evaluated almost whole, in 0.5-0.6 s.
+extremes over |W| = b a bound on the slack of the whole row (U, b).  One
+pass over the U does this: each block of U first tightens the incumbent
+minimum slacks and largest tightness, then keeps the (U, b, dev) of its
+rows that can still hold the minimum slack, a violation or the largest
+tightness under them, at most 2^n (n + 1) floats of dev (0.9 MB at
+n = 13).  The kept rows are marked once more against the final
+incumbents, and every pair of the marked rows is evaluated with the
+arithmetic of a full sweep over all 4^n pairs, so the report is that
+sweep's bit for bit.  On a 2-core Intel Xeon an n = 13 search takes about
+0.015 s on an undirected cycle and 0.14-0.15 s on K13, whose U = W pairs
+are all exactly tight; a profile that violates most pairs is evaluated
+almost whole, in 0.45-0.5 s.
 """
 
 from __future__ import annotations
@@ -95,9 +99,11 @@ def _row_deviations(profile: SpectralProfile, start: int):
         order = np.argsort(r, axis=1)
         ascending, masks = np.take_along_axis(r, order, axis=1), 1 << order
         # sums and masks of the b smallest and of the b largest r_j, b = 0..n
-        low, high, low_mask, high_mask = (
-            np.cumsum(np.pad(x, ((0, 0), (1, 0))), axis=1)
-            for x in (ascending, ascending[:, ::-1], masks, masks[:, ::-1]))
+        low, high = np.zeros((2, len(us), n + 1))
+        low_mask, high_mask = np.zeros((2, len(us), n + 1), dtype=masks.dtype)
+        for x, out in ((ascending, low), (ascending[:, ::-1], high),
+                       (masks, low_mask), (masks[:, ::-1], high_mask)):
+            np.cumsum(x, axis=1, out=out[:, 1:])
         dev = np.maximum(high, -low)
         wstar = np.where(high >= -low, high_mask, low_mask)
         yield us, dev[:, start:], wstar[:, start:]
@@ -325,23 +331,36 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     # tightness of some pair (U, W*) are known to reach
     slack_inc = simple_inc = np.inf
     tight_inc = 0.0
+
+    def candidates(at, above):
+        """Which rows (U, b) can reach the incumbents or a violation, from
+        ``dev + margin`` = above and the index ``at`` of their (|U|,
+        b - start) in the tables."""
+        slack_low, simple_low = bmin[at] - above, simple[at] - above
+        return ((slack_low <= slack_inc) | (simple_low <= simple_inc)
+                | (np.minimum(slack_low, simple_low) < -acc.slack_tol)
+                | (above / bpos[at] >= tight_inc))
+
+    # one pass: each block tightens the incumbents, then keeps its rows that
+    # are candidates under them; incumbents only tighten, so the kept rows
+    # hold every candidate under the final incumbents
+    kept = []
     for us, dev, wstar in _row_deviations(profile, start):
         k, below = pc[us].astype(int), dev - margin
         at_wstar = bound[k[:, None], wstar - start]
         slack_inc = min(slack_inc, float((at_wstar - below).min()))
         simple_inc = min(simple_inc, float((simple[k] - below).min()))
         tight_inc = max(tight_inc, float((below / _divisor(at_wstar)).max()))
+        above = dev + margin
+        r, b = np.nonzero(candidates(k, above))
+        kept.append((us[r], b, above[r, b]))
     del bound  # the blocks evaluate their own bound rows
-    # candidates: the rows whose bounds on slack and tightness reach them
-    cand = np.zeros(((1 << n) - start, n + 1 - start), dtype=bool)
-    for us, dev, _ in _row_deviations(profile, start):
-        k, above = pc[us].astype(int), dev + margin
-        slack_low, simple_low = bmin[k] - above, simple[k] - above
-        cand[us - start] = ((slack_low <= slack_inc) | (simple_low <= simple_inc)
-                            | (np.minimum(slack_low, simple_low) < -acc.slack_tol)
-                            | (above / bpos[k] >= tight_inc))
+    row_u, row_b, above = (np.concatenate(x) for x in zip(*kept))
+    final = candidates((pc[row_u].astype(int), row_b), above)
+    row_u, row_b = row_u[final], start + row_b[final]
+    del kept, above, final
     sizes = None
-    for k, b, us, ws, mass in _candidate_masses(profile, start, cand):
+    for k, b, us, ws, mass in _candidate_masses(profile, start, pc, row_u, row_b):
         if sizes != (k, b):
             sizes, pi_row = (k, b), pi_w[ws - start]
             row, simple_row = _bounds(profile, float(k), float(b), pi_row)
@@ -355,20 +374,21 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     acc.pair_count = ((1 << n) - start) ** 2
 
 
-def _candidate_masses(profile: SpectralProfile, start: int, cand: np.ndarray):
-    """Blocks ``(k, b, us, ws, mass)`` that cover once every pair (U, W)
-    whose row is marked, cand[U - start, |W| - start]: us are masks U with
-    |U| = k and ws all masks W in [start, 2^n) with |W| = b, both
-    ascending, and mass[r, c] is the mass of U = us[r] and W = ws[c]
-    summed as a full sweep sums it: t_i = sum of p_ij over j in W ascending
-    from 0.0, then the sum of t_i over i in U ascending from 0.0.  A block
-    starts from the subset sum of U's low bits and adds t_i for each
-    higher bit i; rows are grouped by |U| and the count of U's higher bits,
-    so every row of a block adds the same number of terms."""
+def _candidate_masses(profile: SpectralProfile, start: int, pc: np.ndarray,
+                      row_u: np.ndarray, row_b: np.ndarray):
+    """Blocks ``(k, b, us, ws, mass)`` that cover once every pair (U, W) of
+    the rows (U, |W|) = (row_u[i], row_b[i]), row_u ascending and pc the
+    subset sizes ``subset_sums(np.ones(n))``: us are masks U with |U| = k
+    and ws all masks W in [start, 2^n) with |W| = b, both ascending, and
+    mass[r, c] is the mass of U = us[r] and W = ws[c] summed as a full
+    sweep sums it: t_i = sum of p_ij over j in W ascending from 0.0, then
+    the sum of t_i over i in U ascending from 0.0.  A block starts from the
+    subset sum of U's low bits and adds t_i for each higher bit i; rows are
+    grouped by |U| and the count of U's higher bits, so every row of a
+    block adds the same number of terms."""
     n = profile.n
-    pc = subset_sums(np.ones(n))
     for b in range(start, n + 1):
-        us = start + np.flatnonzero(cand[:, b - start])
+        us = row_u[row_b == b]
         if not us.size:
             continue
         ws = start + np.flatnonzero(pc[start:] == b)
@@ -377,9 +397,11 @@ def _candidate_masses(profile: SpectralProfile, start: int, cand: np.ndarray):
         t = np.zeros((n, len(ws)))
         for j in np.nonzero(ws[:, None] >> np.arange(n) & 1)[1].reshape(len(ws), b).T:
             t += profile.p[:, j]
-        # the table of low-bit sums holds at most 2 BLOCK_FLOATS floats: more
-        # low bits leave fewer rows of t to add to each pair
-        low = min(n, max(1, 2 * BLOCK_FLOATS // len(ws)).bit_length() - 1)
+        # the table of low-bit sums holds at most 2 BLOCK_FLOATS floats and
+        # no more entries than the column has rows: more low bits leave
+        # fewer rows of t to add to each pair
+        low = min(n, max(1, 2 * BLOCK_FLOATS // len(ws)).bit_length() - 1,
+                  us.size.bit_length() - 1)
         lows = np.ascontiguousarray(subset_sums(t[:low].T).T)
         key = pc[us] * (n + 1) + pc[us >> low]
         for value in np.unique(key):

@@ -407,16 +407,18 @@ def swept_rows(profile, nonempty_only):
     return report, rows
 
 
-def check_search_against_reference(profile, nonempty_only, block_floats=BLOCK_FLOATS):
+def check_search_against_reference(profile, nonempty_only, block_floats=BLOCK_FLOATS,
+                                   scales=(1.0, 0.5, 0.05)):
     """The search's report equals the row-by-row reference field by field,
-    with rho as given and scaled down, which turns some pairs (0.5) or
-    most pairs (0.05) into violations, so the counts, the minima and the
-    worst pair come from violating rows too.  Up to n = 8 every pair the
-    search folds is folded once, with the reference's values bit for bit,
-    and the search's blocks hold ``block_floats`` floats: a small size
-    splits the rows into many blocks, and the masses into few low bits of
-    U and many higher ones, as n = 12 and 13 split them."""
-    for scale in (1.0, 0.5, 0.05):
+    with rho scaled by each of ``scales``: rho as given, and scaled down,
+    which turns some pairs (0.5) or most pairs (0.05) into violations, so
+    the counts, the minima and the worst pair come from violating rows
+    too.  Up to n = 8 every pair the search folds is folded once, with the
+    reference's values bit for bit, and the search's blocks hold
+    ``block_floats`` floats: a small size splits the rows into many
+    blocks, and the masses into few low bits of U and many higher ones, as
+    n = 12 and 13 split them."""
+    for scale in scales:
         prof = dataclasses.replace(profile, rho=scale * profile.rho)
         with_rows = prof.n <= 8
         if with_rows:
@@ -449,6 +451,12 @@ class TestExhaustiveSweepReference:
     def test_sweep_equals_the_reference_at_11_and_12_vertices(self, profile, nonempty_only):
         check_search_against_reference(profile, nonempty_only)
 
+    def test_sweep_equals_the_reference_at_the_cap(self):
+        # n = EXHAUSTIVE_CAP: C13's worst pair is a rounding tie at U = W = V
+        assert mixing.EXHAUSTIVE_CAP == 13
+        check_search_against_reference(spectral_profile(undirected_cycle(13)), False,
+                                       scales=(1.0, 0.05))
+
 
 class TestRowSearch:
     @settings(max_examples=30, deadline=None,
@@ -474,6 +482,23 @@ class TestRowSearch:
             assert np.all(sizes[wstar - start] == np.arange(start, n + 1))
             at_wstar = np.take_along_axis(rows_lhs, wstar - start, axis=1)
             assert np.all(np.abs(at_wstar - dev) <= margin)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(sweep_profiles(2, 10), st.booleans(), st.sampled_from([BLOCK_FLOATS, 64]))
+    def test_row_search_runs_one_row_pass(self, profile, nonempty_only, block_floats):
+        # one verify_eml yields each mask U in [start, 2^n) once, in order
+        yielded, real_rows = [], mixing._row_deviations
+
+        def row_deviations(*args):
+            for us, dev, wstar in real_rows(*args):
+                yielded.extend(us.tolist())
+                yield us, dev, wstar
+
+        with mock.patch.object(mixing, "_row_deviations", row_deviations), \
+                mock.patch.object(mixing, "BLOCK_FLOATS", block_floats):
+            verify_eml(profile, nonempty_only=nonempty_only)
+        assert yielded == list(range(int(nonempty_only), 1 << profile.n))
 
     @pytest.mark.parametrize("g", [random_strongly_connected(10, 0.4, seed=5),
                                    undirected_cycle(11)], ids=["random10", "cycle11"])
