@@ -25,6 +25,15 @@ ENUMERATION_CAP = 22
 # removal sets whose components are counted in one batch
 MASK_CHUNK = 1 << 14
 
+# A size checks a forbidden pattern when the pattern lies in at least
+# 1/PATTERN_SHARE of its sets.  Counting the components of one set costs
+# 37-425 times testing it against a pattern (2^14-set chunks, one Xeon
+# core; 80-425 on the sparse graphs that have small patterns).  Exact
+# toughness times are flat for shares 32-256 and 4-7 % slower from 1024 on
+# the bench's random n = 17 graphs.  256 is the largest flat share, and it
+# checks 2-vertex patterns from size 2 up to n = 23.
+PATTERN_SHARE = 256
+
 # rho below this is indistinguishable from an exactly rank-one walk matrix
 ZERO_RHO_TOL = 1e-13
 
@@ -83,6 +92,33 @@ def _subset_chunks(n: int, size: int, word: np.dtype) -> Iterator[np.ndarray]:
             stack.append((m - 1, k, high))
 
 
+def _forbidden_patterns(out_nb: list[int], in_nb: list[int]) -> Iterator[tuple[int, int]]:
+    """The minimal forbidden patterns as (vertex count, bitmask), fewest
+    vertices first, each built only when the caller asks for it.
+
+    Vertex v gives {v} + out(v), {v} + in(v) and {v} + nb(v) - x for each
+    neighbour x, self-loops aside: a removal set S containing one has a v
+    with no out-neighbour, no in-neighbour, or fewer than two distinct
+    neighbours outside S (see ``exact_toughness``).
+    """
+    # (vertex count, base, spare): the pattern base if spare is 0, else
+    # the patterns base - x for each x in spare
+    groups = []
+    for v, (out, inn) in enumerate(zip(out_nb, in_nb)):
+        bit = 1 << v
+        out, inn = out & ~bit, inn & ~bit
+        nb = out | inn
+        groups += [(out.bit_count() + 1, bit | out, 0), (inn.bit_count() + 1, bit | inn, 0),
+                   (nb.bit_count(), bit | nb, nb)]
+    kept: list[int] = []
+    for t, base, spare in sorted(groups):
+        bits = [1 << x for x in range(spare.bit_length()) if spare >> x & 1]
+        for p in [base ^ x for x in bits] if spare else [base]:
+            if not any(p & q == q for q in kept):
+                kept.append(p)
+                yield t, p
+
+
 def check_enumeration(g: DirectedGraph, allow_large: bool) -> None:
     """The preconditions of ``exact_toughness``: g is strongly connected,
     and n is within ``ENUMERATION_CAP`` unless ``allow_large``."""
@@ -105,17 +141,46 @@ def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessRes
     compared as exact fractions.  Sets of n - 1 vertices leave a single
     component and are not tried.  Masks are uint64 words up to n = 64
     and Python ints beyond.
+
+    Only admissible sets are counted.  Take v in S with no out-neighbour
+    outside S, or no in-neighbour, or fewer than two distinct neighbours
+    (self-loops aside).  Put back, v is a new singleton component of
+    G - (S - v) or joins one without merging others, so S - v, nonempty
+    since G is strongly connected, has c >= 2 and a strictly smaller
+    ratio.  Repeating ends at an admissible subset, so after each size
+    the best (ratio, size, mask) is the one the full enumeration finds:
+    the value, witness and stop size stay the same.  A chunk drops the
+    sets that contain a pattern of ``_forbidden_patterns`` before its
+    components are counted; a size checks only the patterns that lie in
+    at least 1/``PATTERN_SHARE`` of its sets.
     """
     check_enumeration(g, allow_large)
     n = g.n
     word = np.dtype(np.uint64 if n <= 64 else object)
-    out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks())
+    out_nb, in_nb = g.neighbour_masks()
+    out_tab, in_tab = _union_tables(out_nb, word), _union_tables(in_nb, word)
     full = word.type((1 << n) - 1)
     best = None  # (|S|, c(G - S), S-mask)
+    family = _forbidden_patterns(out_nb, in_nb)
+    pending, patterns, most = next(family, None), [], 0
     for size in range(1, n - 1):
         if best is not None and size * best[1] >= best[0] * (n - size):
             break
+        # a pattern of t vertices lies in C(n - t, size - t) of the size's sets
+        while most < size and PATTERN_SHARE * math.comb(n - most - 1, size - most - 1) \
+                >= math.comb(n, size):
+            most += 1
+        while pending and pending[0] <= most:
+            patterns.append(word.type(pending[1]))
+            pending = next(family, None)
         for masks in _subset_chunks(n, size, word):
+            if patterns:
+                admissible = np.ones(len(masks), dtype=bool)
+                for p in patterns:
+                    admissible &= (masks & p) != p
+                masks = masks[admissible]
+                if not len(masks):
+                    continue
             counts = _scc_counts(full ^ masks, out_tab, in_tab)
             top = int(np.argmax(counts))  # the first, so the smallest mask
             count = int(counts[top])

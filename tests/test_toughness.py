@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 from unittest import mock
@@ -39,7 +40,7 @@ def complete_with_loops(n):
     return graph_from_edges(n, {(i, j) for i in range(n) for j in range(n)})
 
 
-def check_against_combination_oracle(data):
+def draw_strong_digraph(data):
     # self-loops allowed; the AND (OR) of k random adjacency words has
     # density 2^-k (1 - 2^-k); an optional spanning cycle keeps sparse
     # draws strongly connected often enough, and bidirected draws
@@ -56,8 +57,13 @@ def check_against_combination_oracle(data):
         edges |= {(h, t) for t, h in edges}
     g = graph_from_edges(n, edges)
     assume(is_strongly_connected(g))
+    return g
+
+
+def check_against_combination_oracle(data):
+    g = draw_strong_digraph(data)
     result = exact_toughness(g)
-    oracle = toughness_by_combinations(n, edges)
+    oracle = toughness_by_combinations(g.n, g.edges)
     if oracle is None:
         assert result == ToughnessResult(INFINITE, None, None)
     else:
@@ -143,9 +149,52 @@ class TestExactToughness:
     @given(st.data())
     def test_pruned_enumeration_matches_oracle_in_tiny_chunks(self, data):
         # three masks a chunk: most sizes span several chunks, and the best
-        # set must survive the chunk boundaries
-        with mock.patch.object(toughness, "MASK_CHUNK", 3):
+        # set must survive the chunk boundaries; every size checks every
+        # forbidden pattern that fits in it
+        with mock.patch.object(toughness, "MASK_CHUNK", 3), \
+                mock.patch.object(toughness, "PATTERN_SHARE", 2 ** 62):
             check_against_combination_oracle(data)
+
+    @ORACLE_SETTINGS
+    @given(st.data())
+    def test_every_dropped_set_loses_to_a_smaller_set_by_kosaraju_oracle(self, data):
+        # every disconnecting set that contains a forbidden pattern has a
+        # vertex v whose return gives a strictly smaller ratio, c still >= 2
+        g = draw_strong_digraph(data)
+        patterns = [p for _, p in toughness._forbidden_patterns(*g.neighbour_masks())]
+        vertices = set(range(g.n))
+        for size in range(1, g.n):
+            for s in itertools.combinations(range(g.n), size):
+                mask = sum(1 << v for v in s)
+                if not any(mask & p == p for p in patterns):
+                    continue
+                c = kosaraju_component_count(g.n, g.edges, vertices - set(s))
+                if c < 2:
+                    continue
+                assert size >= 2
+                assert any(c_rest >= 2 and (size - 1) * c < size * c_rest
+                           for c_rest in (kosaraju_component_count(g.n, g.edges,
+                                                                   vertices - set(s) | {v})
+                                          for v in s))
+
+    def test_pruning_counts_only_independent_sets_of_a_cycle(self):
+        # the nonempty independent sets of C17 (Lucas number L17 - 1); the
+        # full enumeration counts all 2^16 - 1 sets of its sizes 1 to 8
+        counted = []
+
+        def spy(keep, out_tab, in_tab):
+            counted.append(len(keep))
+            return scc_counts(keep, out_tab, in_tab)
+
+        scc_counts = toughness._scc_counts
+        with mock.patch.object(toughness, "_scc_counts", spy):
+            result = exact_toughness(undirected_cycle(17))
+        assert result == ToughnessResult(1.0, (0, 2), 2)
+        assert sum(counted) <= 3570
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_long_cycles_at_the_cap(self, n):
+        assert exact_toughness(undirected_cycle(n)) == ToughnessResult(1.0, (0, 2), 2)
 
     @pytest.mark.parametrize("g", [
         undirected_cycle(17),
