@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,14 +37,26 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbour_masks(self) -> tuple[list[int], list[int]]:
-        """Out- and in-neighbour sets as bitmasks, indexed by vertex."""
+    @cached_property
+    def neighbour_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Out- and in-neighbour sets as bitmasks, indexed by vertex.  Built
+        once per graph, like ``_strong_levels``: the graph is immutable, and
+        the connectivity and period checks, pi and exact toughness all read
+        them."""
         out_nb = [0] * self.n
         in_nb = [0] * self.n
         for t, h in self.edges:
             out_nb[t] |= 1 << int(h)  # int(): numpy integers overflow past 63 bits
             in_nb[h] |= 1 << int(t)
-        return out_nb, in_nb
+        return tuple(out_nb), tuple(in_nb)
+
+    @cached_property
+    def _strong_levels(self) -> Optional[tuple[int, ...]]:
+        """``_levels`` along the out-masks if the graph is strongly
+        connected, else None."""
+        out_nb, in_nb = self.neighbour_masks
+        out_levels, full = _levels(out_nb), (1 << self.n) - 1
+        return tuple(out_levels) if sum(out_levels) == full == sum(_levels(in_nb)) else None
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -177,26 +190,19 @@ def _scc_counts(keep: np.ndarray, out_tab: np.ndarray, in_tab: np.ndarray) -> np
     return counts
 
 
-def _strong_levels(g: DirectedGraph) -> Optional[list[int]]:
-    """``_levels`` along the out-masks if g is strongly connected, else None."""
-    out_nb, in_nb = g.neighbour_masks()
-    out_levels, full = _levels(out_nb), (1 << g.n) - 1
-    return out_levels if sum(out_levels) == full == sum(_levels(in_nb)) else None
-
-
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    return _strong_levels(g) is not None
+    return g._strong_levels is not None
 
 
 def period(g: DirectedGraph) -> int:
     """gcd of all directed cycle lengths of a strongly connected graph."""
-    levels = _strong_levels(g)
+    levels = g._strong_levels
     if levels is None:
         raise PreconditionError("period requires a strongly connected graph")
     return _period(g, levels)
 
 
-def _period(g: DirectedGraph, levels: list[int]) -> int:
+def _period(g: DirectedGraph, levels: Sequence[int]) -> int:
     """``period`` from the ``_strong_levels`` of g, computed from the
     breadth-first depths of the vertices: every edge (u, v) contributes
     depth(u) + 1 - depth(v) to the gcd."""

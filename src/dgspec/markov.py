@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, PreconditionError
-from .graph import DirectedGraph, _period, _strong_levels
+from .graph import DirectedGraph, _period
 from .linalg import certify_eigenbasis, eigenpairs
 
 
@@ -45,7 +45,7 @@ def stationary_distribution(g: DirectedGraph, p: np.ndarray) -> np.ndarray:
     connectivity and period checks.  The eigenbasis is never used, so the
     sqrt(n) pi vs C^-1 row identity stays a check.
     """
-    levels = _strong_levels(g)
+    levels = g._strong_levels
     if levels is None:
         raise PreconditionError("stationary distribution needs a strongly connected graph")
     if _period(g, levels) != 1:

@@ -7,22 +7,24 @@ sweeps a subset is a bitmask over [0, n), bit i set when vertex i is in
 it; the report decodes the worst pair's masks to indices once.
 
 The exhaustive sweep is a search that evaluates only the pairs its report
-can depend on.  Both bounds depend on U only through |U|, so they are
-evaluated once, as a table over (|U|, W).  For a fixed U the deviation of
-(U, W) is |sum of r_j over j in W| with r = 1_U^T P - |U| pi, so one sort
-of r gives the largest deviation over every |W| = b, and with the table's
-extremes over |W| = b a bound on the slack of the whole row (U, b).  One
-pass over the U does this: each block of U first tightens the incumbent
-minimum slacks and largest tightness, then keeps the (U, b, dev) of its
-rows that can still hold the minimum slack, a violation or the largest
-tightness under them, at most 2^n (n + 1) floats of dev (0.9 MB at
-n = 13).  The kept rows are marked once more against the final
-incumbents, and every pair of the marked rows is evaluated with the
-arithmetic of a full sweep over all 4^n pairs, so the report is that
-sweep's bit for bit.  On a 2-core Intel Xeon an n = 13 search takes about
-0.015 s on an undirected cycle and 0.14-0.15 s on K13, whose U = W pairs
-are all exactly tight; a profile that violates most pairs is evaluated
-almost whole, in 0.45-0.5 s.
+can depend on.  The 2^(n+1) - 1 pairs with U or W empty have lhs, bounds
+and slacks exactly 0.0, so they are folded in closed form and only the
+nonempty pairs are searched.  Both bounds depend on U only through |U|,
+so they are evaluated once, as a table over (|U|, W).  For a fixed U the
+deviation of (U, W) is |sum of r_j over j in W| with
+r = 1_U^T P - |U| pi, so one sort of r gives the largest deviation over
+every |W| = b, and with the table's extremes over |W| = b a bound on the
+slack of the whole row (U, b).  One pass over the 2^n - 1 nonempty U does
+this: each block of U first tightens the incumbent minimum slacks and
+largest tightness, then keeps the (U, b, dev) of its rows that can still
+hold the minimum slack, a violation or the largest tightness under them,
+at most (2^n - 1) n floats of dev (0.85 MB at n = 13).  The kept rows are
+marked once more against the final incumbents, and every pair of the
+marked rows is evaluated with the arithmetic of a full sweep over all
+4^n pairs, so the report is that sweep's bit for bit.  On a 2-core
+Intel Xeon an n = 13 search takes about 0.016 s on an undirected cycle
+and 0.16 s on K13, whose U = W pairs are all exactly tight; a profile
+that violates most pairs is evaluated almost whole, in 0.56-0.57 s.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ def _margin(n: int) -> float:
     return 8.0 * (n + 1) ** 2 * np.finfo(float).eps
 
 
-def _row_deviations(profile: SpectralProfile, start: int):
-    """Blocks ``(us, dev, wstar)`` over the masks U in [start, 2^n), each
-    U's row of ``dev`` and ``wstar`` indexed by b - start for b in
-    [start, n]: dev is the largest |sum of r_j over j in W| over |W| = b,
+def _row_deviations(profile: SpectralProfile):
+    """Blocks ``(us, dev, wstar)`` over the nonempty masks U in [1, 2^n),
+    each U's row of ``dev`` and ``wstar`` indexed by b - 1 for b in [1, n]:
+    dev is the largest |sum of r_j over j in W| over |W| = b,
     r = 1_U^T P - |U| pi, and wstar the mask of the W that attains it (the
     b largest or the b smallest r_j).  Within ``_margin(n)``, dev bounds
     the deviation of every pair (U, W) with |W| = b and is attained at
@@ -92,21 +94,18 @@ def _row_deviations(profile: SpectralProfile, start: int):
     n = profile.n
     rows = max(1, BLOCK_FLOATS // 4 // (n + 1))
     bits = np.arange(n)
-    for first in range(start, 1 << n, rows):
+    for first in range(1, 1 << n, rows):
         us = np.arange(first, min(first + rows, 1 << n))
         members = (us[:, None] >> bits & 1).astype(float)
         r = members @ profile.p - members.sum(axis=1, keepdims=True) * profile.pi
         order = np.argsort(r, axis=1)
         ascending, masks = np.take_along_axis(r, order, axis=1), 1 << order
-        # sums and masks of the b smallest and of the b largest r_j, b = 0..n
-        low, high = np.zeros((2, len(us), n + 1))
-        low_mask, high_mask = np.zeros((2, len(us), n + 1), dtype=masks.dtype)
-        for x, out in ((ascending, low), (ascending[:, ::-1], high),
-                       (masks, low_mask), (masks[:, ::-1], high_mask)):
-            np.cumsum(x, axis=1, out=out[:, 1:])
+        # sums and masks of the b smallest and of the b largest r_j, b = 1..n
+        low, high = (np.cumsum(x, axis=1) for x in (ascending, ascending[:, ::-1]))
+        low_mask, high_mask = (np.cumsum(x, axis=1) for x in (masks, masks[:, ::-1]))
         dev = np.maximum(high, -low)
         wstar = np.where(high >= -low, high_mask, low_mask)
-        yield us, dev[:, start:], wstar[:, start:]
+        yield us, dev, wstar
 
 
 def _deviation(size_u, pi_w, mass):
@@ -309,33 +308,46 @@ def verify_eml(profile: SpectralProfile, sample: Optional[int] = None,
 def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
                       acc: _SweepAccumulator):
     """Fold into acc what a sweep over every pair (U, W) of masks in
-    [start, 2^n) would fold, from every pair of the rows (U, |W|) that can
-    hold the minimum slack or a tie with it, the minimum simplified slack,
-    a violation of either bound or the largest tightness."""
+    [0, 2^n), or in [1, 2^n) if ``nonempty_only``, would fold.
+
+    Unless ``nonempty_only``, the 2^(n+1) - 1 pairs with U or W empty are
+    folded first, in closed form: their mass sums nothing, and |U| = 0 or
+    pi(W) = |W| = 0 makes their lhs, both bounds, both slacks and their
+    bound gap +0.0.  So they add no violation and no tightness, the minima
+    start at +0.0 as in a sweep that folds them first (a later -0.0 does
+    not replace it), and U = W = 0, the smallest pair, is the worst pair
+    unless a nonempty pair goes below 0.0.  The search then prunes
+    against those minima.  Only nonempty pairs are searched: every pair of
+    the rows (U, |W|) that can hold the minimum slack or a tie with it,
+    the minimum simplified slack, a violation of either bound or the
+    largest tightness is evaluated."""
     n = profile.n
-    start = 1 if nonempty_only else 0
     pc = subset_sums(np.ones(n))
-    pi_w = subset_sums(profile.pi)[start:]
-    bound, simple = _bounds(profile, np.arange(n + 1.0)[:, None], pc[start:], pi_w)
-    # per (|U|, b - start): the smallest, the largest and the smallest
+    pi_w = subset_sums(profile.pi)
+    # over (|U| - 1, W) for |U| in [1, n] and every mask W
+    bound, simple = _bounds(profile, np.arange(1.0, n + 1)[:, None], pc, pi_w)
+    # per (|U| - 1, b - 1): the smallest, the largest and the smallest
     # positive bound, and the simplified bound, over the W with |W| = b
-    by_size = [np.flatnonzero(pc[start:] == b) for b in range(start, n + 1)]
+    by_size = [np.flatnonzero(pc == b) for b in range(1, n + 1)]
     bmin = np.column_stack([bound[:, c].min(axis=1) for c in by_size])
     bmax = np.column_stack([bound[:, c].max(axis=1) for c in by_size])
     bpos = np.column_stack([_divisor(bound[:, c]).min(axis=1) for c in by_size])
     simple = np.column_stack([simple[:, c[0]] for c in by_size])
     # float subtraction is monotone: the smallest simple - bound of all pairs
-    acc.gap_min = float((simple - bmax)[start:].min())
+    acc.gap_min = float((simple - bmax).min())
+    if not nonempty_only:
+        acc.min_slack = acc.simple_min = 0.0
+        acc.gap_min = min(0.0, acc.gap_min)
+        acc.worst = (0.0, 0, 0)
     margin = _margin(n)
     # incumbents: values that the slack, the simplified slack and the
-    # tightness of some pair (U, W*) are known to reach
-    slack_inc = simple_inc = np.inf
-    tight_inc = 0.0
+    # tightness of some folded pair or some pair (U, W*) are known to reach
+    slack_inc, simple_inc, tight_inc = acc.min_slack, acc.simple_min, acc.tightness
 
     def candidates(at, above):
         """Which rows (U, b) can reach the incumbents or a violation, from
-        ``dev + margin`` = above and the index ``at`` of their (|U|,
-        b - start) in the tables."""
+        ``dev + margin`` = above and the index ``at`` of their (|U| - 1,
+        b - 1) in the tables."""
         slack_low, simple_low = bmin[at] - above, simple[at] - above
         return ((slack_low <= slack_inc) | (simple_low <= simple_inc)
                 | (np.minimum(slack_low, simple_low) < -acc.slack_tol)
@@ -345,9 +357,9 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     # are candidates under them; incumbents only tighten, so the kept rows
     # hold every candidate under the final incumbents
     kept = []
-    for us, dev, wstar in _row_deviations(profile, start):
-        k, below = pc[us].astype(int), dev - margin
-        at_wstar = bound[k[:, None], wstar - start]
+    for us, dev, wstar in _row_deviations(profile):
+        k, below = pc[us].astype(int) - 1, dev - margin
+        at_wstar = bound[k[:, None], wstar]
         slack_inc = min(slack_inc, float((at_wstar - below).min()))
         simple_inc = min(simple_inc, float((simple[k] - below).min()))
         tight_inc = max(tight_inc, float((below / _divisor(at_wstar)).max()))
@@ -356,13 +368,13 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
         kept.append((us[r], b, above[r, b]))
     del bound  # the blocks evaluate their own bound rows
     row_u, row_b, above = (np.concatenate(x) for x in zip(*kept))
-    final = candidates((pc[row_u].astype(int), row_b), above)
-    row_u, row_b = row_u[final], start + row_b[final]
+    final = candidates((pc[row_u].astype(int) - 1, row_b), above)
+    row_u, row_b = row_u[final], 1 + row_b[final]
     del kept, above, final
     sizes = None
-    for k, b, us, ws, mass in _candidate_masses(profile, start, pc, row_u, row_b):
+    for k, b, us, ws, mass in _candidate_masses(profile, pc, row_u, row_b):
         if sizes != (k, b):
-            sizes, pi_row = (k, b), pi_w[ws - start]
+            sizes, pi_row = (k, b), pi_w[ws]
             row, simple_row = _bounds(profile, float(k), float(b), pi_row)
             divisor = _divisor(row)
         lhs = _deviation(float(k), pi_row, mass)
@@ -371,27 +383,27 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
         # block's smallest (slack, u, w)
         u, w = divmod(j, len(ws))
         acc.worst = min(acc.worst, (float(slack.flat[j]), int(us[u]), int(ws[w])))
-    acc.pair_count = ((1 << n) - start) ** 2
+    acc.pair_count = ((1 << n) - 1) ** 2 if nonempty_only else 1 << 2 * n
 
 
-def _candidate_masses(profile: SpectralProfile, start: int, pc: np.ndarray,
+def _candidate_masses(profile: SpectralProfile, pc: np.ndarray,
                       row_u: np.ndarray, row_b: np.ndarray):
     """Blocks ``(k, b, us, ws, mass)`` that cover once every pair (U, W) of
-    the rows (U, |W|) = (row_u[i], row_b[i]), row_u ascending and pc the
-    subset sizes ``subset_sums(np.ones(n))``: us are masks U with |U| = k
-    and ws all masks W in [start, 2^n) with |W| = b, both ascending, and
-    mass[r, c] is the mass of U = us[r] and W = ws[c] summed as a full
+    the rows (U, |W|) = (row_u[i], row_b[i]), row_u ascending, U and W
+    nonempty, and pc the subset sizes ``subset_sums(np.ones(n))``: us are
+    masks U with |U| = k and ws all masks W with |W| = b, both ascending,
+    and mass[r, c] is the mass of U = us[r] and W = ws[c] summed as a full
     sweep sums it: t_i = sum of p_ij over j in W ascending from 0.0, then
     the sum of t_i over i in U ascending from 0.0.  A block starts from the
     subset sum of U's low bits and adds t_i for each higher bit i; rows are
     grouped by |U| and the count of U's higher bits, so every row of a
     block adds the same number of terms."""
     n = profile.n
-    for b in range(start, n + 1):
+    for b in range(1, n + 1):
         us = row_u[row_b == b]
         if not us.size:
             continue
-        ws = start + np.flatnonzero(pc[start:] == b)
+        ws = np.flatnonzero(pc == b)
         steps = max(1, BLOCK_FLOATS // len(ws))
         # t[i, c] = t_i of W = ws[c]
         t = np.zeros((n, len(ws)))

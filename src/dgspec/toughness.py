@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _subset_chunks(n: int, size: int, word: np.dtype) -> Iterator[np.ndarray]:
             stack.append((m - 1, k, high))
 
 
-def _forbidden_patterns(out_nb: list[int], in_nb: list[int]) -> Iterator[tuple[int, int]]:
+def _forbidden_patterns(out_nb: Sequence[int], in_nb: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The minimal forbidden patterns as (vertex count, bitmask), fewest
     vertices first, each built only when the caller asks for it.
 
@@ -157,7 +157,7 @@ def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessRes
     check_enumeration(g, allow_large)
     n = g.n
     word = np.dtype(np.uint64 if n <= 64 else object)
-    out_nb, in_nb = g.neighbour_masks()
+    out_nb, in_nb = g.neighbour_masks
     out_tab, in_tab = _union_tables(out_nb, word), _union_tables(in_nb, word)
     full = word.type((1 << n) - 1)
     best = None  # (|S|, c(G - S), S-mask)

@@ -205,7 +205,7 @@ def toughness_by_gosper(g: DirectedGraph):
     set disconnects the graph.
     """
     n = g.n
-    out_nb, in_nb = g.neighbour_masks()
+    out_nb, in_nb = g.neighbour_masks
     full = (1 << n) - 1
     best = None  # (|S|, c(G - S), S-mask)
     for size in range(1, n - 1):
@@ -536,7 +536,7 @@ def regular_degree(g: DirectedGraph) -> int:
     for t, h in g.edges:
         if (h, t) not in g.edges:
             raise PreconditionError("graph is not symmetric (an undirected doubling)")
-    out_nb, in_nb = g.neighbour_masks()
+    out_nb, in_nb = g.neighbour_masks
     degs = {mask.bit_count() for mask in out_nb + in_nb}
     if len(degs) != 1:
         raise PreconditionError("graph is not regular")

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -283,6 +284,28 @@ class TestToughness:
         payload = json.loads(out)
         assert payload["exact"]["value"] == 0.5
         assert isinstance(payload["holds"], bool)
+
+    @pytest.mark.parametrize("mode", ["exact", "compare"])
+    def test_graph_structure_is_built_once(self, capsys, chord_file, mode):
+        # the connectivity checks, pi and the enumeration all read the
+        # graph's neighbour masks and levels, so each is built once per command
+        builds = {"neighbour_masks": 0, "_strong_levels": 0}
+
+        def counted(name):
+            real = vars(graphs.DirectedGraph)[name].func
+
+            def build(g):
+                builds[name] += 1
+                return real(g)
+
+            prop = functools.cached_property(build)
+            prop.__set_name__(graphs.DirectedGraph, name)
+            return mock.patch.object(graphs.DirectedGraph, name, prop)
+
+        with counted("neighbour_masks"), counted("_strong_levels"):
+            code, out, _ = run(capsys, "toughness", mode, chord_file, "--format", "json")
+        assert code == 0 and "0.5" in out
+        assert builds == {"neighbour_masks": 1, "_strong_levels": 1}
 
     @pytest.mark.parametrize("mode", ["bound", "compare"])
     def test_residual_gate_is_numerical(self, capsys, chord_file, monkeypatch, mode):

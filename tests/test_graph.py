@@ -37,7 +37,7 @@ def path3():
 def component_count(g):
     """SCC count of the whole graph by the batched peel exact toughness uses."""
     word = np.dtype(np.uint64 if g.n <= 64 else object)
-    out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks())
+    out_tab, in_tab = (_union_tables(nbrs, word) for nbrs in g.neighbour_masks)
     keep = np.array([word.type((1 << g.n) - 1)], dtype=word)
     return int(_scc_counts(keep, out_tab, in_tab)[0])
 
@@ -226,7 +226,7 @@ class TestGenerators:
     def test_undirected_cycle_5(self):
         g = undirected_cycle(5)
         assert g.edge_count == 10
-        out_nb, in_nb = g.neighbour_masks()
+        out_nb, in_nb = g.neighbour_masks
         assert [m.bit_count() for m in out_nb + in_nb] == [2] * 10
 
     def test_de_bruijn_2_2(self):
@@ -242,7 +242,7 @@ class TestGenerators:
         g = petersen()
         assert g.n == 10
         assert g.edge_count == 30
-        out_nb, in_nb = g.neighbour_masks()
+        out_nb, in_nb = g.neighbour_masks
         assert [m.bit_count() for m in out_nb + in_nb] == [3] * 20
         assert is_strongly_connected(g)
 

@@ -363,8 +363,11 @@ def check_block_against_oracle(profile, pairs):
 @st.composite
 def sweep_profiles(draw, min_n=2, max_n=10):
     """Profiles of ``min_n`` to ``max_n`` vertices: random digraphs, and the
-    K_n and odd cycles whose symmetries tie many pairs at the same slack."""
+    K_n and odd cycles whose symmetries tie many pairs at the same slack;
+    at n = 1, the one vertex with a loop."""
     n = draw(st.integers(min_n, max_n))
+    if n == 1:
+        return spectral_profile(graph_from_edges(1, {(0, 0)}))
     family = draw(st.sampled_from(["random", "complete", "cycle"]))
     try:
         if family == "complete":
@@ -461,33 +464,32 @@ class TestExhaustiveSweepReference:
 class TestRowSearch:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(sweep_profiles(2, 8), st.booleans())
-    def test_row_search_dev_bounds_every_pair_and_wstar_attains_it(self, profile,
-                                                                   nonempty_only):
+    @given(sweep_profiles(2, 8))
+    def test_row_search_dev_bounds_every_pair_and_wstar_attains_it(self, profile):
         # the pruning premise, by brute force over the reference's pairs:
         # within the margin, dev[U, b] is at least the deviation of every
         # pair (U, W) with |W| = b, and the pair (U, W*) reaches it
-        n, start = profile.n, int(nonempty_only)
+        n = profile.n
         margin = mixing._margin(n)
-        _, rows = reference_exhaustive_sweep(profile, nonempty_only=nonempty_only,
-                                             with_rows=True)
-        size = (1 << n) - start
+        _, rows = reference_exhaustive_sweep(profile, nonempty_only=True, with_rows=True)
+        size = (1 << n) - 1
         lhs = np.array([row[2] for row in rows]).reshape(size, size)
-        sizes = np.array([bin(w).count("1") for w in range(start, 1 << n)])
-        for us, dev, wstar in mixing._row_deviations(profile, start):
-            rows_lhs = lhs[us - start]
+        sizes = np.array([bin(w).count("1") for w in range(1, 1 << n)])
+        for us, dev, wstar in mixing._row_deviations(profile):
+            rows_lhs = lhs[us - 1]
             largest = np.column_stack([rows_lhs[:, sizes == b].max(axis=1)
-                                       for b in range(start, n + 1)])
+                                       for b in range(1, n + 1)])
             assert np.all(largest <= dev + margin)
-            assert np.all(sizes[wstar - start] == np.arange(start, n + 1))
-            at_wstar = np.take_along_axis(rows_lhs, wstar - start, axis=1)
+            assert np.all(sizes[wstar - 1] == np.arange(1, n + 1))
+            at_wstar = np.take_along_axis(rows_lhs, wstar - 1, axis=1)
             assert np.all(np.abs(at_wstar - dev) <= margin)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(sweep_profiles(2, 10), st.booleans(), st.sampled_from([BLOCK_FLOATS, 64]))
     def test_row_search_runs_one_row_pass(self, profile, nonempty_only, block_floats):
-        # one verify_eml yields each mask U in [start, 2^n) once, in order
+        # one verify_eml yields each nonempty mask U once, in order, in both
+        # modes: the empty pairs are folded without a row
         yielded, real_rows = [], mixing._row_deviations
 
         def row_deviations(*args):
@@ -498,7 +500,7 @@ class TestRowSearch:
         with mock.patch.object(mixing, "_row_deviations", row_deviations), \
                 mock.patch.object(mixing, "BLOCK_FLOATS", block_floats):
             verify_eml(profile, nonempty_only=nonempty_only)
-        assert yielded == list(range(int(nonempty_only), 1 << profile.n))
+        assert yielded == list(range(1, 1 << profile.n))
 
     @pytest.mark.parametrize("g", [random_strongly_connected(10, 0.4, seed=5),
                                    undirected_cycle(11)], ids=["random10", "cycle11"])
@@ -515,6 +517,66 @@ class TestRowSearch:
             report = verify_eml(spectral_profile(g))
         assert report.pair_count == 4 ** g.n
         assert 0 < sum(folded) < 0.01 * 4 ** g.n
+
+
+def with_empty_pairs(report):
+    """A ``nonempty_only`` report with the 2^(n+1) - 1 pairs whose U or W is
+    empty folded in: each has slack 0.0 in both forms and a bound gap of
+    0.0, no violation and no tightness, and U = W = {} is the smallest pair."""
+    min_slack = min(0.0, report.min_slack)
+    simple_min = min(0.0, report.simple_min_slack)
+    max_violation = max(0.0 - min_slack, 0.0 - simple_min)
+    return dataclasses.replace(
+        report, pair_count=4 ** report.n, nonempty_only=False,
+        max_violation=max_violation, min_slack=min_slack, simple_min_slack=simple_min,
+        bound_gap_min=min(0.0, report.bound_gap_min),
+        worst_pair=report.worst_pair if report.min_slack < 0.0 else SubsetPair((), ()),
+        passed=max_violation <= report.slack_tol)
+
+
+class TestEmptyPairs:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(sweep_profiles(1, 10))
+    def test_empty_pairs_fold_onto_the_nonempty_report(self, profile):
+        # every field, signed zeros included, with rho as given and scaled
+        # down until some (0.5) or most (0.05) pairs violate the bound
+        for scale in (1.0, 0.5, 0.05):
+            prof = dataclasses.replace(profile, rho=scale * profile.rho)
+            report = verify_eml(prof)
+            expected = with_empty_pairs(verify_eml(prof, nonempty_only=True))
+            for field in dataclasses.fields(report):
+                assert repr(getattr(report, field.name)) == repr(
+                    getattr(expected, field.name)), (scale, field.name)
+
+    @pytest.mark.parametrize("g,most_rows", [
+        (random_strongly_connected(12, 0.35, seed=3), 2),
+        (undirected_cycle(13), 65),
+    ], ids=["random12", "cycle13"])
+    def test_empty_pairs_are_never_searched(self, g, most_rows):
+        # no row pass over U = {} and no mass block with U or W empty; the
+        # 0.0 the empty pairs reach prunes all but a few rows
+        row_us, blocks, rows = [], [], []
+        real_rows, real_masses = mixing._row_deviations, mixing._candidate_masses
+
+        def row_deviations(*args):
+            for us, dev, wstar in real_rows(*args):
+                row_us.extend(us.tolist())
+                yield us, dev, wstar
+
+        def candidate_masses(profile, pc, row_u, row_b):
+            rows.append(len(row_u))
+            for k, b, us, ws, mass in real_masses(profile, pc, row_u, row_b):
+                blocks.append((k, b, us.min(), ws.min()))
+                yield k, b, us, ws, mass
+
+        with mock.patch.object(mixing, "_row_deviations", row_deviations), \
+                mock.patch.object(mixing, "_candidate_masses", candidate_masses):
+            report = verify_eml(spectral_profile(g))
+        assert report.pair_count == 4 ** g.n
+        assert min(row_us) == 1
+        assert blocks and all(k > 0 and b > 0 and u > 0 and w > 0 for k, b, u, w in blocks)
+        assert rows == [rows[0]] and 0 < rows[0] <= most_rows
 
 
 class TestKernelProperties:

@@ -161,7 +161,7 @@ class TestExactToughness:
         # every disconnecting set that contains a forbidden pattern has a
         # vertex v whose return gives a strictly smaller ratio, c still >= 2
         g = draw_strong_digraph(data)
-        patterns = [p for _, p in toughness._forbidden_patterns(*g.neighbour_masks())]
+        patterns = [p for _, p in toughness._forbidden_patterns(*g.neighbour_masks)]
         vertices = set(range(g.n))
         for size in range(1, g.n):
             for s in itertools.combinations(range(g.n), size):
