@@ -171,7 +171,7 @@ def _scc_counts(keep: np.ndarray, out_tab: np.ndarray, in_tab: np.ndarray) -> np
     Each round peels, from every mask not yet used up, the component of
     its lowest vertex: the vertices it reaches that reach it back.  Every
     vertex on a path back is itself reached, so the backward closure may
-    stay inside the forward one.  Exact toughness calls this on chunks of
+    stay inside the forward one.  Exact toughness calls this on batches of
     up to 16k removal sets; whole graphs go through ``_levels``, since on
     one mask this is far slower: masks past n = 64 are object arrays, and
     each BFS level costs an array round (Python 3.11 on one Xeon core:

@@ -25,13 +25,16 @@ ENUMERATION_CAP = 22
 # removal sets whose components are counted in one batch
 MASK_CHUNK = 1 << 14
 
-# A size checks a forbidden pattern when the pattern lies in at least
+# A size activates a forbidden pattern when the pattern lies in at least
 # 1/PATTERN_SHARE of its sets.  Counting the components of one set costs
 # 37-425 times testing it against a pattern (2^14-set chunks, one Xeon
 # core; 80-425 on the sparse graphs that have small patterns).  Exact
-# toughness times are flat for shares 32-256 and 4-7 % slower from 1024 on
-# the bench's random n = 17 graphs.  256 is the largest flat share, and it
-# checks 2-vertex patterns from size 2 up to n = 23.
+# toughness times were flat for shares 32-256 and 4-7 % slower from 1024
+# on the bench's random n = 17 graphs, and activating every pattern that
+# fits read 2-8 % slower than 256 on the bench's random n = 16 and 17
+# graphs and on random_strongly_connected(22, 0.3 and 0.6, seed 0).  256
+# is the largest flat share, and it activates 2-vertex patterns from size
+# 2 up to n = 23.
 PATTERN_SHARE = 256
 
 # rho below this is indistinguishable from an exactly rank-one walk matrix
@@ -54,42 +57,6 @@ class ToughnessResult:
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.value)
-
-
-def _subsets(memo: dict, m: int, k: int, word: np.dtype) -> np.ndarray:
-    """The k-subsets of range(m) as ascending bitmasks, by Pascal's rule:
-    the subsets without bit m - 1 come first, then those with it.  Only
-    the band of Pascal's triangle that (m, k) rests on is built; ``memo``
-    keeps it for later calls."""
-    for mm in range(m + 1):
-        for kk in range(max(0, k - (m - mm)), min(k, mm) + 1):
-            if (mm, kk) in memo:
-                continue
-            if kk == 0:
-                memo[mm, kk] = np.zeros(1, dtype=word)
-            else:
-                without = memo.get((mm - 1, kk), np.zeros(0, dtype=word))
-                memo[mm, kk] = np.concatenate(
-                    (without, memo[mm - 1, kk - 1] | word.type(1 << (mm - 1))))
-    return memo[m, k]
-
-
-def _subset_chunks(n: int, size: int, word: np.dtype) -> Iterator[np.ndarray]:
-    """The size-subsets of range(n) as bitmask arrays of at most
-    ``MASK_CHUNK`` masks each, all in ascending order.
-
-    A range of more than ``MASK_CHUNK`` subsets splits on its highest
-    bit, into the subsets without it and then those with it.
-    """
-    memo: dict = {}
-    stack = [(n, size, 0)]  # (bits, subset size, high bits OR'd in)
-    while stack:
-        m, k, high = stack.pop()
-        if math.comb(m, k) <= MASK_CHUNK:
-            yield _subsets(memo, m, k, word) | word.type(high)
-        else:
-            stack.append((m - 1, k - 1, high | 1 << (m - 1)))
-            stack.append((m - 1, k, high))
 
 
 def _forbidden_patterns(out_nb: Sequence[int], in_nb: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -129,30 +96,112 @@ def check_enumeration(g: DirectedGraph, allow_large: bool) -> None:
                                 "pass allow_large to override")
 
 
+def _admissible_levels(n: int, out_nb: Sequence[int], in_nb: Sequence[int],
+                       word: np.dtype) -> Iterator[np.ndarray]:
+    """The admissible removal sets of sizes 1, 2, ... as bitmask arrays in
+    ascending order, one size at a time, each built only when asked for.
+
+    Level s comes from level s - 1: for each vertex v, the sets whose bits
+    all lie below v, each with v added.  Every s-set arises once, from the
+    set without its highest vertex, and in ascending order.  An admissible
+    set contains no active pattern, so an extension by v can contain only
+    the patterns whose highest vertex is v, and only those are tested.  A
+    pattern that becomes active at size s may lie in a set of level s - 1,
+    so at size s it is tested on every extension.  Level s is thus exactly
+    the s-sets that contain no pattern active at s.  Patterns come from
+    ``_forbidden_patterns``; a size activates those that lie in at least
+    1/``PATTERN_SHARE`` of its sets.  Levels without an active pattern
+    test nothing.
+    """
+    bits = np.array([1 << v for v in range(n)], dtype=word)
+    pairs = np.zeros(n, dtype=word)  # bit u of pairs[v], u < v: {u, v} is a pattern
+    others = []  # the other active patterns, as (highest vertex v, the rest)
+    family = _forbidden_patterns(out_nb, in_nb)
+    pending, most = next(family, None), 0
+    level = np.zeros(1, dtype=word)  # the empty set
+    for size in range(1, n - 1):
+        if not len(level):
+            return
+        # a pattern of t vertices lies in C(n - t, size - t) of the size's sets
+        while most < size and PATTERN_SHARE * math.comb(n - most - 1, size - most - 1) \
+                >= math.comb(n, size):
+            most += 1
+        fresh = []  # the patterns active from this size that a set of the last level may hold
+        while pending and pending[0] <= most:
+            t, p = pending
+            if t < size:
+                fresh.append(word.type(p))
+            v = p.bit_length() - 1
+            if t == 2:
+                pairs[v] |= word.type(p ^ 1 << v)
+            else:
+                others.append((v, word.type(p ^ 1 << v)))
+            pending = next(family, None)
+        cuts = np.searchsorted(level, bits)  # the sets of the last level below each vertex
+        level = np.concatenate([level[:c] for c in cuts.tolist()])
+        level |= np.repeat(bits, cuts)
+        if others or pairs.any():
+            keep = (level & np.repeat(pairs, cuts)) == 0
+            starts = np.cumsum(cuts) - cuts
+            for v, rest in others:
+                seg = slice(starts[v], starts[v] + cuts[v])
+                keep[seg] &= (level[seg] & rest) != rest
+            for p in fresh:
+                keep &= (level & p) != p
+            level = level[keep]
+        yield level
+
+
+def _fold(batch: list, best: Optional[tuple[int, int, int]], full, out_tab: np.ndarray,
+          in_tab: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """Count the components of every set of ``batch``, (size, masks) parts
+    by increasing size, in one ``_scc_counts`` call, and return ``best``, the
+    (|S|, c(G - S), S-mask) with the smallest |S| / c, updated by each size's
+    first set with the most components."""
+    counts = _scc_counts(full ^ np.concatenate([masks for _, masks in batch]), out_tab, in_tab)
+    start = 0
+    for size, masks in batch:
+        top = int(np.argmax(counts[start:start + len(masks)]))  # the first, so the smallest mask
+        count = int(counts[start + top])
+        start += len(masks)
+        if count >= 2 and (best is None or size * best[1] < best[0] * count):
+            best = (size, count, int(masks[top]))
+    return best
+
+
 def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessResult:
     """Minimize |S| / c(G - S) over all proper nonempty removal sets.
 
     Removal sets are taken by increasing size, each size in ascending
-    bitmask order, a chunk of masks at a time; the components of G - S
-    are counted for a whole chunk at once.  The search stops before size
-    k once k / (n - k) is at least the best value so far: G - S has at
-    most n - |S| components, so no set of size k or more can do better,
-    and a tie loses to the smaller set already found.  Values are
-    compared as exact fractions.  Sets of n - 1 vertices leave a single
-    component and are not tried.  Masks are uint64 words up to n = 64
-    and Python ints beyond.
+    bitmask order, and the components of G - S are counted for a batch
+    of up to ``MASK_CHUNK`` sets at once.  The search stops before size k
+    once k / (n - k) is at least the best value so far: G - S has at most
+    n - |S| components, so no set of size k or more can do better, and a
+    tie loses to the smaller set already found.  Values are compared as
+    exact fractions.  Sets of n - 1 vertices leave a single component and
+    are not tried.  Masks are uint64 words up to n = 64 and Python ints
+    beyond.
 
-    Only admissible sets are counted.  Take v in S with no out-neighbour
-    outside S, or no in-neighbour, or fewer than two distinct neighbours
-    (self-loops aside).  Put back, v is a new singleton component of
-    G - (S - v) or joins one without merging others, so S - v, nonempty
-    since G is strongly connected, has c >= 2 and a strictly smaller
-    ratio.  Repeating ends at an admissible subset, so after each size
-    the best (ratio, size, mask) is the one the full enumeration finds:
-    the value, witness and stop size stay the same.  A chunk drops the
-    sets that contain a pattern of ``_forbidden_patterns`` before its
-    components are counted; a size checks only the patterns that lie in
-    at least 1/``PATTERN_SHARE`` of its sets.
+    Only admissible sets are built and counted.  Take v in S with no
+    out-neighbour outside S, or no in-neighbour, or fewer than two
+    distinct neighbours (self-loops aside).  Put back, v is a new
+    singleton component of G - (S - v) or joins one without merging
+    others, so S - v, nonempty since G is strongly connected, has c >= 2
+    and a strictly smaller ratio.  Repeating ends at an admissible subset,
+    so after each size the best (ratio, size, mask) is the one the full
+    enumeration finds: the value, witness and stop size stay the same.
+    ``_admissible_levels`` grows the sets size by size.
+
+    A batch may hold sets of several sizes, so that small sizes share one
+    count.  A size adds sets to the open batch only if they are no more
+    than the batch already holds; otherwise the batch is counted first.
+    Whether a size is searched depends on the counts of the sizes before
+    it, so a size that shares their count may be one the stop rule would
+    skip; the rule keeps such sets to at most as many as the counting
+    they share.  The stop rule is checked before each size and after each
+    count.  A set of a size past the stop cannot beat the best, since its
+    ratio is at least k / (n - k), so the result does not depend on how
+    the sets are batched.
     """
     check_enumeration(g, allow_large)
     n = g.n
@@ -161,31 +210,28 @@ def exact_toughness(g: DirectedGraph, allow_large: bool = False) -> ToughnessRes
     out_tab, in_tab = _union_tables(out_nb, word), _union_tables(in_nb, word)
     full = word.type((1 << n) - 1)
     best = None  # (|S|, c(G - S), S-mask)
-    family = _forbidden_patterns(out_nb, in_nb)
-    pending, patterns, most = next(family, None), [], 0
-    for size in range(1, n - 1):
-        if best is not None and size * best[1] >= best[0] * (n - size):
+    batch, held = [], 0  # (size, masks) parts not yet counted, and their set count
+
+    def stops(size: int) -> bool:
+        return best is not None and size * best[1] >= best[0] * (n - size)
+
+    for size, level in enumerate(_admissible_levels(n, out_nb, in_nb, word), 1):
+        if held and min(len(level), MASK_CHUNK - held) > held:
+            best = _fold(batch, best, full, out_tab, in_tab)
+            batch, held = [], 0
+        stopped = stops(size)
+        while len(level) and not stopped:
+            part, level = level[:MASK_CHUNK - held], level[MASK_CHUNK - held:]
+            batch.append((size, part))
+            held += len(part)
+            if held == MASK_CHUNK:
+                best = _fold(batch, best, full, out_tab, in_tab)
+                batch, held = [], 0
+                stopped = stops(size)
+        if stopped:
             break
-        # a pattern of t vertices lies in C(n - t, size - t) of the size's sets
-        while most < size and PATTERN_SHARE * math.comb(n - most - 1, size - most - 1) \
-                >= math.comb(n, size):
-            most += 1
-        while pending and pending[0] <= most:
-            patterns.append(word.type(pending[1]))
-            pending = next(family, None)
-        for masks in _subset_chunks(n, size, word):
-            if patterns:
-                admissible = np.ones(len(masks), dtype=bool)
-                for p in patterns:
-                    admissible &= (masks & p) != p
-                masks = masks[admissible]
-                if not len(masks):
-                    continue
-            counts = _scc_counts(full ^ masks, out_tab, in_tab)
-            top = int(np.argmax(counts))  # the first, so the smallest mask
-            count = int(counts[top])
-            if count >= 2 and (best is None or size * best[1] < best[0] * count):
-                best = (size, count, int(masks[top]))
+    if batch:
+        best = _fold(batch, best, full, out_tab, in_tab)
     if best is None:
         return ToughnessResult(INFINITE, None, None)
     size, count, mask = best

@@ -40,12 +40,12 @@ def complete_with_loops(n):
     return graph_from_edges(n, {(i, j) for i in range(n) for j in range(n)})
 
 
-def draw_strong_digraph(data):
+def draw_strong_digraph(data, max_n=9):
     # self-loops allowed; the AND (OR) of k random adjacency words has
     # density 2^-k (1 - 2^-k); an optional spanning cycle keeps sparse
     # draws strongly connected often enough, and bidirected draws
     # (undirected graphs) give removal sets many components
-    n = data.draw(st.one_of(st.integers(2, 9), st.integers(6, 9)))
+    n = data.draw(st.one_of(st.integers(2, max_n), st.integers(6, max_n)))
     words = data.draw(st.lists(st.integers(0, 2 ** (n * n) - 1), min_size=1, max_size=4))
     combine = data.draw(st.sampled_from([operator.and_, operator.or_]))
     bits = functools.reduce(combine, words)
@@ -148,12 +148,44 @@ class TestExactToughness:
     @ORACLE_SETTINGS
     @given(st.data())
     def test_pruned_enumeration_matches_oracle_in_tiny_chunks(self, data):
-        # three masks a chunk: most sizes span several chunks, and the best
-        # set must survive the chunk boundaries; every size checks every
+        # three masks a batch: most sizes span several batches and most
+        # batches hold the end of one size and the start of the next, and
+        # the best set must survive the boundaries; every size checks every
         # forbidden pattern that fits in it
         with mock.patch.object(toughness, "MASK_CHUNK", 3), \
                 mock.patch.object(toughness, "PATTERN_SHARE", 2 ** 62):
             check_against_combination_oracle(data)
+
+    @ORACLE_SETTINGS
+    @given(st.data())
+    def test_admissible_levels_match_combination_oracle(self, data):
+        # level s holds, ascending and once each, exactly the s-sets that
+        # contain no pattern active at s, by brute force over the patterns'
+        # definition; a huge share activates every pattern that fits, small
+        # ones activate patterns sizes after they fit, when sets of the
+        # level before may already hold them
+        g = draw_strong_digraph(data, max_n=12)
+        n = g.n
+        share = data.draw(st.sampled_from([2 ** 62, 256, 16, 4, 1]))
+        word = np.dtype(data.draw(st.sampled_from([np.uint64, object])))
+        out_nb, in_nb = g.neighbour_masks
+        patterns = set()
+        for v in range(n):
+            out = {u for u in range(n) if out_nb[v] >> u & 1} - {v}
+            inn = {u for u in range(n) if in_nb[v] >> u & 1} - {v}
+            patterns |= {frozenset(out | {v}), frozenset(inn | {v})}
+            patterns |= {frozenset((out | inn | {v}) - {x}) for x in out | inn}
+        with mock.patch.object(toughness, "PATTERN_SHARE", share):
+            levels = [level.tolist()
+                      for level in toughness._admissible_levels(n, out_nb, in_nb, word)]
+        for size in range(1, n - 1):
+            active = [p for p in patterns if len(p) <= size
+                      and share * math.comb(n - len(p), size - len(p)) >= math.comb(n, size)]
+            expected = sorted(sum(1 << v for v in s)
+                              for s in itertools.combinations(range(n), size)
+                              if not any(p <= set(s) for p in active))
+            assert (levels[size - 1] if size <= len(levels) else []) == expected
+        assert len(levels) <= max(n - 2, 0)
 
     @ORACLE_SETTINGS
     @given(st.data())
@@ -177,9 +209,8 @@ class TestExactToughness:
                                                                    vertices - set(s) | {v})
                                           for v in s))
 
-    def test_pruning_counts_only_independent_sets_of_a_cycle(self):
-        # the nonempty independent sets of C17 (Lucas number L17 - 1); the
-        # full enumeration counts all 2^16 - 1 sets of its sizes 1 to 8
+    @staticmethod
+    def counted_batches(g):
         counted = []
 
         def spy(keep, out_tab, in_tab):
@@ -188,9 +219,27 @@ class TestExactToughness:
 
         scc_counts = toughness._scc_counts
         with mock.patch.object(toughness, "_scc_counts", spy):
-            result = exact_toughness(undirected_cycle(17))
+            return exact_toughness(g), counted
+
+    def test_pruning_counts_only_independent_sets_of_a_cycle(self):
+        # the nonempty independent sets of C17 (Lucas number L17 - 1); the
+        # full enumeration counts all 2^16 - 1 sets of its sizes 1 to 8.
+        # Sizes 5 to 8 hold 1,122, 714, 204 and 17 sets, each no more than
+        # the batch before it, so they share one count
+        result, counted = self.counted_batches(undirected_cycle(17))
         assert result == ToughnessResult(1.0, (0, 2), 2)
         assert sum(counted) <= 3570
+        assert counted == [17, 119, 442, 935, 1122 + 714 + 204 + 17]
+
+    def test_batches_hold_at_most_a_chunk(self):
+        # sizes 7 to 10 hold 17,424 to 24,090 sets each, more than a batch.
+        # The first 16,384 sets of size 10 hold one that leaves 7 = n - 10
+        # components, the most a 10-set can leave, so the stop rule, checked
+        # after each count, skips the size's last 1,040 sets
+        result, counted = self.counted_batches(random_strongly_connected(17, 0.5, seed=1))
+        assert result.value == 10 / 7
+        assert max(counted) == toughness.MASK_CHUNK
+        assert sum(counted) == 105184
 
     @pytest.mark.parametrize("n", [20, 22])
     def test_long_cycles_at_the_cap(self, n):

@@ -20,10 +20,12 @@ The corpus covers every command in text, json, csv and text with ``-v``:
 exhaustive, ``--nonempty-only`` and ``--sample`` sweeps (n = 12 and 13
 included, where the exhaustive search does the most work), ``eml bound``
 on indices, labels and numeric labels that differ from the indices, all
-three toughness modes, ``generate`` for every family (with chords, seeds
-and bad parameters), usage errors and ``--help``; and the failures: a
-periodic directed C8 (exit 3), ``de_bruijn(2, 3)`` (exit 4), a sink, a
-malformed and a missing file.
+three toughness modes (``toughness exact`` and ``compare`` also on an
+undirected 20-cycle and on a dense random graph at n = 18, p = 0.6, where
+the enumeration does the most work), ``generate`` for every family (with
+chords, seeds and bad parameters), usage errors and ``--help``; and the
+failures: a periodic directed C8 (exit 3), ``de_bruijn(2, 3)`` (exit 4), a
+sink, a malformed and a missing file.
 
 Exit status: 0 when every run agrees, 1 when some run differs, 2 when the
 corpus could not run.
@@ -101,6 +103,8 @@ def _graphs() -> dict[str, str]:
         **{f"random{n}": _edge_text(_random_strong(n, p, seed))
            for n, p, seed in ((8, 0.3, 1), (11, 0.25, 2), (16, 0.2, 3),
                               (40, 0.1, 4), (90, 0.05, 5), (150, 0.03, 6))},
+        "cycle20": _edge_text(_bidirected(_cycle(20))),
+        "dense18": _edge_text(_random_strong(18, 0.6, 7)),
         "de_bruijn_2_3": _edge_text(_de_bruijn(2, 3)),
         "directed_c8": _edge_text(_cycle(8)),
         "sink": "a b\nb c\nc a\nc d\n",
@@ -108,9 +112,15 @@ def _graphs() -> dict[str, str]:
     }
 
 
+# graphs that only exact toughness runs on: a long cycle, whose search
+# counts only its independent sets, and a dense graph with no small
+# forbidden patterns, whose sizes hold up to C(18, 9) removal sets
+TOUGHNESS_ONLY = ("cycle20", "dense18")
+
+
 def _corpus(workdir: Path) -> list[list[str]]:
     """Every argv of the corpus, over the graph files in ``workdir``."""
-    files = [str(workdir / f"{stem}.txt") for stem in _graphs()]
+    files = [str(workdir / f"{stem}.txt") for stem in _graphs() if stem not in TOUGHNESS_ONLY]
     files.append(str(workdir / "missing.txt"))
     commands = [  # (command, options): the file goes between them
         (["analyze"], []),
@@ -139,6 +149,8 @@ def _corpus(workdir: Path) -> list[list[str]]:
         ["eml", "verify", str(workdir / "random40.txt"), "--sample", "200", "--seed", "-1"],
         ["toughness", "exact", str(workdir / "random16.txt"), "--allow-large"],
     ]
+    runs += [["toughness", mode, str(workdir / f"{stem}.txt")] + fmt
+             for stem in TOUGHNESS_ONLY for mode in ("exact", "compare") for fmt in FORMATS]
     out = workdir / "generated"
     generate = [
         ["complete_bidirected", "4"], ["undirected_cycle", "5"], ["petersen"],
