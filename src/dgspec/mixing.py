@@ -10,21 +10,23 @@ The exhaustive sweep is a search that evaluates only the pairs its report
 can depend on.  The 2^(n+1) - 1 pairs with U or W empty have lhs, bounds
 and slacks exactly 0.0, so they are folded in closed form and only the
 nonempty pairs are searched.  Both bounds depend on U only through |U|,
-so they are evaluated once, as a table over (|U|, W).  For a fixed U the
+so they are evaluated once, as a table over (|U|, W), which is reduced at
+once to its extremes over each |W| = b and dropped.  For a fixed U the
 deviation of (U, W) is |sum of r_j over j in W| with
 r = 1_U^T P - |U| pi, so one sort of r gives the largest deviation over
-every |W| = b, and with the table's extremes over |W| = b a bound on the
-slack of the whole row (U, b).  One pass over the 2^n - 1 nonempty U does
-this: each block of U first tightens the incumbent minimum slacks and
-largest tightness, then keeps the (U, b, dev) of its rows that can still
-hold the minimum slack, a violation or the largest tightness under them,
-at most (2^n - 1) n floats of dev (0.85 MB at n = 13).  The kept rows are
-marked once more against the final incumbents, and every pair of the
-marked rows is evaluated with the arithmetic of a full sweep over all
-4^n pairs, so the report is that sweep's bit for bit.  On a 2-core
-Intel Xeon an n = 13 search takes about 0.016 s on an undirected cycle
-and 0.16 s on K13, whose U = W pairs are all exactly tight; a profile
-that violates most pairs is evaluated almost whole, in 0.56-0.57 s.
+every |W| = b, and with the extremes a bound on the slack and tightness
+of the whole row (U, b), and values that some pair of the row reaches.
+One pass over the 2^n - 1 nonempty U does this: each block of U first
+tightens the incumbent minimum slacks and largest tightness with the
+values its rows reach, then keeps the (U, b, dev) of its rows that can
+still hold the minimum slack, a violation or the largest tightness under
+them, at most (2^n - 1) n floats of dev (0.85 MB at n = 13).  The kept
+rows are marked once more against the final incumbents, and every pair of
+the marked rows is evaluated with the arithmetic of a full sweep over all
+4^n pairs, so the report is that sweep's bit for bit.  On a 2-core Intel
+Xeon an n = 13 search takes about 0.015 s on an undirected cycle and
+0.17 s on K13, whose U = W pairs are all exactly tight; a profile that
+violates most pairs is evaluated almost whole, in about 0.57 s.
 """
 
 from __future__ import annotations
@@ -76,21 +78,20 @@ def _margin(n: int) -> float:
     r_j sums at most n products in any order, so the r_j together err by
     n gamma_(n+3); their magnitudes sum to at most 2n, so summing b <= n
     of them adds 2n gamma_n.  So every pair's deviation is at most
-    ``dev + margin`` and that of (U, W*) at least ``dev - margin`` when
-    margin >= 7n gamma_(n+3), to first order 3.5 n (n + 3) eps.  The
+    ``dev + margin`` and some pair's with |W| = b at least ``dev - margin``
+    when margin >= 7n gamma_(n+3), to first order 3.5 n (n + 3) eps.  The
     margin, 8 (n + 1)^2 eps, is at least twice that.
     """
     return 8.0 * (n + 1) ** 2 * np.finfo(float).eps
 
 
 def _row_deviations(profile: SpectralProfile):
-    """Blocks ``(us, dev, wstar)`` over the nonempty masks U in [1, 2^n),
-    each U's row of ``dev`` and ``wstar`` indexed by b - 1 for b in [1, n]:
-    dev is the largest |sum of r_j over j in W| over |W| = b,
-    r = 1_U^T P - |U| pi, and wstar the mask of the W that attains it (the
-    b largest or the b smallest r_j).  Within ``_margin(n)``, dev bounds
-    the deviation of every pair (U, W) with |W| = b and is attained at
-    (U, wstar); its rounding moves only which rows a search evaluates."""
+    """Blocks ``(us, dev)`` over the nonempty masks U in [1, 2^n), each U's
+    row of ``dev`` indexed by b - 1 for b in [1, n]: dev is the largest
+    |sum of r_j over j in W| over |W| = b, r = 1_U^T P - |U| pi, which the
+    b largest or the b smallest r_j attain.  Within ``_margin(n)``, dev
+    bounds the deviation of every pair (U, W) with |W| = b and is reached
+    by one of them; its rounding moves only which rows a search evaluates."""
     n = profile.n
     rows = max(1, BLOCK_FLOATS // 4 // (n + 1))
     bits = np.arange(n)
@@ -98,14 +99,10 @@ def _row_deviations(profile: SpectralProfile):
         us = np.arange(first, min(first + rows, 1 << n))
         members = (us[:, None] >> bits & 1).astype(float)
         r = members @ profile.p - members.sum(axis=1, keepdims=True) * profile.pi
-        order = np.argsort(r, axis=1)
-        ascending, masks = np.take_along_axis(r, order, axis=1), 1 << order
-        # sums and masks of the b smallest and of the b largest r_j, b = 1..n
+        ascending = np.sort(r, axis=1)
+        # sums of the b smallest and of the b largest r_j, b = 1..n
         low, high = (np.cumsum(x, axis=1) for x in (ascending, ascending[:, ::-1]))
-        low_mask, high_mask = (np.cumsum(x, axis=1) for x in (masks, masks[:, ::-1]))
-        dev = np.maximum(high, -low)
-        wstar = np.where(high >= -low, high_mask, low_mask)
-        yield us, dev, wstar
+        yield us, np.maximum(high, -low)
 
 
 def _deviation(size_u, pi_w, mass):
@@ -333,6 +330,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     bmax = np.column_stack([bound[:, c].max(axis=1) for c in by_size])
     bpos = np.column_stack([_divisor(bound[:, c]).min(axis=1) for c in by_size])
     simple = np.column_stack([simple[:, c[0]] for c in by_size])
+    del bound  # the blocks evaluate their own bound rows
     # float subtraction is monotone: the smallest simple - bound of all pairs
     acc.gap_min = float((simple - bmax).min())
     if not nonempty_only:
@@ -341,8 +339,12 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
         acc.worst = (0.0, 0, 0)
     margin = _margin(n)
     # incumbents: values that the slack, the simplified slack and the
-    # tightness of some folded pair or some pair (U, W*) are known to reach
+    # tightness of some folded pair are known to reach.  Some pair of a row
+    # (U, b) deviates by at least dev - margin and has a bound in [bmin,
+    # bmax], so by monotone rounding a slack of at most bmax - (dev - margin)
+    # and, if bmin > 0, a tightness of at least (dev - margin) / bmax
     slack_inc, simple_inc, tight_inc = acc.min_slack, acc.simple_min, acc.tightness
+    tight_div = np.where(bmin > 0.0, bmax, np.inf)
 
     def candidates(at, above):
         """Which rows (U, b) can reach the incumbents or a violation, from
@@ -357,16 +359,14 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     # are candidates under them; incumbents only tighten, so the kept rows
     # hold every candidate under the final incumbents
     kept = []
-    for us, dev, wstar in _row_deviations(profile):
+    for us, dev in _row_deviations(profile):
         k, below = pc[us].astype(int) - 1, dev - margin
-        at_wstar = bound[k[:, None], wstar]
-        slack_inc = min(slack_inc, float((at_wstar - below).min()))
+        slack_inc = min(slack_inc, float((bmax[k] - below).min()))
         simple_inc = min(simple_inc, float((simple[k] - below).min()))
-        tight_inc = max(tight_inc, float((below / _divisor(at_wstar)).max()))
+        tight_inc = max(tight_inc, float((below / tight_div[k]).max()))
         above = dev + margin
         r, b = np.nonzero(candidates(k, above))
         kept.append((us[r], b, above[r, b]))
-    del bound  # the blocks evaluate their own bound rows
     row_u, row_b, above = (np.concatenate(x) for x in zip(*kept))
     final = candidates((pc[row_u].astype(int) - 1, row_b), above)
     row_u, row_b = row_u[final], 1 + row_b[final]

@@ -106,12 +106,13 @@ def _admissible_levels(n: int, out_nb: Sequence[int], in_nb: Sequence[int],
     set without its highest vertex, and in ascending order.  An admissible
     set contains no active pattern, so an extension by v can contain only
     the patterns whose highest vertex is v, and only those are tested.  A
-    pattern that becomes active at size s may lie in a set of level s - 1,
-    so at size s it is tested on every extension.  Level s is thus exactly
-    the s-sets that contain no pattern active at s.  Patterns come from
-    ``_forbidden_patterns``; a size activates those that lie in at least
-    1/``PATTERN_SHARE`` of its sets.  Levels without an active pattern
-    test nothing.
+    pattern that becomes active at size s may lie in a set of level s - 1;
+    those sets are dropped before the level is extended, since an extension
+    by any vertex but the pattern's highest holds the pattern only if the
+    set it extends does.  Level s is thus exactly the s-sets that contain
+    no pattern active at s.  Patterns come from ``_forbidden_patterns``; a
+    size activates those that lie in at least 1/``PATTERN_SHARE`` of its
+    sets.  Levels without an active pattern test nothing.
     """
     bits = np.array([1 << v for v in range(n)], dtype=word)
     pairs = np.zeros(n, dtype=word)  # bit u of pairs[v], u < v: {u, v} is a pattern
@@ -126,11 +127,10 @@ def _admissible_levels(n: int, out_nb: Sequence[int], in_nb: Sequence[int],
         while most < size and PATTERN_SHARE * math.comb(n - most - 1, size - most - 1) \
                 >= math.comb(n, size):
             most += 1
-        fresh = []  # the patterns active from this size that a set of the last level may hold
         while pending and pending[0] <= most:
             t, p = pending
-            if t < size:
-                fresh.append(word.type(p))
+            if t < size:  # the last level may hold it
+                level = level[(level & word.type(p)) != p]
             v = p.bit_length() - 1
             if t == 2:
                 pairs[v] |= word.type(p ^ 1 << v)
@@ -146,8 +146,6 @@ def _admissible_levels(n: int, out_nb: Sequence[int], in_nb: Sequence[int],
             for v, rest in others:
                 seg = slice(starts[v], starts[v] + cuts[v])
                 keep[seg] &= (level[seg] & rest) != rest
-            for p in fresh:
-                keep &= (level & p) != p
             level = level[keep]
         yield level
 

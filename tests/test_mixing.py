@@ -465,24 +465,31 @@ class TestRowSearch:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(sweep_profiles(2, 8))
-    def test_row_search_dev_bounds_every_pair_and_wstar_attains_it(self, profile):
+    def test_row_search_dev_is_the_largest_deviation_of_its_row(self, profile):
         # the pruning premise, by brute force over the reference's pairs:
-        # within the margin, dev[U, b] is at least the deviation of every
-        # pair (U, W) with |W| = b, and the pair (U, W*) reaches it
+        # within the margin, dev[U, b] is the largest deviation of a pair
+        # (U, W) with |W| = b, so it bounds every such pair and one reaches it
         n = profile.n
         margin = mixing._margin(n)
         _, rows = reference_exhaustive_sweep(profile, nonempty_only=True, with_rows=True)
         size = (1 << n) - 1
         lhs = np.array([row[2] for row in rows]).reshape(size, size)
         sizes = np.array([bin(w).count("1") for w in range(1, 1 << n)])
-        for us, dev, wstar in mixing._row_deviations(profile):
+        for us, dev in mixing._row_deviations(profile):
             rows_lhs = lhs[us - 1]
             largest = np.column_stack([rows_lhs[:, sizes == b].max(axis=1)
                                        for b in range(1, n + 1)])
-            assert np.all(largest <= dev + margin)
-            assert np.all(sizes[wstar - 1] == np.arange(1, n + 1))
-            at_wstar = np.take_along_axis(rows_lhs, wstar - 1, axis=1)
-            assert np.all(np.abs(at_wstar - dev) <= margin)
+            assert np.all(np.abs(largest - dev) <= margin)
+
+    @pytest.mark.parametrize("g,nonempty_only", [
+        (random_strongly_connected(4, 0.5, seed=2), True),
+        (random_strongly_connected(4, 0.5, seed=0), False),
+    ], ids=["slack", "tightness"])
+    def test_row_search_incumbents_take_the_largest_bound(self, g, nonempty_only):
+        # pi(W) spreads the bounds over |W| = b on these graphs: incumbents
+        # read from the smallest bound instead of the largest would prune
+        # the row of the minimum slack (slack) or largest tightness (tightness)
+        check_search_against_reference(spectral_profile(g), nonempty_only)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -493,9 +500,9 @@ class TestRowSearch:
         yielded, real_rows = [], mixing._row_deviations
 
         def row_deviations(*args):
-            for us, dev, wstar in real_rows(*args):
+            for us, dev in real_rows(*args):
                 yielded.extend(us.tolist())
-                yield us, dev, wstar
+                yield us, dev
 
         with mock.patch.object(mixing, "_row_deviations", row_deviations), \
                 mock.patch.object(mixing, "BLOCK_FLOATS", block_floats):
@@ -549,20 +556,23 @@ class TestEmptyPairs:
                 assert repr(getattr(report, field.name)) == repr(
                     getattr(expected, field.name)), (scale, field.name)
 
-    @pytest.mark.parametrize("g,most_rows", [
-        (random_strongly_connected(12, 0.35, seed=3), 2),
-        (undirected_cycle(13), 65),
-    ], ids=["random12", "cycle13"])
-    def test_empty_pairs_are_never_searched(self, g, most_rows):
+    @pytest.mark.parametrize("g,nonempty_only,most_rows", [
+        (random_strongly_connected(12, 0.35, seed=3), False, 2),
+        (undirected_cycle(13), False, 65),
+        (random_strongly_connected(12, 0.35, seed=3), True, 4),
+        (undirected_cycle(13), True, 91),
+    ], ids=["random12", "cycle13", "random12-nonempty_only", "cycle13-nonempty_only"])
+    def test_empty_pairs_are_never_searched(self, g, nonempty_only, most_rows):
         # no row pass over U = {} and no mass block with U or W empty; the
-        # 0.0 the empty pairs reach prunes all but a few rows
+        # 0.0 the empty pairs reach, or without them the incumbents of the
+        # row pass alone, prune all but a few rows
         row_us, blocks, rows = [], [], []
         real_rows, real_masses = mixing._row_deviations, mixing._candidate_masses
 
         def row_deviations(*args):
-            for us, dev, wstar in real_rows(*args):
+            for us, dev in real_rows(*args):
                 row_us.extend(us.tolist())
-                yield us, dev, wstar
+                yield us, dev
 
         def candidate_masses(profile, pc, row_u, row_b):
             rows.append(len(row_u))
@@ -572,8 +582,8 @@ class TestEmptyPairs:
 
         with mock.patch.object(mixing, "_row_deviations", row_deviations), \
                 mock.patch.object(mixing, "_candidate_masses", candidate_masses):
-            report = verify_eml(spectral_profile(g))
-        assert report.pair_count == 4 ** g.n
+            report = verify_eml(spectral_profile(g), nonempty_only=nonempty_only)
+        assert report.pair_count == (((1 << g.n) - 1) ** 2 if nonempty_only else 4 ** g.n)
         assert min(row_us) == 1
         assert blocks and all(k > 0 and b > 0 and u > 0 and w > 0 for k, b, u, w in blocks)
         assert rows == [rows[0]] and 0 < rows[0] <= most_rows
