@@ -9,9 +9,9 @@ it; the report decodes the worst pair's masks to indices once.
 The exhaustive sweep is a search that evaluates only the pairs its report
 can depend on.  The 2^(n+1) - 1 pairs with U or W empty have lhs, bounds
 and slacks exactly 0.0, so they are folded in closed form and only the
-nonempty pairs are searched.  Both bounds depend on U only through |U|,
-so they are evaluated once, as a table over (|U|, W), which is reduced at
-once to its extremes over each |W| = b and dropped.  For a fixed U the
+nonempty pairs are searched.  The bounds depend on a pair only through
+|U|, |W| and pi(W), and the full bound falls as pi(W) grows, so its
+extremes over |W| = b sit at the extremes of pi(W).  For a fixed U the
 deviation of (U, W) is |sum of r_j over j in W| with
 r = 1_U^T P - |U| pi, so one sort of r gives the largest deviation over
 every |W| = b, and with the extremes a bound on the slack and tightness
@@ -24,9 +24,9 @@ them, at most (2^n - 1) n floats of dev (0.85 MB at n = 13).  The kept
 rows are marked once more against the final incumbents, and every pair of
 the marked rows is evaluated with the arithmetic of a full sweep over all
 4^n pairs, so the report is that sweep's bit for bit.  On a 2-core Intel
-Xeon an n = 13 search takes about 0.015 s on an undirected cycle and
-0.17 s on K13, whose U = W pairs are all exactly tight; a profile that
-violates most pairs is evaluated almost whole, in about 0.57 s.
+Xeon an n = 13 search takes about 0.012 s on an undirected cycle and
+0.16 s on K13, whose U = W pairs are all exactly tight; a profile that
+violates most pairs is evaluated almost whole, in about 0.49 s.
 """
 
 from __future__ import annotations
@@ -219,9 +219,10 @@ class _SweepAccumulator:
         """Fold a block of pairs with values of shape (rows, cols) into the
         minima, violation counts and tightness; return the block's slacks
         and the flat index of their first minimum.  ``divisor`` is
-        ``_divisor(bound)``."""
-        slack = bound - lhs
+        ``_divisor(bound)``; the slacks overwrite ``lhs``, of that shape."""
+        self.tightness = max(self.tightness, float((lhs / divisor).max()))
         slack_simple = bound_simple - lhs
+        slack = np.subtract(bound, lhs, out=lhs)
         self.pair_count += slack.size
         j = int(slack.argmin())
         low, simple_low = float(slack.flat[j]), float(slack_simple.min())
@@ -232,7 +233,6 @@ class _SweepAccumulator:
             self.thm_viol += int(np.count_nonzero(slack < -self.slack_tol))
         if simple_low < -self.slack_tol:
             self.simple_viol += int(np.count_nonzero(slack_simple < -self.slack_tol))
-        self.tightness = max(self.tightness, float((lhs / divisor).max()))
         return slack, j
 
     def add_block(self, u: np.ndarray, w: np.ndarray, lhs: np.ndarray,
@@ -321,16 +321,15 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     n = profile.n
     pc = subset_sums(np.ones(n))
     pi_w = subset_sums(profile.pi)
-    # over (|U| - 1, W) for |U| in [1, n] and every mask W
-    bound, simple = _bounds(profile, np.arange(1.0, n + 1)[:, None], pc, pi_w)
-    # per (|U| - 1, b - 1): the smallest, the largest and the smallest
-    # positive bound, and the simplified bound, over the W with |W| = b
-    by_size = [np.flatnonzero(pc == b) for b in range(1, n + 1)]
-    bmin = np.column_stack([bound[:, c].min(axis=1) for c in by_size])
-    bmax = np.column_stack([bound[:, c].max(axis=1) for c in by_size])
-    bpos = np.column_stack([_divisor(bound[:, c]).min(axis=1) for c in by_size])
-    simple = np.column_stack([simple[:, c[0]] for c in by_size])
-    del bound  # the blocks evaluate their own bound rows
+    # per (|U| - 1, b - 1): the smallest and the largest bound and the
+    # simplified bound over |W| = b.  Each rounded step of _bounds is
+    # monotone in pi(W), so these are the bounds at the largest and the
+    # smallest pi(W); the first call meets the smallest radicand factor
+    low, high, grid = np.full(n + 1, np.inf), np.full(n + 1, -np.inf), np.arange(1.0, n + 1)
+    np.minimum.at(low, pc.astype(int), pi_w)
+    np.maximum.at(high, pc.astype(int), pi_w)
+    bmin = _bounds(profile, grid[:, None], grid, high[1:])[0]
+    bmax, simple = _bounds(profile, grid[:, None], grid, low[1:])
     # float subtraction is monotone: the smallest simple - bound of all pairs
     acc.gap_min = float((simple - bmax).min())
     if not nonempty_only:
@@ -344,7 +343,8 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
     # bmax], so by monotone rounding a slack of at most bmax - (dev - margin)
     # and, if bmin > 0, a tightness of at least (dev - margin) / bmax
     slack_inc, simple_inc, tight_inc = acc.min_slack, acc.simple_min, acc.tightness
-    tight_div = np.where(bmin > 0.0, bmax, np.inf)
+    tight_div, bpos = np.where(bmin > 0.0, bmax, np.inf), _divisor(bmin)
+    unbounded = (bmin == 0.0) & (bmax > 0.0)  # no known smallest positive bound
 
     def candidates(at, above):
         """Which rows (U, b) can reach the incumbents or a violation, from
@@ -353,7 +353,7 @@ def _sweep_exhaustive(profile: SpectralProfile, nonempty_only: bool,
         slack_low, simple_low = bmin[at] - above, simple[at] - above
         return ((slack_low <= slack_inc) | (simple_low <= simple_inc)
                 | (np.minimum(slack_low, simple_low) < -acc.slack_tol)
-                | (above / bpos[at] >= tight_inc))
+                | (above / bpos[at] >= tight_inc) | unbounded[at])
 
     # one pass: each block tightens the incumbents, then keeps its rows that
     # are candidates under them; incumbents only tighten, so the kept rows

@@ -33,7 +33,9 @@ from oracles import (
     eml_lhs,
     eml_pair_oracle,
     indices_of,
+    mask_sums,
     masks_of,
+    popcount_table,
     reference_exhaustive_sweep,
 )
 
@@ -144,7 +146,7 @@ class TestPairValues:
         broken = dataclasses.replace(prof, norm_c_inv=0.01)
         with pytest.raises(NumericalError, match="radicand"):
             eml_bound(broken, SubsetPair((0,), (0, 1, 2)))
-        for sample in (None, 50):  # the exhaustive sweep checks its bound table
+        for sample in (None, 50):  # the exhaustive sweep checks its per-size bounds
             with pytest.raises(NumericalError, match="radicand"):
                 verify_eml(broken, sample=sample)
 
@@ -394,8 +396,9 @@ def swept_rows(profile, nonempty_only):
             yield k, b, us, ws, mass
 
     def fold(acc, lhs, bound, bound_simple, divisor):
+        deviation = lhs.copy()  # the real fold writes the slacks into lhs
         slack, j = real_fold(acc, lhs, bound, bound_simple, divisor)
-        values = (lhs, bound, bound_simple, slack)
+        values = (deviation, bound, bound_simple, slack)
         blocks[-1] += [np.broadcast_to(v, lhs.shape) for v in values]
         return slack, j
 
@@ -490,6 +493,42 @@ class TestRowSearch:
         # read from the smallest bound instead of the largest would prune
         # the row of the minimum slack (slack) or largest tightness (tightness)
         check_search_against_reference(spectral_profile(g), nonempty_only)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_search_keeps_a_class_of_zero_and_positive_bounds(self, seed):
+        # ||C^-1||^2 = max over W of n pi(W)^2 / |W| puts a radicand factor
+        # of 0 and positive ones in one class (|U|, |W|): its smallest bound
+        # is 0 while its largest is not, so the search must bound the
+        # tightness of its rows without dividing by 0 or overflowing
+        profile = spectral_profile(random_strongly_connected(6, 0.3, seed=seed))
+        n = profile.n
+        sizes, pi_w = popcount_table(n)[1:], mask_sums(profile.pi)[1:]
+        profile = dataclasses.replace(
+            profile, norm_c_inv=math.sqrt(float((n * pi_w ** 2 / sizes).max())))
+        _, rows = reference_exhaustive_sweep(profile, nonempty_only=True, with_rows=True)
+        classes = {}
+        for u, w, _, bound, *_ in rows:
+            classes.setdefault((bin(u).count("1"), bin(w).count("1")), []).append(bound)
+        assert any(min(bounds) == 0.0 < max(bounds) for bounds in classes.values())
+        for nonempty_only in (False, True):
+            check_search_against_reference(profile, nonempty_only)
+
+    @pytest.mark.parametrize("nonempty_only", [False, True])
+    @pytest.mark.parametrize("g", [random_strongly_connected(12, 0.35, seed=3),
+                                   undirected_cycle(13)], ids=["random12", "cycle13"])
+    def test_row_search_evaluates_no_bound_table(self, g, nonempty_only):
+        # the per-size bound extremes come from the extremes of pi(W): no
+        # _bounds call takes more values of pi(W) than the largest class
+        # |W| = n // 2 holds, where a table over (|U|, W) takes 2^n
+        taken, real_bounds = [], mixing._bounds
+
+        def bounds(profile, size_u, size_w, pi_w):
+            taken.append(np.size(pi_w))
+            return real_bounds(profile, size_u, size_w, pi_w)
+
+        with mock.patch.object(mixing, "_bounds", bounds):
+            verify_eml(spectral_profile(g), nonempty_only=nonempty_only)
+        assert taken and max(taken) <= math.comb(g.n, g.n // 2)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
